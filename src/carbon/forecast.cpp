@@ -24,6 +24,33 @@ double PersistenceForecaster::forecast(const util::TimeSeries& history, Duration
   return history.sample_at_clamped(target);
 }
 
+Duration PersistenceForecaster::stable_until(const util::TimeSeries& history,
+                                             Duration now, Duration horizon) const {
+  GREENHPC_REQUIRE(horizon.seconds() >= 0.0, "forecast horizon must be >= 0");
+  if (history.empty()) return now;
+  Duration target = now + horizon - days(1);
+  while (target >= now) target -= days(1);
+  // A target within one sample of either end of [now - 1 day, now) sits
+  // where rounding could change how many days forecast() steps back
+  // (horizon near a whole number of days): promise nothing there.
+  const Duration step = history.step();
+  if (target >= now - step || target < now - days(1) + step) return now;
+  if (target >= history.end()) return now;  // reads the clamped last sample
+  // Below the series the forecast clamps to sample 0, which then runs on.
+  const std::size_t first = target < history.start() ? 0 : history.index_at(target);
+  const std::span<const double> v = history.values();
+  std::size_t k = first + 1;
+  const double start_s = history.start().seconds();
+  while (k < v.size() && v[k] == v[first] &&
+         seconds(start_s + static_cast<double>(k) * step.seconds()) < now) {
+    ++k;
+  }
+  // Samples [first, k) hold the same value: the target may advance up to
+  // the start of sample k, and it advances in step with now.
+  const Duration run_end = seconds(start_s + static_cast<double>(k) * step.seconds());
+  return now + (run_end - target);
+}
+
 MovingAverageForecaster::MovingAverageForecaster(Duration window) : window_(window) {
   GREENHPC_REQUIRE(window.seconds() > 0.0, "moving-average window must be positive");
 }

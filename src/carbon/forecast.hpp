@@ -29,6 +29,19 @@ class Forecaster {
 
   /// Display name for experiment tables.
   [[nodiscard]] virtual std::string name() const = 0;
+
+  /// Stability horizon of forecast(history, now, horizon): a time T >= now
+  /// such that, for every later now' < T and every history that agrees
+  /// with this one before `now`, forecast(history', now', horizon)
+  /// returns the same value. Samples at or after `now` are treated as
+  /// unknown. Policies use it to prove that a forecast-driven decision
+  /// holds over a span of ticks. The default (T = now) promises nothing.
+  [[nodiscard]] virtual Duration stable_until(const util::TimeSeries& history,
+                                              Duration now, Duration horizon) const {
+    (void)history;
+    (void)horizon;
+    return now;
+  }
 };
 
 /// Same-time-yesterday persistence: the standard day-ahead baseline for
@@ -37,6 +50,11 @@ class PersistenceForecaster final : public Forecaster {
  public:
   [[nodiscard]] double forecast(const util::TimeSeries& history, Duration now,
                                 Duration horizon) const override;
+  /// The sampled target moves with `now`, so the forecast holds while the
+  /// target stays inside the run of equal samples it reads now. The scan
+  /// stops at the first sample that starts at or after `now`.
+  [[nodiscard]] Duration stable_until(const util::TimeSeries& history, Duration now,
+                                      Duration horizon) const override;
   [[nodiscard]] std::string name() const override { return "persistence-24h"; }
 };
 

@@ -165,9 +165,14 @@ int SweepWorker::run(const SweepGrid& grid) {
   std::thread heartbeat([&] {
     std::unique_lock<std::mutex> lock(hb_mu);
     for (;;) {
-      hb_cv.wait_for(lock,
-                     std::chrono::duration<double>(opts_.heartbeat_interval_s));
-      if (hb_stop) return;
+      // The predicate also catches a stop notified before this thread
+      // first waits; without it that wake-up is lost and shutdown waits
+      // out a whole interval.
+      if (hb_cv.wait_for(lock,
+                         std::chrono::duration<double>(opts_.heartbeat_interval_s),
+                         [&] { return hb_stop; })) {
+        return;
+      }
       {
         // Chaos hook: drop or delay this beat. Consulted per beat, so a
         // Drop spec with count=N silences exactly N consecutive beats —

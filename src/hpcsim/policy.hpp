@@ -90,6 +90,12 @@ class SimulationView {
   /// Observed intensity history up to (and excluding) the current tick,
   /// as (time, value) pairs at tick resolution — forecaster input.
   [[nodiscard]] virtual const std::vector<double>& intensity_history() const = 0;
+  /// A time T >= now() such that carbon_intensity_now() and
+  /// carbon_signal_staleness() return their current values at every
+  /// tick in [now, T) — so every history value appended before T is the
+  /// current intensity too. Lets intensity-driven policies attest
+  /// quiescence. The default (T = now) promises nothing.
+  [[nodiscard]] virtual Duration intensity_constant_until() const { return now(); }
 
   /// The job queues, by reference: no per-call copy on the tick hot path.
   /// The references stay valid for the life of the view, but any mutating

@@ -23,6 +23,19 @@ obs::Counter& sim_counter(const char* name) {
 /// memory; such workloads fall back to the hash map.
 constexpr std::size_t kDenseSlack = 4;
 constexpr std::size_t kDenseFloor = 1024;
+
+/// End of the trace segment covering t: sample_at_clamped returns one
+/// value for every time in [t, end). Before the trace the clamped first
+/// sample runs to the end of segment 0; past the trace the clamped last
+/// sample never changes (+inf).
+Duration trace_segment_end(const util::TimeSeries& trace, Duration t) {
+  if (t < trace.start()) return trace.start() + trace.step();
+  if (t < trace.end()) {
+    return trace.start() + seconds(static_cast<double>(trace.index_at(t) + 1) *
+                                   trace.step().seconds());
+  }
+  return quiescent_forever();
+}
 }  // namespace
 
 Simulator::Simulator(Config config, util::Shared<std::vector<JobSpec>> jobs)
@@ -184,6 +197,11 @@ double Simulator::scale_factor(std::size_t i) const {
 
 double Simulator::carbon_intensity_at(Duration t) const {
   return cfg_.carbon_intensity->sample_at_clamped(t);
+}
+
+Duration Simulator::intensity_constant_until() const {
+  if (cfg_.feed != nullptr) return now_;
+  return trace_segment_end(*cfg_.carbon_intensity, now_);
 }
 
 const JobSpec& Simulator::spec(JobId id) const { return *slot(id).spec; }
@@ -845,15 +863,7 @@ std::size_t Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
         ci_true_ = trace.sample_at_clamped(now_, ci_cursor_);
         ci_now_ = ci_true_;
         staleness_ = seconds(0.0);
-        if (now_ < trace.start()) {
-          seg_end = trace.start() + trace.step();
-        } else if (now_ < trace.end()) {
-          seg_end = trace.start() +
-                    seconds(static_cast<double>(trace.index_at(now_) + 1) *
-                            trace.step().seconds());
-        } else {
-          seg_end = span_end;  // clamped past the end: constant forever
-        }
+        seg_end = trace_segment_end(trace, now_);
       }
     } else {
       observe_intensity();

@@ -128,6 +128,10 @@ class Simulator final : public SimulationView {
   [[nodiscard]] const std::vector<double>& intensity_history() const override {
     return ci_history_;
   }
+  /// End of the current trace segment with no feed (+inf past the trace
+  /// end, where the clamped sample never changes); now() with a feed,
+  /// whose observations and staleness move every tick.
+  [[nodiscard]] Duration intensity_constant_until() const override;
   [[nodiscard]] const std::vector<JobId>& pending_jobs() const override {
     return pending_;
   }

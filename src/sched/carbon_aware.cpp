@@ -1,6 +1,7 @@
 #include "sched/carbon_aware.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "obs/metrics.hpp"
 #include "sched/easy_backfill.hpp"
@@ -42,8 +43,13 @@ double CarbonAwareEasyScheduler::incremental_threshold(
     threshold_window_ = util::SlidingPercentile(cap);
     threshold_consumed_ = 0;
   }
-  for (; threshold_consumed_ < history.size(); ++threshold_consumed_) {
-    threshold_window_.push(history[threshold_consumed_]);
+  // Spans append runs of one value; a run is one window update.
+  while (threshold_consumed_ < history.size()) {
+    const double v = history[threshold_consumed_];
+    std::size_t end = threshold_consumed_ + 1;
+    while (end < history.size() && history[end] == v) ++end;
+    threshold_window_.push(v, end - threshold_consumed_);
+    threshold_consumed_ = end;
   }
   // The window now holds the last min(size, cap) history values — exactly
   // the tail current_threshold() takes its percentile over.
@@ -66,26 +72,70 @@ const util::TimeSeries& CarbonAwareEasyScheduler::history_series(
 }
 
 bool CarbonAwareEasyScheduler::greener_period_ahead(
-    const hpcsim::SimulationView& view) {
+    const hpcsim::SimulationView& view, Duration& horizon) {
   const auto& history = view.intensity_history();
-  if (history.size() < 2) return false;  // nothing to forecast from yet
+  if (history.size() < 2) {  // nothing to forecast from yet
+    horizon = view.now();    // ... until the history grows
+    return false;
+  }
   const util::TimeSeries& hist = history_series(view);
   const Duration now = hist.end();
   const double target = view.carbon_intensity_now() * cfg_.improvement_factor;
+  const Duration half_tick = view.cluster().tick * 0.5;
   for (Duration h = hours(1.0); h <= cfg_.lookahead; h += hours(1.0)) {
-    if (forecaster_->forecast(hist, now, h) <= target) return true;
+    const bool greener = forecaster_->forecast(hist, now, h) <= target;
+    if (horizon > view.now()) {
+      // Map the forecaster's clock (history end) onto the view's, with
+      // half a tick of margin against rounding between the two.
+      const Duration stable = forecaster_->stable_until(hist, now, h);
+      horizon = std::min(horizon, view.now() + (stable - now) - half_tick);
+    }
+    if (greener) return true;
   }
   return false;
 }
 
+Duration CarbonAwareEasyScheduler::threshold_horizon(
+    const hpcsim::SimulationView& view, bool green_now) const {
+  // The gate compares c = carbon_intensity_now() with the interpolated
+  // percentile theta = s[lo] * (1 - f) + s[lo + 1] * f of the sorted
+  // window s. For nonnegative values the rounded interpolation stays
+  // within a few ulps of [s[lo], s[lo + 1]], so with a relative slack far
+  // above that:
+  //   green is certain while s[lo] >= c (1 + slack), i.e.
+  //     count_below(c (1 + slack)) <= lo;
+  //   not green is certain while s[lo + 1] <= c (1 - slack), i.e.
+  //     count_at_most(c (1 - slack)) >= lo + 2.
+  // Each tick appends one value c, evicts at most one old value once the
+  // window is full, and moves lo up by at most one only while it is
+  // still filling (no eviction then). Each appended c counts against the
+  // green margin and not against the other; so either margin, measured
+  // in ranks, shrinks by at most one per tick, and a margin of r ranks
+  // keeps the gate's answer for the next r ticks.
+  constexpr double kSlack = 1e-12;
+  const double c = view.carbon_intensity_now();
+  const util::SlidingPercentile& window = threshold_window_;
+  if (view.intensity_history().size() < 2 || !(c >= 0.0) ||
+      window.count_below(0.0) > 0) {
+    return view.now();
+  }
+  const auto lo = static_cast<long>(window.percentile_rank(cfg_.green_quantile));
+  const long margin =
+      green_now ? lo - static_cast<long>(window.count_below(c * (1.0 + kSlack)))
+                : static_cast<long>(window.count_at_most(c * (1.0 - kSlack))) - (lo + 2);
+  if (margin <= 0) return view.now();
+  return view.now() + view.cluster().tick * (static_cast<double>(margin) + 0.5);
+}
+
 void CarbonAwareEasyScheduler::on_tick(hpcsim::SimulationView& view) {
+  attested_at_ = seconds(-1.0);
   pending_scratch_ = view.pending_jobs();  // snapshot: start() mutates the queue
   const std::vector<hpcsim::JobId>& pending = pending_scratch_;
   if (pending.empty()) return;
 
   // Degraded-feed fallback: past the staleness horizon the held value is
   // no longer trustworthy, so drop to carbon-blind EASY rather than gate
-  // on a phantom grid state.
+  // on a phantom grid state. Attests nothing.
   if (view.carbon_signal_staleness() > cfg_.staleness_horizon) {
     static obs::Counter& stale_ticks =
         obs::Registry::global().counter("sched.carbon.stale_fallback_ticks");
@@ -110,10 +160,17 @@ void CarbonAwareEasyScheduler::on_tick(hpcsim::SimulationView& view) {
   }
   const bool pressured = backlog_nodes > backlog_limit;
 
+  // The horizon this tick's decision provably holds to (see the header):
+  // only the inputs the decision actually read bound it. The backlog
+  // guard reads discrete state only.
+  Duration horizon = view.intensity_constant_until();
+  if (!pressured && horizon > view.now()) {
+    horizon = std::min(horizon, threshold_horizon(view, green_now));
+  }
   bool hold_allowed = !green_now && !pressured;
   if (hold_allowed) {
     // Only hold if the forecast actually promises a greener window.
-    hold_allowed = greener_period_ahead(view);
+    hold_allowed = greener_period_ahead(view, horizon);
   }
   static obs::Counter& hold_ticks =
       obs::Registry::global().counter("sched.carbon.hold_ticks");
@@ -126,17 +183,31 @@ void CarbonAwareEasyScheduler::on_tick(hpcsim::SimulationView& view) {
   std::vector<hpcsim::JobId>& eligible = eligible_scratch_;
   eligible.clear();
   eligible.reserve(pending.size());
+  std::uint64_t held = 0;
+  Duration budget_end = hpcsim::quiescent_forever();
   for (hpcsim::JobId id : pending) {
-    const Duration waited = view.now() - seconds(table.submit_s[view.slot_of(id)]);
-    const bool over_budget = waited >= cfg_.max_hold;
+    const Duration submit = seconds(table.submit_s[view.slot_of(id)]);
+    const bool over_budget = view.now() - submit >= cfg_.max_hold;
     if (hold_allowed && !over_budget) {
-      held_jobs.add();
+      ++held;
+      budget_end = std::min(budget_end, submit + cfg_.max_hold);
       continue;  // hold for a green period
     }
     if (hold_allowed && over_budget) over_budget_releases.add();
     eligible.push_back(id);
   }
-  if (!eligible.empty()) easy_pass(view, eligible, /*shrink_moldable=*/false, &releases_);
+  if (held > 0) {
+    held_jobs.add(held);
+    // A held job turns eligible once its budget runs out; half a tick of
+    // margin keeps the rounded `now - submit` comparison on the safe side.
+    horizon = std::min(horizon, budget_end - view.cluster().tick * 0.5);
+  }
+  if (!eligible.empty()) {
+    if (easy_pass(view, eligible, /*shrink_moldable=*/false, &releases_) > 0) return;
+    horizon = std::min(horizon, easy_quiescent_until(view, eligible));
+  }
+  attested_at_ = view.now() + view.cluster().tick;
+  attested_horizon_ = horizon;
 }
 
 }  // namespace greenhpc::sched

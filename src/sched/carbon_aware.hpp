@@ -10,6 +10,21 @@
 // for which the forecaster predicts a greener window within the lookahead
 // are held back; everything else is scheduled with plain EASY. Bounded
 // holding preserves worst-case wait behaviour.
+//
+// Span attestation (DESIGN.md, "Span batch kernel"): an on_tick that
+// starts nothing also proves how long that stays true at the same
+// discrete state. Its horizon is the minimum of: the end of the current
+// intensity segment (SimulationView::intensity_constant_until); the
+// rank-distance bound on the green gate; while the forecast is
+// consulted, the Forecaster::stable_until of each lookahead hour read;
+// while holding, the earliest hold budget to run out; and EASY's own
+// horizon over the jobs it was given. The degraded-feed fallback attests
+// nothing.
+//
+// Observability: the obs counters sched.carbon.hold_ticks and
+// sched.carbon.held_jobs count *evaluated* ticks — ticks the engine
+// integrates inside a span are not counted, so their totals shrink as
+// spans grow. They are not part of any digest.
 
 #include <memory>
 
@@ -51,20 +66,22 @@ class CarbonAwareEasyScheduler final : public hpcsim::SchedulingPolicy {
   void on_tick(hpcsim::SimulationView& view) override;
   [[nodiscard]] std::string name() const override { return "carbon-easy"; }
 
-  /// The green gate re-reads the intensity signal every tick, so with
-  /// work pending and nodes free the policy cannot promise anything
-  /// beyond now. It can when no decision is reachable: nothing pending
-  /// (on_tick returns immediately), or zero free nodes (no start can
-  /// succeed; holds are aged against submit time, not tick-counted, and
-  /// the incremental threshold/history windows consume the intensity
-  /// history in batch to the same values). Both states end with a
-  /// discrete event, which ends the span via the engine's epoch gate.
+  /// Two states need no attestation: nothing pending (on_tick returns
+  /// immediately) and zero free nodes (no start can succeed; holds are
+  /// aged against submit time, not tick-counted, and the incremental
+  /// threshold/history windows consume the intensity history in batch
+  /// to the same values). Both end with a discrete event, which ends the
+  /// span via the engine's epoch gate. Otherwise the horizon is the one
+  /// the last on_tick attested, and only at the tick right after it —
+  /// the tick at which the engine asks, having checked that the discrete
+  /// state is the one that on_tick saw and left untouched. Anywhere else
+  /// the answer is now.
   [[nodiscard]] Duration quiescent_until(
       const hpcsim::SimulationView& view) const override {
     if (view.pending_jobs().empty() || view.free_nodes() == 0) {
       return hpcsim::quiescent_forever();
     }
-    return view.now();
+    return view.now() == attested_at_ ? attested_horizon_ : view.now();
   }
 
   /// With zero free nodes no start can succeed regardless of what
@@ -91,7 +108,19 @@ class CarbonAwareEasyScheduler final : public hpcsim::SchedulingPolicy {
   [[nodiscard]] double current_threshold(const hpcsim::SimulationView& view) const;
 
  private:
-  [[nodiscard]] bool greener_period_ahead(const hpcsim::SimulationView& view);
+  /// Whether the forecaster predicts a greener period within the
+  /// lookahead. Lowers `horizon` to the last tick before which every
+  /// forecast it consulted is provably unchanged (Forecaster::
+  /// stable_until), so the answer is too.
+  [[nodiscard]] bool greener_period_ahead(const hpcsim::SimulationView& view,
+                                          Duration& horizon);
+  /// The rank-distance bound on the green gate: a horizon before which
+  /// `intensity <= threshold` keeps its current answer, provided every
+  /// history value appended meanwhile is the current intensity (the
+  /// caller also bounds by intensity_constant_until()). Reads the window
+  /// incremental_threshold() just brought up to date.
+  [[nodiscard]] Duration threshold_horizon(const hpcsim::SimulationView& view,
+                                           bool green_now) const;
   /// current_threshold() via a sliding sorted window over the intensity
   /// history instead of a per-tick copy-and-sort of the whole window.
   [[nodiscard]] double incremental_threshold(const hpcsim::SimulationView& view);
@@ -113,6 +142,11 @@ class CarbonAwareEasyScheduler final : public hpcsim::SchedulingPolicy {
   std::size_t threshold_consumed_ = 0;
   util::TimeSeries hist_series_;
   std::size_t hist_consumed_ = 0;
+  // Quiescence horizon attested by the last on_tick that took no action,
+  // and the tick it may be consumed at (that on_tick's now + one tick);
+  // every on_tick resets it.
+  Duration attested_at_ = seconds(-1.0);
+  Duration attested_horizon_;
 };
 
 }  // namespace greenhpc::sched

@@ -181,7 +181,12 @@ bool EasyBackfillScheduler::quiescent_over_release(
 
 Duration EasyBackfillScheduler::quiescent_until(
     const hpcsim::SimulationView& view) const {
-  if (view.pending_jobs().empty()) return hpcsim::quiescent_forever();
+  return easy_quiescent_until(view, view.pending_jobs());
+}
+
+Duration easy_quiescent_until(const hpcsim::SimulationView& view,
+                              const std::vector<hpcsim::JobId>& queue) {
+  if (queue.empty()) return hpcsim::quiescent_forever();
   // Every start needs at least one free node; with none, neither the
   // in-order pass nor backfill can act until something discrete releases
   // nodes (which ends the span through the engine's epoch gate).

@@ -126,4 +126,12 @@ class EasyBackfillScheduler final : public hpcsim::SchedulingPolicy {
 int easy_pass(hpcsim::SimulationView& view, const std::vector<hpcsim::JobId>& queue,
               bool shrink_moldable = false, ReleaseCache* cache = nullptr);
 
+/// Quiescence horizon of easy_pass over a fixed candidate list that just
+/// started nothing (see EasyBackfillScheduler::quiescent_until for the
+/// argument): forever when the list is empty or no node is free,
+/// otherwise the earliest walltime-projected end of a running job, or
+/// now when a job already overran its estimate.
+[[nodiscard]] Duration easy_quiescent_until(const hpcsim::SimulationView& view,
+                                            const std::vector<hpcsim::JobId>& queue);
+
 }  // namespace greenhpc::sched

@@ -66,19 +66,40 @@ SlidingPercentile::SlidingPercentile(std::size_t capacity) : capacity_(capacity)
   sorted_.reserve(capacity_);
 }
 
-void SlidingPercentile::push(double x) {
-  if (order_.size() == capacity_) {
-    // Evict the oldest value: any element equal to it is interchangeable
-    // in the sorted sequence, so erasing the first match is exact.
-    const double victim = order_[oldest_];
-    const auto it = std::lower_bound(sorted_.begin(), sorted_.end(), victim);
-    sorted_.erase(it);
-    order_[oldest_] = x;
-    oldest_ = (oldest_ + 1) % capacity_;
-  } else {
-    order_.push_back(x);
+void SlidingPercentile::push(double x, std::size_t count) {
+  // While filling: all copies of x go in at one slot.
+  const std::size_t fill = std::min(count, capacity_ - order_.size());
+  if (fill > 0) {
+    order_.insert(order_.end(), fill, x);
+    sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), x), fill, x);
+    count -= fill;
   }
-  sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), x), x);
+  // Full: each copy replaces the oldest value. Victims are taken in runs
+  // of equal values; a run of k equal values is contiguous in the sorted
+  // sequence (equal elements are interchangeable, so the block starting
+  // at the first match is exact), and replacing it by k copies of x gives
+  // the same sequence k erase-then-insert steps would, with only the
+  // elements between the victim block and x's slot moving, in one shift.
+  while (count > 0) {
+    const double victim = order_[oldest_];
+    std::size_t k = 0;
+    do {
+      order_[oldest_] = x;
+      oldest_ = (oldest_ + 1) % capacity_;
+      ++k;
+    } while (k < count && k < capacity_ && order_[oldest_] == victim);
+    count -= k;
+    const auto p = std::lower_bound(sorted_.begin(), sorted_.end(), victim);
+    const auto q = std::upper_bound(sorted_.begin(), sorted_.end(), x);
+    const auto kd = static_cast<std::ptrdiff_t>(k);
+    if (p < q) {  // x lands left of q once the victims are gone
+      std::copy(p + kd, q, p);
+      std::fill(q - kd, q, x);
+    } else {
+      std::copy_backward(q, p, p + kd);
+      std::fill(q, q + kd, x);
+    }
+  }
 }
 
 double SlidingPercentile::percentile(double q) const {
@@ -92,6 +113,23 @@ double SlidingPercentile::percentile(double q) const {
   const double frac = pos - static_cast<double>(lo);
   if (lo + 1 >= sorted_.size()) return sorted_.back();
   return sorted_[lo] * (1.0 - frac) + sorted_[lo + 1] * frac;
+}
+
+std::size_t SlidingPercentile::percentile_rank(double q) const {
+  GREENHPC_REQUIRE(!sorted_.empty(), "percentile of empty sample");
+  GREENHPC_REQUIRE(q >= 0.0 && q <= 1.0, "percentile q must be in [0,1]");
+  // The same position arithmetic percentile() uses.
+  return static_cast<std::size_t>(q * static_cast<double>(sorted_.size() - 1));
+}
+
+std::size_t SlidingPercentile::count_below(double x) const {
+  return static_cast<std::size_t>(
+      std::lower_bound(sorted_.begin(), sorted_.end(), x) - sorted_.begin());
+}
+
+std::size_t SlidingPercentile::count_at_most(double x) const {
+  return static_cast<std::size_t>(
+      std::upper_bound(sorted_.begin(), sorted_.end(), x) - sorted_.begin());
 }
 
 Summary summarize(std::span<const double> xs) {

@@ -73,14 +73,25 @@ class SlidingPercentile {
   /// Window capacity in samples (>= 1).
   explicit SlidingPercentile(std::size_t capacity);
 
-  /// Append one value, evicting the oldest once the window is full.
-  void push(double x);
+  /// Append `count` copies of x, evicting the oldest value per copy once
+  /// the window is full. A run costs about as much as a single value
+  /// when the values it evicts are a run too.
+  void push(double x, std::size_t count = 1);
   /// Number of values currently in the window (<= capacity).
   [[nodiscard]] std::size_t size() const { return order_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   /// Same contract and arithmetic as percentile(window, q); requires a
   /// non-empty window.
   [[nodiscard]] double percentile(double q) const;
+  /// Index (into the sorted window) of the lower order statistic that
+  /// percentile(q) interpolates from; the upper one is the next index
+  /// (or the same one for a single-value window). Requires a non-empty
+  /// window.
+  [[nodiscard]] std::size_t percentile_rank(double q) const;
+  /// Rank queries, O(log n): the number of window values strictly below
+  /// `x`, and at or below `x`.
+  [[nodiscard]] std::size_t count_below(double x) const;
+  [[nodiscard]] std::size_t count_at_most(double x) const;
 
  private:
   std::size_t capacity_;

@@ -81,6 +81,9 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv) {
       rc = ::dup2(from_child[1], STDOUT_FILENO);
     } while (rc < 0 && errno == EINTR);
     if (rc < 0) ::_exit(127);
+    // Own process group, so kill_hard reaches everything the child
+    // spawns (a `sh -c` wrapper's commands, say), not just the child.
+    ::setpgid(0, 0);
     ::close(to_child[0]);
     ::close(to_child[1]);
     ::close(from_child[0]);
@@ -95,6 +98,10 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv) {
     ::_exit(127);
   }
 
+  // Also from this side, so the group exists before spawn() returns
+  // whichever process runs first (fails harmlessly once the child has
+  // exec'd, by which time it has set the group itself).
+  ::setpgid(pid, pid);
   ::close(to_child[0]);
   ::close(from_child[1]);
   Subprocess p;
@@ -143,7 +150,8 @@ bool Subprocess::running() {
 
 void Subprocess::kill_hard() {
   if (pid_ <= 0 || reaped_) return;
-  ::kill(pid_, SIGKILL);
+  ::killpg(pid_, SIGKILL);  // the child and every descendant in its group
+  ::kill(pid_, SIGKILL);    // in case it has left the group
   (void)wait();
 }
 

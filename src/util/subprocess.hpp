@@ -29,7 +29,9 @@ namespace greenhpc::util {
 /// child's stdin and reads from its stdout (stderr passes through, so
 /// worker diagnostics land on the operator's terminal). The destructor
 /// hard-kills and reaps a still-running child — a Subprocess can never
-/// outlive its owner as a zombie or an orphan.
+/// outlive its owner as a zombie or an orphan. Each child runs in its own
+/// process group, so terminal signals (Ctrl-C) reach only the parent;
+/// a parent that dies closes the pipes, and a worker reads that as EOF.
 class Subprocess {
  public:
   /// fork/exec `argv` (argv[0] is the executable path; PATH is searched).
@@ -57,7 +59,10 @@ class Subprocess {
 
   /// Non-blocking liveness probe (waitpid WNOHANG); reaps on exit.
   [[nodiscard]] bool running();
-  /// SIGKILL + blocking reap. Idempotent; no-op once reaped.
+  /// SIGKILL to the child's process group + blocking reap of the child.
+  /// Each child leads its own group, so descendants it spawned (and did
+  /// not move to another group) die with it instead of outliving it with
+  /// the inherited pipes open. Idempotent; no-op once reaped.
   void kill_hard();
   /// Blocking reap; returns the raw waitpid status (or the cached one).
   int wait();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <numbers>
 
 #include "carbon/grid_model.hpp"
@@ -37,6 +38,99 @@ TEST(Persistence, HandlesHorizonsBeyondOneDay) {
   const double pred = f.forecast(hist, hist.end(), hours(30.0));
   // Same time of day 30h ahead equals value 6h ahead of now yesterday.
   EXPECT_NEAR(pred, truth.sample_at_clamped(hist.end() + hours(30.0)), 1.0);
+}
+
+/// Hourly history over [0, hours), value v(i) at sample i.
+template <class F>
+util::TimeSeries hourly(int n_hours, F v) {
+  util::TimeSeries ts(seconds(0.0), hours(1.0));
+  for (int i = 0; i < n_hours; ++i) ts.push_back(v(i));
+  return ts;
+}
+
+/// `history` continued past its end with values nothing else uses: the
+/// samples a forecaster must treat as unknown.
+util::TimeSeries extended(const util::TimeSeries& history, int extra_hours) {
+  util::TimeSeries ts = history;
+  for (int i = 0; i < extra_hours; ++i) ts.push_back(-1000.0 - i);
+  return ts;
+}
+
+TEST(Persistence, StableUntilEndsAtTheEdgeOfTheSampledRun) {
+  // Samples 26..29 share one value; the 3h-ahead forecast at now = 48h
+  // reads sample 27, so it holds while the target stays below 30h.
+  const auto hist = hourly(48, [](int i) { return i >= 26 && i < 30 ? 50.0 : 100.0 + i; });
+  const PersistenceForecaster f;
+  const Duration now = hist.end();
+  const Duration h = hours(3.0);
+  const Duration until = f.stable_until(hist, now, h);
+  EXPECT_EQ(until, now + hours(3.0));
+  const auto ext = extended(hist, 12);
+  const double at_now = f.forecast(hist, now, h);
+  for (double dt = 0.0; dt < 3.0; dt += 0.25) {
+    EXPECT_EQ(f.forecast(ext, now + hours(dt), h), at_now) << "dt " << dt;
+  }
+  EXPECT_NE(f.forecast(ext, until, h), at_now);  // the bound is tight
+  // From the run's last sample (29h, read 5h ahead) it holds one hour.
+  EXPECT_EQ(f.stable_until(hist, now, hours(5.0)), now + hours(1.0));
+}
+
+TEST(Persistence, StableUntilStopsBeforeNow) {
+  // A flat history: the run reaches the last known sample and stops
+  // there — what comes after now is unknown.
+  const auto hist = hourly(48, [](int) { return 80.0; });
+  const PersistenceForecaster f;
+  const Duration now = hist.end();
+  const Duration until = f.stable_until(hist, now, hours(12.0));
+  EXPECT_EQ(until, now + hours(12.0));  // the target reaches now
+  const auto ext = extended(hist, 24);
+  EXPECT_EQ(f.forecast(ext, until - hours(0.5), hours(12.0)), 80.0);
+  EXPECT_NE(f.forecast(ext, until, hours(12.0)), 80.0);
+  // History samples past now are ignored, so a history with the same
+  // past gives the same answer.
+  EXPECT_EQ(f.stable_until(ext, now, hours(12.0)), until);
+}
+
+TEST(Persistence, StableUntilOptsOutAtDayEdgesAndWithoutHistory) {
+  const auto hist = hourly(48, [](int) { return 80.0; });
+  const PersistenceForecaster f;
+  const Duration now = hist.end();
+  // Horizons at whole days put the target one day back or right at now,
+  // where rounding could change how many days the forecast steps back.
+  EXPECT_EQ(f.stable_until(hist, now, hours(0.0)), now);
+  EXPECT_EQ(f.stable_until(hist, now, hours(24.0)), now);
+  EXPECT_EQ(f.stable_until(hist, now, hours(23.5)), now);  // within a sample of now
+  EXPECT_EQ(f.stable_until(util::TimeSeries(seconds(0.0), hours(1.0)), now, hours(3.0)),
+            now);
+}
+
+TEST(Persistence, StableUntilCoversTargetsBeforeTheHistory) {
+  // 6h of history: the 1h-ahead target (now - 23h) is before the series,
+  // so the forecast clamps to sample 0, and holds through the run it
+  // starts.
+  const auto hist = hourly(6, [](int i) { return i < 3 ? 40.0 : 90.0; });
+  const PersistenceForecaster f;
+  const Duration now = hist.end();
+  const Duration until = f.stable_until(hist, now, hours(1.0));
+  EXPECT_EQ(until, now + hours(20.0));  // the target reaches 3h
+  const auto ext = extended(hist, 30);
+  EXPECT_EQ(f.forecast(ext, until - hours(0.5), hours(1.0)), 40.0);
+  EXPECT_EQ(f.forecast(ext, until, hours(1.0)), 90.0);
+}
+
+TEST(Forecasters, OnlyPersistenceAttestsStability) {
+  const auto hist = hourly(72, [](int) { return 80.0; });
+  const Duration now = hist.end();
+  const Duration h = hours(3.0);
+  EXPECT_EQ(HarmonicForecaster(days(1.0)).stable_until(hist, now, h), now);
+  EXPECT_EQ(EwmaForecaster(hours(6.0)).stable_until(hist, now, h), now);
+  EXPECT_EQ(MovingAverageForecaster(hours(6.0)).stable_until(hist, now, h), now);
+  EXPECT_EQ(OracleForecaster(hist).stable_until(hist, now, h), now);
+  const EnsembleForecaster ensemble(
+      {{std::make_shared<PersistenceForecaster>(), 1.0},
+       {std::make_shared<EwmaForecaster>(hours(6.0)), 1.0}});
+  EXPECT_EQ(ensemble.stable_until(hist, now, h), now);
+  EXPECT_GT(PersistenceForecaster().stable_until(hist, now, h), now);
 }
 
 TEST(MovingAverage, FlatSignalIsExact) {

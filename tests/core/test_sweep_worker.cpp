@@ -201,6 +201,25 @@ TEST(SweepWorker, StdinEofIsACleanExit) {
   EXPECT_EQ(h.join(), 0);
 }
 
+TEST(SweepWorker, StdinEofExitsWellInsideOneHeartbeatInterval) {
+  // Stop is notified right after the hello, often before the heartbeat
+  // thread first waits; shutdown must not wait out an interval. A few
+  // rounds, since that ordering is up to the thread scheduler.
+  const SweepGrid grid = small_grid();
+  SweepWorker::Options opts;
+  opts.heartbeat_interval_s = 5.0;
+  for (int round = 0; round < 3; ++round) {
+    WorkerHarness h(opts, grid);
+    ASSERT_EQ(h.next_skipping_heartbeats().kind, MsgKind::Hello);
+    const auto t0 = std::chrono::steady_clock::now();
+    h.close_stdin();
+    EXPECT_EQ(h.join(), 0);
+    EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count(),
+              1.0)
+        << "round " << round;
+  }
+}
+
 TEST(SweepWorker, MalformedCoordinatorLineExits2) {
   const SweepGrid grid = small_grid();
   WorkerHarness h(SweepWorker::Options{}, grid);

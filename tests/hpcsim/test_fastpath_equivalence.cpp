@@ -25,6 +25,7 @@
 #include "core/scenario.hpp"
 #include "hpcsim/simulator.hpp"
 #include "resilience/checkpoint_policy.hpp"
+#include "resilience/degraded_feed.hpp"
 #include "sched/carbon_aware.hpp"
 #include "sched/decorators.hpp"
 #include "sched/easy_backfill.hpp"
@@ -120,17 +121,29 @@ struct Combo {
   // tick (releases, record emission, survivor compaction) rather than
   // integrating quietly to the horizon.
   bool waves = false;
+  // Carbon-easy variations: the grid the trace comes from, the
+  // forecaster, and a degraded intensity feed (outage share of the run).
+  carbon::Region region = carbon::Region::Germany;
+  carbon::IntensityKind kind = carbon::IntensityKind::Average;
+  bool harmonic = false;
+  double feed_outage = 0.0;
 };
 
-std::unique_ptr<hpcsim::SchedulingPolicy> make_scheduler(const std::string& name) {
+std::unique_ptr<hpcsim::SchedulingPolicy> make_scheduler(const std::string& name,
+                                                         bool harmonic = false) {
   if (name == "fcfs") return std::make_unique<sched::FcfsScheduler>();
   if (name == "easy") return std::make_unique<sched::EasyBackfillScheduler>();
   if (name == "carbon-easy") {
     sched::CarbonAwareEasyScheduler::Config cc;
     cc.max_hold = hours(6.0);
     cc.lookahead = hours(6.0);
-    return std::make_unique<sched::CarbonAwareEasyScheduler>(
-        cc, std::make_shared<carbon::PersistenceForecaster>());
+    std::shared_ptr<const carbon::Forecaster> forecaster;
+    if (harmonic) {
+      forecaster = std::make_shared<carbon::HarmonicForecaster>(days(1.0));
+    } else {
+      forecaster = std::make_shared<carbon::PersistenceForecaster>();
+    }
+    return std::make_unique<sched::CarbonAwareEasyScheduler>(cc, std::move(forecaster));
   }
   if (name == "ckpt-dec") {
     sched::CheckpointDecorator::Config dc;
@@ -148,7 +161,8 @@ hpcsim::SimulationResult run_once(const Combo& combo, bool reference_mode,
   sc.cluster.node_tdp = watts(500.0);
   sc.cluster.node_idle = watts(110.0);
   sc.cluster.tick = combo.waves ? seconds(30.0) : minutes(2.0);
-  sc.region = carbon::Region::Germany;
+  sc.region = combo.region;
+  sc.intensity_kind = combo.kind;
   sc.trace_span = days(combo.span_days + 4.0);
   sc.trace_step = minutes(15.0);
   sc.workload.job_count = combo.jobs;
@@ -178,6 +192,16 @@ hpcsim::SimulationResult run_once(const Combo& combo, bool reference_mode,
     cfg.faults.victim_seed = combo.seed ^ 0x5eedu;
   }
 
+  std::unique_ptr<resilience::DegradedFeed> feed;
+  if (combo.feed_outage > 0.0) {
+    resilience::DegradedFeedConfig fc;
+    fc.outage_fraction = combo.feed_outage;
+    fc.mean_outage = hours(3.0);  // past the 2 h staleness horizon
+    fc.seed = combo.seed;
+    feed = std::make_unique<resilience::DegradedFeed>(fc, sc.trace_span);
+    cfg.feed = feed.get();
+  }
+
   std::unique_ptr<hpcsim::SchedulingPolicy> sched;
   std::unique_ptr<hpcsim::SchedulingPolicy> inner;
   if (std::string(combo.scheduler) == "easy+ydckpt") {
@@ -186,7 +210,7 @@ hpcsim::SimulationResult run_once(const Combo& combo, bool reference_mode,
     cp.node_mtbf = hours(400.0);
     sched = std::make_unique<resilience::PeriodicCheckpointPolicy>(*inner, cp);
   } else {
-    sched = make_scheduler(combo.scheduler);
+    sched = make_scheduler(combo.scheduler, combo.harmonic);
   }
 
   hpcsim::Simulator sim(cfg, runner.jobs());
@@ -220,6 +244,13 @@ std::string combo_name(const ::testing::TestParamInfo<Combo>& info) {
   s += info.param.faults ? "_faults" : "_clean";
   s += info.param.waves ? "_waves"
                         : (info.param.span_days < 1.0 ? "_dense" : "_sparse");
+  if (info.param.region != carbon::Region::Germany ||
+      info.param.kind != carbon::IntensityKind::Average) {
+    s += "_" + std::string(carbon::traits(info.param.region).code);
+    s += info.param.kind == carbon::IntensityKind::Marginal ? "_marginal" : "_average";
+  }
+  if (info.param.harmonic) s += "_harmonic";
+  if (info.param.feed_outage > 0.0) s += "_degraded_feed";
   s += "_s" + std::to_string(info.param.seed);
   return s;
 }
@@ -249,7 +280,21 @@ INSTANTIATE_TEST_SUITE_P(
         Combo{"fcfs", 71, 64, 260, 0.5, false, true},
         Combo{"easy", 72, 64, 260, 0.5, true, true},
         Combo{"carbon-easy", 73, 48, 200, 0.5, false, true},
-        Combo{"easy+ydckpt", 74, 48, 180, 0.5, false, true}),
+        Combo{"easy+ydckpt", 74, 48, 180, 0.5, false, true},
+        // Carbon-easy attests a span horizon (intensity segment, green
+        // threshold rank distance, forecast stability, hold budget,
+        // EASY). Hold-heavy marginal grids, a 1-day run whose 3-day
+        // threshold window never fills, and the two opt-outs: a
+        // degraded feed and a forecaster without a stability hook.
+        Combo{"carbon-easy", 81, 32, 120, 2.0, false, false, carbon::Region::Poland,
+              carbon::IntensityKind::Marginal},
+        Combo{"carbon-easy", 82, 32, 120, 2.0, true, false, carbon::Region::Germany,
+              carbon::IntensityKind::Marginal},
+        Combo{"carbon-easy", 83, 24, 60, 1.0, false},
+        Combo{"carbon-easy", 84, 32, 100, 2.0, false, false, carbon::Region::Germany,
+              carbon::IntensityKind::Average, false, 0.3},
+        Combo{"carbon-easy", 85, 24, 60, 1.0, false, false, carbon::Region::Germany,
+              carbon::IntensityKind::Average, true}),
     combo_name);
 
 }  // namespace

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "testing/helpers.hpp"
 #include "util/error.hpp"
 
@@ -333,6 +339,61 @@ TEST(Simulator, CarbonFollowsIntensityTrace) {
   const auto result = sim.run(sched);
   // Same energy, 3x the carbon for the late job.
   EXPECT_NEAR(result.jobs[1].carbon.grams() / result.jobs[0].carbon.grams(), 3.0, 0.1);
+}
+
+/// Records intensity_constant_until() at every tick and starts whatever
+/// is pending.
+class IntensityProbe final : public SchedulingPolicy {
+ public:
+  void on_tick(SimulationView& view) override {
+    seen.push_back({view.now(), view.intensity_constant_until()});
+    const std::vector<JobId> pending = view.pending_jobs();
+    for (const JobId id : pending) (void)view.start(id, 1);
+  }
+  [[nodiscard]] std::string name() const override { return "probe"; }
+  std::vector<std::pair<Duration, Duration>> seen;
+};
+
+TEST(Simulator, IntensityConstantUntilIsTheTraceSegmentEnd) {
+  // 10-minute segments and 4-minute ticks: ticks land inside segments and
+  // on the boundary at 20 min. A 1 h job keeps the run going past the
+  // trace's end at 30 min.
+  auto cluster = small_cluster(2);
+  cluster.tick = minutes(4.0);
+  const util::TimeSeries trace(seconds(0.0), minutes(10.0), {100.0, 200.0, 300.0});
+  Simulator sim(sim_config(cluster, trace), {rigid_job(1, seconds(0.0), 1, hours(1.0))});
+  IntensityProbe probe;
+  (void)sim.run(probe);
+  int in_trace = 0;
+  int past_end = 0;
+  for (const auto& [now, until] : probe.seen) {
+    if (now < trace.end()) {
+      ++in_trace;
+      EXPECT_EQ(until, minutes(10.0 * (std::floor(now.minutes() / 10.0) + 1.0)))
+          << "at " << now.minutes() << " min";
+    } else {
+      ++past_end;  // the clamped last sample never changes
+      EXPECT_TRUE(std::isinf(until.seconds())) << "at " << now.minutes() << " min";
+    }
+  }
+  EXPECT_EQ(in_trace, 8);  // 0, 4, ..., 28 min; 20 min is a boundary
+  EXPECT_GT(past_end, 0);
+}
+
+TEST(Simulator, IntensityConstantUntilPromisesNothingWithAFeed) {
+  class PassThrough final : public IntensityFeed {
+   public:
+    std::optional<double> observe(Duration, double true_value) override {
+      return true_value;
+    }
+  } feed;
+  auto cfg = sim_config(small_cluster(2), constant_trace(150.0, days(1.0)));
+  cfg.feed = &feed;
+  Simulator sim(cfg, {rigid_job(1, seconds(0.0), 1, hours(1.0))});
+  IntensityProbe probe;
+  (void)sim.run(probe);
+  ASSERT_FALSE(probe.seen.empty());
+  for (const auto& [now, until] : probe.seen) EXPECT_EQ(until, now);
 }
 
 TEST(Simulator, TelemetrySinkReceivesSystemSensors) {

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace greenhpc::util {
 namespace {
@@ -143,6 +145,61 @@ TEST(Pearson, ConstantSeriesIsZero) {
   std::vector<double> x = {1.0, 2.0, 3.0};
   std::vector<double> c = {5.0, 5.0, 5.0};
   EXPECT_DOUBLE_EQ(pearson(x, c), 0.0);
+}
+
+/// Brute-force twin of a SlidingPercentile: the last `capacity` values.
+std::vector<double> last_n(const std::vector<double>& all, std::size_t capacity) {
+  const std::size_t n = std::min(all.size(), capacity);
+  return {all.end() - static_cast<std::ptrdiff_t>(n), all.end()};
+}
+
+TEST(SlidingPercentile, RankQueriesMatchBruteForceWhileFillingAndFull) {
+  Rng rng(7);
+  const std::size_t capacity = 50;
+  SlidingPercentile window(capacity);
+  std::vector<double> all;
+  for (int i = 0; i < 200; ++i) {
+    // Few distinct values, so ties are common.
+    const double x = static_cast<double>(rng.uniform_int(0, 12));
+    window.push(x);
+    all.push_back(x);
+    const std::vector<double> w = last_n(all, capacity);
+    ASSERT_EQ(window.size(), w.size());
+    for (double probe = -0.5; probe <= 12.5; probe += 0.5) {
+      const auto below = static_cast<std::size_t>(
+          std::count_if(w.begin(), w.end(), [&](double v) { return v < probe; }));
+      const auto at_most = static_cast<std::size_t>(
+          std::count_if(w.begin(), w.end(), [&](double v) { return v <= probe; }));
+      EXPECT_EQ(window.count_below(probe), below) << "push " << i << " probe " << probe;
+      EXPECT_EQ(window.count_at_most(probe), at_most) << "push " << i << " probe " << probe;
+    }
+    for (const double q : {0.0, 0.25, 0.4, 0.5, 0.99, 1.0}) {
+      const std::size_t lo = window.percentile_rank(q);
+      EXPECT_EQ(lo, static_cast<std::size_t>(q * static_cast<double>(w.size() - 1)));
+      EXPECT_EQ(window.percentile(q), percentile(w, q));
+    }
+  }
+}
+
+TEST(SlidingPercentile, RunPushEqualsRepeatedSinglePushes) {
+  Rng rng(11);
+  const std::size_t capacity = 40;
+  SlidingPercentile runs(capacity);
+  SlidingPercentile singles(capacity);
+  for (int step = 0; step < 120; ++step) {
+    const double x = static_cast<double>(rng.uniform_int(0, 6));
+    // Run lengths up to past the capacity, so a run can wrap the ring.
+    const auto count = static_cast<std::size_t>(rng.uniform_int(1, 45));
+    runs.push(x, count);
+    for (std::size_t k = 0; k < count; ++k) singles.push(x);
+    ASSERT_EQ(runs.size(), singles.size());
+    for (double probe = -0.5; probe <= 6.5; probe += 0.5) {
+      ASSERT_EQ(runs.count_below(probe), singles.count_below(probe)) << "step " << step;
+    }
+    for (const double q : {0.0, 0.4, 0.9, 1.0}) {
+      ASSERT_EQ(runs.percentile(q), singles.percentile(q)) << "step " << step;
+    }
+  }
 }
 
 TEST(Histogram, CountsAndClamping) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
 #include <unistd.h>
 
 #include <stdexcept>
@@ -59,6 +60,25 @@ TEST(Subprocess, KillHardReapsAndIsIdempotent) {
   EXPECT_EQ(p.exit_code(), -1);  // signalled, not exited
   p.kill_hard();                 // no-op once reaped
   EXPECT_FALSE(p.running());
+}
+
+TEST(Subprocess, KillHardTakesTheChildsDescendantsWithIt) {
+  // A `sh -c` wrapper backgrounds a long sleep, which inherits the stdout
+  // pipe: the read side reaches EOF only once no descendant is left.
+  Subprocess p = Subprocess::spawn({"/bin/sh", "-c", "sleep 60 & echo $!; wait"});
+  LineChannel in(p.stdout_fd());
+  std::string line;
+  while (!in.next_line(line)) ASSERT_EQ(in.fill(), LineChannel::Fill::Data);
+  const auto sleeper = static_cast<pid_t>(std::stol(line));
+  ASSERT_GT(sleeper, 0);
+
+  p.kill_hard();
+  bool eof = false;
+  while (!eof && !poll_readable({p.stdout_fd()}, 5.0).empty()) {
+    eof = in.fill() == LineChannel::Fill::Eof;
+  }
+  EXPECT_TRUE(eof) << "a descendant of the killed child still holds its pipe";
+  if (!eof) ::kill(sleeper, SIGKILL);  // don't leak it past a failure
 }
 
 TEST(Subprocess, DefaultHandleIsInertlySafe) {
