@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -9,11 +10,17 @@
 
 namespace greenhpc::accounting {
 
-JobCarbonProfile profile_job(const hpcsim::JobRecord& record,
-                             const hpcsim::ClusterConfig& cluster,
-                             const util::TimeSeries& intensity) {
-  GREENHPC_REQUIRE(record.completed, "can only profile completed jobs");
+namespace {
+/// The trace's greenest-window intensity (10th percentile): the
+/// best-case bound every job of one trace shares.
+double green_intensity(const util::TimeSeries& intensity) {
   GREENHPC_REQUIRE(!intensity.empty(), "intensity trace required");
+  return util::percentile(intensity.values(), 0.10);
+}
+
+JobCarbonProfile profile_with_green_ci(const hpcsim::JobRecord& record,
+                                       const hpcsim::ClusterConfig& cluster,
+                                       double green_ci) {
   JobCarbonProfile p;
   p.id = record.spec.id;
   p.user = record.spec.user;
@@ -24,7 +31,6 @@ JobCarbonProfile profile_job(const hpcsim::JobRecord& record,
   const double kwh = record.energy.kilowatt_hours();
   p.experienced_intensity = kwh > 0.0 ? record.carbon.grams() / kwh : 0.0;
 
-  const double green_ci = util::percentile(intensity.values(), 0.10);
   p.best_case_carbon = grams_co2(kwh * green_ci);
   // If the job happened to run greener than the 10th percentile already,
   // there is nothing left to save.
@@ -40,14 +46,26 @@ JobCarbonProfile profile_job(const hpcsim::JobRecord& record,
   p.car_km = record.carbon.grams() / kCarGramsPerKm;
   return p;
 }
+}  // namespace
+
+JobCarbonProfile profile_job(const hpcsim::JobRecord& record,
+                             const hpcsim::ClusterConfig& cluster,
+                             const util::TimeSeries& intensity) {
+  GREENHPC_REQUIRE(record.completed, "can only profile completed jobs");
+  return profile_with_green_ci(record, cluster, green_intensity(intensity));
+}
 
 std::vector<JobCarbonProfile> profile_jobs(const hpcsim::SimulationResult& result,
                                            const hpcsim::ClusterConfig& cluster) {
   std::vector<JobCarbonProfile> out;
   out.reserve(result.jobs.size());
+  // One percentile over the expanded samples serves every job; it is
+  // taken only if some job completed, as the per-job call would.
+  std::optional<double> green_ci;
   for (const auto& rec : result.jobs) {
     if (!rec.completed) continue;
-    out.push_back(profile_job(rec, cluster, result.carbon_intensity));
+    if (!green_ci) green_ci = green_intensity(result.carbon_intensity.expand());
+    out.push_back(profile_with_green_ci(rec, cluster, *green_ci));
   }
   return out;
 }

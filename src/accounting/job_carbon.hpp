@@ -49,7 +49,9 @@ struct JobCarbonProfile {
                                            const hpcsim::ClusterConfig& cluster,
                                            const util::TimeSeries& intensity);
 
-/// Profile all completed jobs of a simulation result.
+/// Profile all completed jobs of a simulation result against its
+/// per-tick intensity; field for field what profile_job returns for each
+/// job given result.carbon_intensity.expand().
 [[nodiscard]] std::vector<JobCarbonProfile> profile_jobs(
     const hpcsim::SimulationResult& result, const hpcsim::ClusterConfig& cluster);
 

@@ -16,6 +16,7 @@
 
 #include "hpcsim/cluster.hpp"
 #include "hpcsim/job.hpp"
+#include "util/time_series.hpp"
 #include "util/units.hpp"
 
 namespace greenhpc::hpcsim {
@@ -87,9 +88,10 @@ class SimulationView {
   /// carbon::Forecaster over history(); this accessor exists for oracle
   /// upper-bound policies and for tests.
   [[nodiscard]] virtual double carbon_intensity_at(Duration t) const = 0;
-  /// Observed intensity history up to (and excluding) the current tick,
-  /// as (time, value) pairs at tick resolution — forecaster input.
-  [[nodiscard]] virtual const std::vector<double>& intensity_history() const = 0;
+  /// Observed intensity history up to (and excluding) the current tick:
+  /// one sample per tick from time 0, step = cluster().tick, so end() is
+  /// now() up to rounding — forecaster input.
+  [[nodiscard]] virtual const util::TimeSeries& intensity_history() const = 0;
   /// A time T >= now() such that carbon_intensity_now() and
   /// carbon_signal_staleness() return their current values at every
   /// tick in [now, T) — so every history value appended before T is the

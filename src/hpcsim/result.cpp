@@ -15,7 +15,7 @@ double JobRecord::bounded_slowdown() const {
 
 double SimulationResult::utilization(const ClusterConfig& cluster) const {
   if (makespan.seconds() <= 0.0 || busy_nodes.empty()) return 0.0;
-  const double node_seconds = busy_nodes.integrate(busy_nodes.start(), busy_nodes.end());
+  const double node_seconds = busy_nodes.integrate();
   return node_seconds / (static_cast<double>(cluster.nodes) * makespan.seconds());
 }
 
@@ -56,8 +56,7 @@ double SimulationResult::carbon_per_node_hour() const {
 }
 
 double SimulationResult::busy_node_seconds() const {
-  if (busy_nodes.empty()) return 0.0;
-  return busy_nodes.integrate(busy_nodes.start(), busy_nodes.end());
+  return busy_nodes.integrate();
 }
 
 double SimulationResult::goodput_fraction() const {
@@ -80,12 +79,30 @@ double SimulationResult::green_energy_share(double threshold_g_per_kwh) const {
   if (system_power.empty() || carbon_intensity.empty()) return 0.0;
   double green = 0.0;
   double total = 0.0;
-  const std::size_t n = std::min(system_power.size(), carbon_intensity.size());
-  for (std::size_t i = 0; i < n; ++i) {
+  // Walk both run lists over their common ticks. Where both runs hold,
+  // every tick adds the same draw, so the per-tick additions are made in
+  // tick order exactly as over flat samples.
+  const auto power = system_power.runs();
+  const auto ci = carbon_intensity.runs();
+  std::size_t ticks_left = std::min(system_power.size(), carbon_intensity.size());
+  std::size_t p = 0;
+  std::size_t c = 0;
+  std::size_t p_left = power[0].count;
+  std::size_t c_left = ci[0].count;
+  while (ticks_left > 0) {
+    const std::size_t n = std::min({p_left, c_left, ticks_left});
     // Per-tick mean draw above the idle floor; the constant step cancels.
-    const double e = std::max(0.0, system_power.at(i) - idle_floor.watts());
-    total += e;
-    if (carbon_intensity.at(i) <= threshold_g_per_kwh) green += e;
+    const double e = std::max(0.0, power[p].value - idle_floor.watts());
+    const bool green_tick = ci[c].value <= threshold_g_per_kwh;
+    for (std::size_t i = 0; i < n; ++i) {
+      total += e;
+      if (green_tick) green += e;
+    }
+    ticks_left -= n;
+    p_left -= n;
+    c_left -= n;
+    if (p_left == 0 && ++p < power.size()) p_left = power[p].count;
+    if (c_left == 0 && ++c < ci.size()) c_left = ci[c].count;
   }
   return total > 0.0 ? green / total : 0.0;
 }

@@ -7,7 +7,7 @@
 
 #include "hpcsim/cluster.hpp"
 #include "hpcsim/job.hpp"
-#include "util/time_series.hpp"
+#include "util/step_series.hpp"
 #include "util/units.hpp"
 
 namespace greenhpc::hpcsim {
@@ -36,10 +36,11 @@ struct JobRecord {
 /// Complete result of one simulation run.
 struct SimulationResult {
   std::vector<JobRecord> jobs;
-  util::TimeSeries system_power;     ///< total draw per tick (W)
-  util::TimeSeries power_budget;     ///< budget in force per tick (W)
-  util::TimeSeries carbon_intensity; ///< intensity per tick (g/kWh)
-  util::TimeSeries busy_nodes;       ///< allocated nodes per tick
+  // Per-tick outputs, run-length on the tick grid (expand() for samples).
+  util::StepSeries system_power;     ///< total draw per tick (W)
+  util::StepSeries power_budget;     ///< budget in force per tick (W)
+  util::StepSeries carbon_intensity; ///< intensity per tick (g/kWh)
+  util::StepSeries busy_nodes;       ///< allocated nodes per tick
 
   Duration makespan;                 ///< last finish time
   Power idle_floor;                  ///< draw with every node idle (cluster constant)

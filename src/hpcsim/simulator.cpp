@@ -42,11 +42,12 @@ Simulator::Simulator(Config config, util::Shared<std::vector<JobSpec>> jobs)
     : cfg_(std::move(config)),
       jobs_(std::move(jobs)),
       budget_now_(cfg_.cluster.max_power()),
+      ci_history_(seconds(0.0), cfg_.cluster.tick),
       result_{.jobs = {},
-              .system_power = util::TimeSeries(seconds(0.0), cfg_.cluster.tick),
-              .power_budget = util::TimeSeries(seconds(0.0), cfg_.cluster.tick),
-              .carbon_intensity = util::TimeSeries(seconds(0.0), cfg_.cluster.tick),
-              .busy_nodes = util::TimeSeries(seconds(0.0), cfg_.cluster.tick),
+              .system_power = util::StepSeries(seconds(0.0), cfg_.cluster.tick),
+              .power_budget = util::StepSeries(seconds(0.0), cfg_.cluster.tick),
+              .carbon_intensity = util::StepSeries(seconds(0.0), cfg_.cluster.tick),
+              .busy_nodes = util::StepSeries(seconds(0.0), cfg_.cluster.tick),
               .makespan = seconds(0.0),
               .idle_floor = cfg_.cluster.idle_power(),
               .total_energy = {},
@@ -932,7 +933,7 @@ std::size_t Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
         result_.power_budget.append_fill(m, budget_w);
         result_.carbon_intensity.append_fill(m, ci);
         result_.busy_nodes.append_fill(m, busy_nodes_total);
-        ci_history_.insert(ci_history_.end(), m, ci_now_);
+        ci_history_.append_fill(m, ci_now_);
         n += m;
         continue;
       }

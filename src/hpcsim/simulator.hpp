@@ -125,7 +125,7 @@ class Simulator final : public SimulationView {
     return staleness_;
   }
   [[nodiscard]] double carbon_intensity_at(Duration t) const override;
-  [[nodiscard]] const std::vector<double>& intensity_history() const override {
+  [[nodiscard]] const util::TimeSeries& intensity_history() const override {
     return ci_history_;
   }
   /// End of the current trace segment with no feed (+inf past the trace
@@ -285,7 +285,7 @@ class Simulator final : public SimulationView {
   std::vector<std::size_t> running_slots_;
   std::vector<JobId> suspended_;
   std::vector<JobId> requeued_;  ///< killed by failures, waiting out backoff
-  std::vector<double> ci_history_;
+  util::TimeSeries ci_history_;  ///< observed intensity, start 0, step tick
   util::TimeSeries::Cursor ci_cursor_;  ///< monotonic ground-truth sampling
   std::size_t next_failure_ = 0;
   std::vector<Duration> repairs_;  ///< pending per-node repair completions

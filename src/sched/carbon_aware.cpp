@@ -8,6 +8,7 @@
 #include "sched/fcfs.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
+#include "util/time_series.hpp"
 
 namespace greenhpc::sched {
 
@@ -23,7 +24,7 @@ CarbonAwareEasyScheduler::CarbonAwareEasyScheduler(
 
 double CarbonAwareEasyScheduler::current_threshold(
     const hpcsim::SimulationView& view) const {
-  const auto& history = view.intensity_history();
+  const auto history = view.intensity_history().values();
   if (history.empty()) return view.carbon_intensity_now();
   const auto window_ticks = static_cast<std::size_t>(
       cfg_.history_window.seconds() / view.cluster().tick.seconds());
@@ -34,7 +35,7 @@ double CarbonAwareEasyScheduler::current_threshold(
 
 double CarbonAwareEasyScheduler::incremental_threshold(
     const hpcsim::SimulationView& view) {
-  const auto& history = view.intensity_history();
+  const auto history = view.intensity_history().values();
   if (history.empty()) return view.carbon_intensity_now();
   const auto window_ticks = static_cast<std::size_t>(
       cfg_.history_window.seconds() / view.cluster().tick.seconds());
@@ -56,29 +57,13 @@ double CarbonAwareEasyScheduler::incremental_threshold(
   return threshold_window_.percentile(cfg_.green_quantile);
 }
 
-const util::TimeSeries& CarbonAwareEasyScheduler::history_series(
-    const hpcsim::SimulationView& view) {
-  const auto& history = view.intensity_history();
-  const Duration tick = view.cluster().tick;
-  if (history.size() < hist_consumed_ || hist_series_.step() != tick ||
-      hist_consumed_ == 0) {
-    hist_series_ = util::TimeSeries(seconds(0.0), tick);
-    hist_consumed_ = 0;
-  }
-  for (; hist_consumed_ < history.size(); ++hist_consumed_) {
-    hist_series_.push_back(history[hist_consumed_]);
-  }
-  return hist_series_;
-}
-
 bool CarbonAwareEasyScheduler::greener_period_ahead(
     const hpcsim::SimulationView& view, Duration& horizon) {
-  const auto& history = view.intensity_history();
-  if (history.size() < 2) {  // nothing to forecast from yet
-    horizon = view.now();    // ... until the history grows
+  const util::TimeSeries& hist = view.intensity_history();
+  if (hist.size() < 2) {  // nothing to forecast from yet
+    horizon = view.now();  // ... until the history grows
     return false;
   }
-  const util::TimeSeries& hist = history_series(view);
   const Duration now = hist.end();
   const double target = view.carbon_intensity_now() * cfg_.improvement_factor;
   const Duration half_tick = view.cluster().tick * 0.5;

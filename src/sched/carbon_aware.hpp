@@ -32,7 +32,6 @@
 #include "hpcsim/policy.hpp"
 #include "sched/easy_backfill.hpp"
 #include "util/stats.hpp"
-#include "util/time_series.hpp"
 
 namespace greenhpc::sched {
 
@@ -124,9 +123,6 @@ class CarbonAwareEasyScheduler final : public hpcsim::SchedulingPolicy {
   /// current_threshold() via a sliding sorted window over the intensity
   /// history instead of a per-tick copy-and-sort of the whole window.
   [[nodiscard]] double incremental_threshold(const hpcsim::SimulationView& view);
-  /// The intensity history as a TimeSeries for the forecaster, appended
-  /// incrementally instead of copied wholesale every tick.
-  [[nodiscard]] const util::TimeSeries& history_series(const hpcsim::SimulationView& view);
 
   Config cfg_;
   std::shared_ptr<const carbon::Forecaster> forecaster_;
@@ -134,14 +130,12 @@ class CarbonAwareEasyScheduler final : public hpcsim::SchedulingPolicy {
   // Per-tick queue snapshots, reused across ticks to avoid reallocation.
   std::vector<hpcsim::JobId> pending_scratch_;
   std::vector<hpcsim::JobId> eligible_scratch_;
-  // Incremental views of the (append-only) intensity history. Both track
-  // how much history they have consumed and rebuild from scratch if the
+  // Incremental view of the (append-only) intensity history. It tracks
+  // how much history it has consumed and rebuilds from scratch if the
   // view's history or tick is inconsistent with what was consumed (fresh
   // simulation under a reused policy instance).
   util::SlidingPercentile threshold_window_{1};
   std::size_t threshold_consumed_ = 0;
-  util::TimeSeries hist_series_;
-  std::size_t hist_consumed_ = 0;
   // Quiescence horizon attested by the last on_tick that took no action,
   // and the tick it may be consumed at (that on_tick's now + one tick);
   // every on_tick resets it.

@@ -22,7 +22,7 @@ std::string CheckpointDecorator::name() const {
 
 double CheckpointDecorator::quantile_threshold(const hpcsim::SimulationView& view,
                                                double quantile) const {
-  const auto& history = view.intensity_history();
+  const auto history = view.intensity_history().values();
   if (history.empty()) return view.carbon_intensity_now();
   const auto window_ticks = static_cast<std::size_t>(
       cfg_.history_window.seconds() / view.cluster().tick.seconds());

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
 #include "hpcsim/simulator.hpp"
 #include "testing/helpers.hpp"
 #include "util/error.hpp"
@@ -28,7 +32,8 @@ hpcsim::SimulationResult run_jobs(std::vector<hpcsim::JobSpec> jobs,
 TEST(JobCarbon, ProfileMatchesRecord) {
   const auto result =
       run_jobs({rigid_job(1, seconds(0.0), 2, hours(2.0))}, constant_trace(400.0, days(1.0)));
-  const auto p = profile_job(result.jobs[0], small_cluster(8), result.carbon_intensity);
+  const auto p =
+      profile_job(result.jobs[0], small_cluster(8), result.carbon_intensity.expand());
   EXPECT_EQ(p.id, 1);
   EXPECT_DOUBLE_EQ(p.energy.joules(), result.jobs[0].energy.joules());
   EXPECT_DOUBLE_EQ(p.carbon.grams(), result.jobs[0].carbon.grams());
@@ -43,7 +48,8 @@ TEST(JobCarbon, TimingSavingsOnVariableTrace) {
   // Job runs in the dirty phase of a square wave: big timing savings.
   const auto trace = square_trace(100.0, 500.0, hours(6.0), days(1.0));
   const auto result = run_jobs({rigid_job(1, hours(6.5), 2, hours(4.0))}, trace);
-  const auto p = profile_job(result.jobs[0], small_cluster(8), result.carbon_intensity);
+  const auto p =
+      profile_job(result.jobs[0], small_cluster(8), result.carbon_intensity.expand());
   EXPECT_NEAR(p.experienced_intensity, 500.0, 20.0);
   EXPECT_GT(p.timing_savings_potential().grams(), 0.5 * p.carbon.grams());
   EXPECT_LE(p.best_case_carbon, p.carbon);
@@ -53,13 +59,14 @@ TEST(JobCarbon, OverAllocationWaste) {
   hpcsim::JobSpec fat = rigid_job(1, seconds(0.0), 8, hours(1.0));
   fat.nodes_used = 4;
   const auto result = run_jobs({fat}, constant_trace(300.0, days(1.0)));
-  const auto p = profile_job(result.jobs[0], small_cluster(8), result.carbon_intensity);
+  const auto p =
+      profile_job(result.jobs[0], small_cluster(8), result.carbon_intensity.expand());
   // 4 busy x 400 W vs 4 idle x 100 W -> waste = 400/2000 = 20%.
   EXPECT_NEAR(p.over_allocation_waste, 0.2, 0.01);
   const auto lean = rigid_job(2, seconds(0.0), 4, hours(1.0));
   const auto result2 = run_jobs({lean}, constant_trace(300.0, days(1.0)));
   const auto p2 =
-      profile_job(result2.jobs[0], small_cluster(8), result2.carbon_intensity);
+      profile_job(result2.jobs[0], small_cluster(8), result2.carbon_intensity.expand());
   EXPECT_DOUBLE_EQ(p2.over_allocation_waste, 0.0);
 }
 
@@ -69,6 +76,51 @@ TEST(JobCarbon, ProfileAllCompletedJobs) {
   const auto result = run_jobs(jobs, constant_trace(250.0, days(1.0)));
   const auto profiles = profile_jobs(result, small_cluster(8));
   EXPECT_EQ(profiles.size(), 5u);
+}
+
+TEST(JobCarbon, ProfileJobsMatchesPerJobProfilesBitForBit) {
+  // Varying intensity, mixed widths, over-allocated jobs, and one job cut
+  // off by max_time (not profiled).
+  std::vector<hpcsim::JobSpec> jobs;
+  for (int i = 1; i <= 12; ++i) {
+    auto j = rigid_job(i, minutes(i * 37.0), 2 + i % 3, hours(0.5 + 0.25 * (i % 5)));
+    if (i % 4 == 0) j.nodes_used = 1;
+    jobs.push_back(j);
+  }
+  jobs.push_back(rigid_job(13, hours(23.5), 2, hours(2.0)));
+  hpcsim::Simulator::Config cfg;
+  cfg.cluster = small_cluster(8);
+  cfg.max_time = days(1.0);
+  cfg.carbon_intensity = square_trace(120.0, 480.0, hours(3.0), days(2.0));
+  hpcsim::Simulator sim(cfg, jobs);
+  GreedyScheduler sched;
+  const auto result = sim.run(sched);
+
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const util::TimeSeries intensity = result.carbon_intensity.expand();
+  const auto profiles = profile_jobs(result, cfg.cluster);
+  std::size_t next = 0;
+  for (const auto& rec : result.jobs) {
+    if (!rec.completed) continue;
+    SCOPED_TRACE(rec.spec.id);
+    ASSERT_LT(next, profiles.size());
+    const JobCarbonProfile& got = profiles[next++];
+    const JobCarbonProfile want = profile_job(rec, cfg.cluster, intensity);
+    EXPECT_EQ(got.id, want.id);
+    EXPECT_EQ(got.user, want.user);
+    EXPECT_EQ(got.project, want.project);
+    EXPECT_EQ(bits(got.energy.joules()), bits(want.energy.joules()));
+    EXPECT_EQ(bits(got.carbon.grams()), bits(want.carbon.grams()));
+    EXPECT_EQ(bits(got.experienced_intensity), bits(want.experienced_intensity));
+    EXPECT_EQ(bits(got.best_case_carbon.grams()), bits(want.best_case_carbon.grams()));
+    EXPECT_EQ(bits(got.over_allocation_waste), bits(want.over_allocation_waste));
+    EXPECT_EQ(bits(got.car_km), bits(want.car_km));
+  }
+  EXPECT_EQ(next, profiles.size());
+  EXPECT_EQ(profiles.size(), result.jobs.size() - 1);  // job 13 never finished
+  EXPECT_TRUE(std::any_of(profiles.begin(), profiles.end(), [](const auto& p) {
+    return p.over_allocation_waste > 0.0;
+  }));
 }
 
 TEST(JobCarbon, AggregateByUserSortsByCarbon) {
@@ -94,7 +146,8 @@ TEST(JobCarbon, AggregateByUserSortsByCarbon) {
 TEST(JobCarbon, ReportFormatContainsKeyFigures) {
   const auto result =
       run_jobs({rigid_job(7, seconds(0.0), 2, hours(1.0))}, constant_trace(400.0, days(1.0)));
-  const auto p = profile_job(result.jobs[0], small_cluster(8), result.carbon_intensity);
+  const auto p =
+      profile_job(result.jobs[0], small_cluster(8), result.carbon_intensity.expand());
   const std::string report = format_job_report(p);
   EXPECT_NE(report.find("Job 7"), std::string::npos);
   EXPECT_NE(report.find("kgCO2e"), std::string::npos);

@@ -49,13 +49,29 @@ namespace {
 }
 #define EXPECT_SAME_BITS(a, b) EXPECT_PRED_FORMAT2(same_bits, (a), (b))
 
-void expect_same_series(const util::TimeSeries& ref, const util::TimeSeries& fast,
+/// Run-wise comparison of two per-tick series. Runs merge on bit
+/// equality, so the run lists are equal iff every sample is; on a
+/// mismatch the failure names the first tick whose samples differ.
+void expect_same_series(const util::StepSeries& ref, const util::StepSeries& fast,
                         const char* what) {
   ASSERT_EQ(ref.size(), fast.size()) << what;
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_SAME_BITS(ref.values()[i], fast.values()[i])
-        << what << " sample " << i;
+  const auto a = ref.runs();
+  const auto b = fast.runs();
+  std::size_t tick = 0;
+  for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
+    EXPECT_SAME_BITS(a[i].value, b[i].value) << what << " sample " << tick;
     if (::testing::Test::HasFailure()) return;  // one divergence is enough
+    const std::size_t common = std::min(a[i].count, b[i].count);
+    if (a[i].count != b[i].count) {
+      // At the shorter run's end the longer series still holds its run
+      // value; the shorter one has moved to its next run (bit-different
+      // by the merge rule, and present because the sizes match).
+      const double ra = common < a[i].count ? a[i].value : a[i + 1].value;
+      const double fb = common < b[i].count ? b[i].value : b[i + 1].value;
+      EXPECT_SAME_BITS(ra, fb) << what << " sample " << tick + common;
+      return;
+    }
+    tick += common;
   }
 }
 

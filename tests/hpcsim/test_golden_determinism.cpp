@@ -81,8 +81,10 @@ std::uint64_t hash_result(const hpcsim::SimulationResult& r) {
   // The per-tick series pin tick alignment (fast-forward must not drop
   // or duplicate samples).
   h.add(static_cast<std::int64_t>(r.system_power.size()));
-  for (double v : r.system_power.values()) h.add(v);
-  for (double v : r.busy_nodes.values()) h.add(v);
+  const util::TimeSeries power = r.system_power.expand();
+  const util::TimeSeries busy = r.busy_nodes.expand();
+  for (double v : power.values()) h.add(v);
+  for (double v : busy.values()) h.add(v);
   return h.digest();
 }
 

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
 #include "hpcsim/simulator.hpp"
 #include "testing/helpers.hpp"
+#include "testing/random_runs.hpp"
+#include "util/rng.hpp"
 
 namespace greenhpc::hpcsim {
 namespace {
@@ -86,6 +92,56 @@ TEST(SimulationResult, IncompleteJobsExcludedFromMeans) {
   r.jobs = {done, pending};
   EXPECT_DOUBLE_EQ(r.mean_wait_hours(), 1.0);
   EXPECT_DOUBLE_EQ(r.node_hours_completed(), 2.0);
+}
+
+/// green_energy_share as a per-sample loop over flat series.
+double flat_green_share(const util::TimeSeries& power, const util::TimeSeries& ci,
+                        double idle_w, double threshold) {
+  double green = 0.0;
+  double total = 0.0;
+  const std::size_t n = std::min(power.size(), ci.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const double e = std::max(0.0, power.at(i) - idle_w);
+    total += e;
+    if (ci.at(i) <= threshold) green += e;
+  }
+  return total > 0.0 ? green / total : 0.0;
+}
+
+// Seeded property: the run-walking metrics equal their per-sample
+// definitions over the expanded series bit for bit, on random run lists
+// of unequal lengths (one-sample and one-run series included).
+TEST(SimulationResult, RunwiseMetricsMatchFlatSamplesOnRandomRuns) {
+  util::Rng rng(4283914);
+  const auto cluster = small_cluster(64);
+  const double thresholds[] = {0.0, 42.0, 250.0, 1e9};
+  const double idle_floors[] = {0.0, 1.5, 110.0};
+  for (std::size_t k = 0; k < 256; ++k) {
+    SCOPED_TRACE(k);
+    SimulationResult r;
+    r.system_power = greenhpc::testing::random_step_series(rng, k);
+    r.carbon_intensity = greenhpc::testing::random_step_series(rng, k + 5);
+    r.busy_nodes = greenhpc::testing::random_step_series(rng, k + 3);
+    r.idle_floor = watts(idle_floors[rng.uniform_int(0, 2)]);
+    r.makespan = hours(rng.uniform(0.5, 100.0));
+    const util::TimeSeries power = r.system_power.expand();
+    const util::TimeSeries ci = r.carbon_intensity.expand();
+    const util::TimeSeries busy = r.busy_nodes.expand();
+
+    const double threshold =
+        rng.bernoulli(0.5) ? thresholds[rng.uniform_int(0, 3)] : rng.uniform(0.0, 600.0);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.green_energy_share(threshold)),
+              std::bit_cast<std::uint64_t>(
+                  flat_green_share(power, ci, r.idle_floor.watts(), threshold)));
+    const double node_seconds = busy.integrate(busy.start(), busy.end());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.busy_node_seconds()),
+              std::bit_cast<std::uint64_t>(node_seconds));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.utilization(cluster)),
+              std::bit_cast<std::uint64_t>(
+                  node_seconds / (static_cast<double>(cluster.nodes) *
+                                  r.makespan.seconds())));
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
 }  // namespace

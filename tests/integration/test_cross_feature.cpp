@@ -83,7 +83,7 @@ TEST(CrossFeature, FacilityOverheadOnSimulatorPower) {
   facility::WeatherModel weather(carbon::Region::Germany, 9);
   const auto temp = weather.generate(seconds(0.0), days(6.0), hours(1.0));
   const auto fac = facility::evaluate_facility(
-      outcome.result.system_power, temp, runner.trace(),
+      outcome.result.system_power.expand(), temp, runner.trace(),
       facility::CoolingModel(facility::CoolingTechnology::WarmWater),
       facility::HeatReuseConfig{});
   EXPECT_NEAR(fac.it_energy.joules(), outcome.result.total_energy.joules(),

@@ -77,7 +77,8 @@ TEST_P(SimulatorProperties, CarbonMatchesConstantIntensity) {
 
 TEST_P(SimulatorProperties, AllocationNeverExceedsCluster) {
   const auto r = run();
-  for (double busy : r.busy_nodes.values()) {
+  for (const auto& run : r.busy_nodes.runs()) {
+    const double busy = run.value;
     EXPECT_LE(busy, static_cast<double>(GetParam().nodes) + 1e-9);
     EXPECT_GE(busy, 0.0);
   }
@@ -101,7 +102,8 @@ TEST_P(SimulatorProperties, CausalityAndOrdering) {
 TEST_P(SimulatorProperties, PowerSeriesBounded) {
   const auto r = run();
   const auto cluster = greenhpc::testing::small_cluster(GetParam().nodes);
-  for (double p : r.system_power.values()) {
+  for (const auto& run : r.system_power.runs()) {
+    const double p = run.value;
     EXPECT_GE(p, 0.0);
     EXPECT_LE(p, cluster.max_power().watts() * (1.0 + 1e-9));
   }

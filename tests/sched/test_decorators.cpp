@@ -129,7 +129,8 @@ TEST(Malleable, ShrinksUnderBudgetGrowsWithHeadroom) {
   ASSERT_TRUE(r.jobs[0].completed);
   // The allocation varied: busy-node series must show at least two levels.
   double lo = 1e9, hi = 0.0;
-  for (double v : r.busy_nodes.values()) {
+  for (const auto& run : r.busy_nodes.runs()) {
+    const double v = run.value;
     if (v <= 0.0) continue;
     lo = std::min(lo, v);
     hi = std::max(hi, v);
