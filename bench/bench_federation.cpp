@@ -54,7 +54,7 @@ int main() {
   // One independent federation run per dispatch policy, fanned out over
   // the pool into preallocated slots; rows print serially afterwards.
   std::vector<FederationResult> results(4);
-  util::parallel_for(4, [&](std::size_t i) {
+  util::parallel_for_chunked(4, 1, [&](std::size_t i) {
     results[i] = fed.run(jobs, policies[i], easy);
   });
   const FederationResult& baseline = results[0];  // round-robin

@@ -48,7 +48,7 @@ int main() {
   // walks the whole trace); slots keep table order deterministic.
   const double horizons[4] = {1.0, 6.0, 12.0, 24.0};
   std::vector<std::array<double, 4>> mape(forecasters.size());
-  util::parallel_for(forecasters.size() * 4, [&](std::size_t i) {
+  util::parallel_for_chunked(forecasters.size() * 4, 1, [&](std::size_t i) {
     mape[i / 4][i % 4] = carbon::evaluate_mape(*forecasters[i / 4], trace,
                                                days(4.0), hours(horizons[i % 4]));
   });

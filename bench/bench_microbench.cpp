@@ -93,7 +93,7 @@ void BM_ParallelFor(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   std::vector<double> out(n);
   for (auto _ : state) {
-    util::parallel_for(n, [&](std::size_t i) {
+    util::parallel_for_chunked(n, 1, [&](std::size_t i) {
       double acc = 0.0;
       for (int k = 0; k < 1000; ++k) acc += static_cast<double>(i * k % 7);
       out[i] = acc;

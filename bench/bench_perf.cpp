@@ -11,15 +11,12 @@
 // span-derived phase breakdown ("tracing" block in the JSON).
 //
 // Usage: bench_perf [--smoke] [--json-out FILE] [--baseline FILE]
-//                   [--before FILE]
 //   --smoke      smallest scale only (CI perf gate)
 //   --json-out FILE  write the JSON report there (default BENCH_PERF.json;
 //                    --out is accepted as an alias)
 //   --baseline   compare against a committed baseline JSON; exit nonzero
-//                on a >2x ticks/s regression of the reference hot loop
-//   --before     merge pre-optimization measurements (keys like
-//                "small_fcfs_ticks_per_s", see bench/perf_seed_reference.json)
-//                into the report as per-sample "speedup_vs_before" ratios
+//                on a >2x ticks/s regression of the reference hot loop or
+//                the dense scale
 //
 // The committed baseline lives at bench/perf_baseline.json; regenerate it
 // with `bench_perf --smoke --out bench/perf_baseline.json` on an idle
@@ -92,8 +89,7 @@ core::ScenarioConfig scale_config(const ScaleSpec& s) {
 // quantum) that mostly fit the machine at once: between waves the pending
 // queue is empty, so every finish is a pure node release the policies
 // attest over and the span kernel resolves in place. This is the regime
-// the in-span completion path targets; it is timed with the path on and
-// off (Config::span_completions) and the results must be bit-identical.
+// the in-span completion path targets.
 
 core::ScenarioConfig dense_config() {
   auto cfg = bench::reference_scenario();
@@ -109,66 +105,7 @@ core::ScenarioConfig dense_config() {
   return cfg;
 }
 
-struct DenseSample {
-  std::string scheduler;
-  bool span_completions = true;
-  std::size_t ticks = 0;
-  double wall_s = 0.0;
-  std::uint64_t digest = 0;
-  [[nodiscard]] double ticks_per_s() const { return ticks / wall_s; }
-};
-
-/// FNV-1a over the headline totals and the per-job finish/energy series:
-/// any divergence between the in-span and fenced engines shows up here.
-std::uint64_t result_digest(const hpcsim::SimulationResult& r) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    for (int i = 0; i < 8; ++i) {
-      h ^= (bits >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(r.total_carbon.grams());
-  mix(r.total_energy.joules());
-  mix(r.makespan.seconds());
-  for (const auto& j : r.jobs) {
-    mix(j.finish.seconds());
-    mix(j.energy.joules());
-  }
-  return h;
-}
-
-DenseSample time_dense(const core::ScenarioRunner& runner, const char* sched_name,
-                       bool span_completions) {
-  hpcsim::Simulator::Config sim_cfg;
-  sim_cfg.cluster = runner.config().cluster;
-  sim_cfg.carbon_intensity = runner.trace();
-  sim_cfg.span_completions = span_completions;
-  DenseSample out;
-  out.scheduler = sched_name;
-  out.span_completions = span_completions;
-  out.wall_s = 1e300;
-  for (int rep = 0; rep < 5; ++rep) {
-    hpcsim::Simulator sim(sim_cfg, runner.jobs());
-    std::unique_ptr<hpcsim::SchedulingPolicy> sched;
-    if (std::strcmp(sched_name, "fcfs") == 0) {
-      sched = std::make_unique<sched::FcfsScheduler>();
-    } else {
-      sched = std::make_unique<sched::EasyBackfillScheduler>();
-    }
-    const auto t0 = Clock::now();
-    const auto result = sim.run(*sched);
-    const double wall = seconds_since(t0);
-    out.ticks = result.system_power.size();
-    if (wall < out.wall_s) out.wall_s = wall;
-    out.digest = result_digest(result);
-  }
-  return out;
-}
-
-HotLoopSample time_hot_loop(const core::ScenarioRunner& runner, const ScaleSpec& s,
+HotLoopSample time_hot_loop(const core::ScenarioRunner& runner, const char* scale,
                             const char* sched_name) {
   hpcsim::Simulator::Config sim_cfg;
   sim_cfg.cluster = runner.config().cluster;
@@ -177,7 +114,7 @@ HotLoopSample time_hot_loop(const core::ScenarioRunner& runner, const ScaleSpec&
   // and fresh policy on the same inputs), so the minimum is the least
   // noise-contaminated estimate of the true cost.
   HotLoopSample out;
-  out.scale = s.name;
+  out.scale = scale;
   out.scheduler = sched_name;
   out.jobs = runner.jobs().size();
   out.wall_s = 1e300;
@@ -308,7 +245,6 @@ int main(int argc, char** argv) {
   bool smoke = false;
   std::string out_path = "BENCH_PERF.json";
   std::string baseline_path;
-  std::string before_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
@@ -318,90 +254,51 @@ int main(int argc, char** argv) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
       baseline_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--before") == 0 && i + 1 < argc) {
-      before_path = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: bench_perf [--smoke] [--json-out FILE] "
-                   "[--baseline FILE] [--before FILE]\n");
+                   "[--baseline FILE]\n");
       return 2;
     }
-  }
-
-  std::string before_text;
-  if (!before_path.empty()) {
-    std::FILE* bf = std::fopen(before_path.c_str(), "r");
-    if (bf == nullptr) {
-      std::fprintf(stderr, "cannot read before-reference %s\n", before_path.c_str());
-      return 2;
-    }
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), bf)) > 0) before_text.append(buf, n);
-    std::fclose(bf);
   }
 
   const std::size_t n_scales = smoke ? 1 : std::size(kScales);
 
   // --- hot-loop throughput ---
   util::Table tt({"scale", "nodes", "jobs", "scheduler", "ticks", "wall[ms]",
-                  "ticks/s", "jobs/s", "vs before"});
+                  "ticks/s", "jobs/s"});
   std::vector<HotLoopSample> samples;
-  std::vector<double> speedups;  // 0 = no before number for this sample
   for (std::size_t i = 0; i < n_scales; ++i) {
     const ScaleSpec& s = kScales[i];
     core::ScenarioRunner runner(scale_config(s));
     for (const char* sched_name : {"fcfs", "easy"}) {
-      const HotLoopSample sample = time_hot_loop(runner, s, sched_name);
-      double before_tps = 0.0;
-      if (!before_text.empty()) {
-        find_json_number(before_text,
-                         sample.scale + "_" + sample.scheduler + "_ticks_per_s",
-                         &before_tps);
-      }
-      const double speedup = before_tps > 0.0 ? sample.ticks_per_s() / before_tps : 0.0;
+      const HotLoopSample sample = time_hot_loop(runner, s.name, sched_name);
       tt.add_row({sample.scale, std::to_string(s.nodes), std::to_string(s.jobs),
                   sample.scheduler, std::to_string(sample.ticks),
                   util::Table::fmt(1e3 * sample.wall_s, 1),
                   util::Table::fmt(sample.ticks_per_s(), 0),
-                  util::Table::fmt(sample.jobs_per_s(), 0),
-                  speedup > 0.0 ? util::Table::fmt(speedup, 2) + "x" : "-"});
+                  util::Table::fmt(sample.jobs_per_s(), 0)});
       samples.push_back(sample);
-      speedups.push_back(speedup);
     }
   }
   std::printf("%s\n", tt.str("Simulator hot-loop throughput").c_str());
 
-  // --- dense scale: in-span completions vs PR 7 fencing ---
+  // --- dense scale: completion-bound wave arrivals ---
   const core::ScenarioConfig dense_cfg = dense_config();
   core::ScenarioRunner dense_runner(dense_cfg);
-  util::Table dt({"scheduler", "completions", "ticks", "wall[ms]", "ticks/s",
-                  "speedup"});
-  std::vector<DenseSample> dense_samples;
-  bool dense_identical = true;
-  double dense_min_speedup = 1e300;
+  util::Table dt({"scheduler", "ticks", "wall[ms]", "ticks/s"});
+  std::vector<HotLoopSample> dense_samples;
   for (const char* sched_name : {"fcfs", "easy"}) {
-    const DenseSample fenced = time_dense(dense_runner, sched_name, false);
-    const DenseSample inspan = time_dense(dense_runner, sched_name, true);
-    dense_identical = dense_identical && fenced.digest == inspan.digest;
-    const double speedup = fenced.wall_s / inspan.wall_s;
-    dense_min_speedup = std::min(dense_min_speedup, speedup);
-    dt.add_row({sched_name, "fenced", std::to_string(fenced.ticks),
-                util::Table::fmt(1e3 * fenced.wall_s, 1),
-                util::Table::fmt(fenced.ticks_per_s(), 0), "-"});
-    dt.add_row({sched_name, "in-span", std::to_string(inspan.ticks),
-                util::Table::fmt(1e3 * inspan.wall_s, 1),
-                util::Table::fmt(inspan.ticks_per_s(), 0),
-                util::Table::fmt(speedup, 2) + "x"});
-    dense_samples.push_back(fenced);
-    dense_samples.push_back(inspan);
+    const HotLoopSample sample = time_hot_loop(dense_runner, "dense", sched_name);
+    dt.add_row({sched_name, std::to_string(sample.ticks),
+                util::Table::fmt(1e3 * sample.wall_s, 1),
+                util::Table::fmt(sample.ticks_per_s(), 0)});
+    dense_samples.push_back(sample);
   }
   std::printf("%s\n",
               dt.str("Dense scale (512 nodes, 2000 single-node jobs, 15 s tick, "
                      "hourly arrival waves)")
                   .c_str());
-  std::printf("Dense results across engines: %s\n\n",
-              dense_identical ? "bit-identical" : "DIVERGED");
 
   // --- serial vs parallel sweep ---
   auto sweep_cfg = scale_config(kScales[0]);
@@ -435,10 +332,6 @@ int main(int argc, char** argv) {
   const bool identical = serial_digest == parallel_digest;
   const std::size_t threads = util::ThreadPool::global().size();
 
-  double before_sweep_s = 0.0;
-  if (!before_text.empty()) {
-    find_json_number(before_text, "sweep_serial_s", &before_sweep_s);
-  }
   const CrossoverReport crossover = measure_crossover();
   std::printf("Sweep (%zu cases): serial %.3f s, parallel %.3f s on %zu threads "
               "(pool speedup %.2fx%s); results %s\n",
@@ -457,11 +350,6 @@ int main(int argc, char** argv) {
     std::printf("Crossover: parallel never beat serial up to n=64 (unit %.1f us, "
                 "%zu threads)\n",
                 crossover.unit_us, threads);
-  }
-  if (before_sweep_s > 0.0) {
-    std::printf("Sweep vs pre-optimization engine: %.3f s -> %.3f s serial "
-                "(%.1fx)\n",
-                before_sweep_s, serial_s, before_sweep_s / serial_s);
   }
   std::printf("\n");
 
@@ -511,46 +399,34 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "    {\"scale\": \"%s\", \"scheduler\": \"%s\", \"ticks\": %zu, "
                  "\"jobs\": %zu, \"wall_s\": %.6f, \"ticks_per_s\": %.1f, "
-                 "\"jobs_per_s\": %.1f",
+                 "\"jobs_per_s\": %.1f}%s\n",
                  s.scale.c_str(), s.scheduler.c_str(), s.ticks, s.jobs, s.wall_s,
-                 s.ticks_per_s(), s.jobs_per_s());
-    if (speedups[i] > 0.0) {
-      std::fprintf(f, ", \"before_ticks_per_s\": %.1f, \"speedup_vs_before\": %.2f",
-                   s.ticks_per_s() / speedups[i], speedups[i]);
-    }
-    std::fprintf(f, "}%s\n", i + 1 < samples.size() ? "," : "");
+                 s.ticks_per_s(), s.jobs_per_s(), i + 1 < samples.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
                "  \"dense\": {\"nodes\": %d, \"jobs\": %d, \"tick_s\": %.0f, "
-               "\"bit_identical\": %s, \"min_speedup\": %.2f, \"samples\": [\n",
+               "\"samples\": [\n",
                dense_cfg.cluster.nodes, dense_cfg.workload.job_count,
-               dense_cfg.cluster.tick.seconds(), dense_identical ? "true" : "false",
-               dense_min_speedup);
+               dense_cfg.cluster.tick.seconds());
   for (std::size_t i = 0; i < dense_samples.size(); ++i) {
     const auto& s = dense_samples[i];
     std::fprintf(f,
-                 "    {\"scheduler\": \"%s\", \"span_completions\": %s, "
-                 "\"ticks\": %zu, \"wall_s\": %.6f, \"ticks_per_s\": %.1f}%s\n",
-                 s.scheduler.c_str(), s.span_completions ? "true" : "false",
-                 s.ticks, s.wall_s, s.ticks_per_s(),
+                 "    {\"scheduler\": \"%s\", \"ticks\": %zu, \"wall_s\": %.6f, "
+                 "\"ticks_per_s\": %.1f}%s\n",
+                 s.scheduler.c_str(), s.ticks, s.wall_s, s.ticks_per_s(),
                  i + 1 < dense_samples.size() ? "," : "");
   }
   std::fprintf(f, "  ]},\n");
   std::fprintf(f, "  \"dense_fcfs_ticks_per_s\": %.1f,\n",
-               dense_samples[1].ticks_per_s());
+               dense_samples[0].ticks_per_s());
   std::fprintf(f,
                "  \"sweep\": {\"cases\": %zu, \"serial_s\": %.6f, \"parallel_s\": "
                "%.6f, \"speedup\": %.3f, \"bit_identical\": %s, "
-               "\"serial_fallback\": %s",
+               "\"serial_fallback\": %s},\n",
                cases.size(), serial_s, parallel_s, serial_s / parallel_s,
                identical ? "true" : "false",
                crossover.serial_fallback ? "true" : "false");
-  if (before_sweep_s > 0.0) {
-    std::fprintf(f, ", \"before_serial_s\": %.6f, \"speedup_vs_before\": %.2f",
-                 before_sweep_s, before_sweep_s / serial_s);
-  }
-  std::fprintf(f, "},\n");
   std::fprintf(f,
                "  \"tracing\": {\"enabled_wall_s\": %.6f, \"disabled_wall_s\": %.6f, "
                "\"overhead_x\": %.3f, \"dropped\": %llu, \"phases\": [\n",
@@ -573,12 +449,6 @@ int main(int argc, char** argv) {
 
   if (!identical) {
     std::fprintf(stderr, "FAIL: parallel sweep diverged from serial results\n");
-    return 1;
-  }
-  if (!dense_identical) {
-    std::fprintf(stderr,
-                 "FAIL: in-span completion engine diverged from the fenced "
-                 "engine on the dense scale\n");
     return 1;
   }
 
@@ -626,13 +496,11 @@ int main(int argc, char** argv) {
       return 1;
     }
     // Dense gate: the completion-bound scale must not regress >2x against
-    // the committed baseline, and the in-span path must actually win over
-    // the fenced engine (1.5x floor absorbs shared-runner noise; the
-    // committed numbers show the real margin).
+    // the committed baseline.
     double base_dense_tps = 0.0;
     if (find_json_number(text, "dense_fcfs_ticks_per_s", &base_dense_tps) &&
         base_dense_tps > 0.0) {
-      const double dense_tps = dense_samples[1].ticks_per_s();
+      const double dense_tps = dense_samples[0].ticks_per_s();
       std::printf(
           "Baseline gate: dense fcfs %.0f ticks/s vs baseline %.0f (ratio %.2f)\n",
           dense_tps, base_dense_tps, dense_tps / base_dense_tps);
@@ -643,15 +511,6 @@ int main(int argc, char** argv) {
                      dense_tps, base_dense_tps);
         return 1;
       }
-    }
-    std::printf("Baseline gate: dense in-span/fenced speedup %.2fx\n",
-                dense_min_speedup);
-    if (dense_min_speedup < 1.5) {
-      std::fprintf(stderr,
-                   "FAIL: in-span completion kernel no faster than the fenced "
-                   "engine on the dense scale (%.2fx < 1.5x)\n",
-                   dense_min_speedup);
-      return 1;
     }
   }
   return 0;

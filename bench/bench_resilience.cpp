@@ -75,7 +75,7 @@ int main() {
   // (every point is an independent simulation); rows are emitted serially
   // afterwards in sweep order.
   std::vector<hpcsim::SimulationResult> a_results(8);
-  util::parallel_for(8, [&](std::size_t i) {
+  util::parallel_for_chunked(8, 1, [&](std::size_t i) {
     const double mtbf_h = mtbf_hours[i / 2];
     const bool with_ckpt = i % 2 == 1;
     hpcsim::Simulator::Config cfg;
@@ -144,7 +144,7 @@ int main() {
     double max_staleness_h = 0.0;
   };
   std::vector<BPoint> b_results(6);
-  util::parallel_for(6, [&](std::size_t i) {
+  util::parallel_for_chunked(6, 1, [&](std::size_t i) {
     const double outage = outages[i / 2];
     const bool carbon_aware = i % 2 == 1;
     resilience::DegradedFeedConfig fc;

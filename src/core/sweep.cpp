@@ -338,6 +338,25 @@ SweepCaseOutcome SweepCaseRunner::run_case(std::size_t flat) const {
   }
 }
 
+double SweepCaseRunner::run_block(util::ThreadPool& pool, std::size_t start,
+                                  std::size_t count, SweepBlock& block) const {
+  static obs::Counter& cases_counter = obs::Registry::global().counter("sweep.cases");
+  static obs::Histogram& block_seconds = obs::Registry::global().histogram(
+      "sweep.block_seconds", {1e-3, 1e-2, 0.1, 1.0, 10.0});
+  GREENHPC_TRACE_SPAN("sweep.block.simulate");
+  const auto t0 = std::chrono::steady_clock::now();
+  block.start = start;
+  block.cases.resize(count);
+  pool.parallel_for_chunked(count, 1, [&](std::size_t i) {
+    block.cases[i] = run_case(start + i);
+  });
+  block.digest_after = sweep_block_digest(block);
+  const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - t0;
+  cases_counter.add(count);
+  block_seconds.record(elapsed.count());
+  return elapsed.count();
+}
+
 // ---------------------------------------------------------------------------
 // SweepEngine
 
@@ -385,12 +404,9 @@ SweepResult SweepEngine::run(const SweepGrid& grid) const {
   // state, so the fold order and digest stay bit-identical with tracing
   // on or off.
   GREENHPC_TRACE_SPAN("sweep.run");
-  static obs::Counter& cases_counter = obs::Registry::global().counter("sweep.cases");
   static obs::Gauge& cases_per_s = obs::Registry::global().gauge("sweep.cases_per_s");
   static obs::Gauge& simulate_s = obs::Registry::global().gauge("sweep.simulate_s");
   static obs::Gauge& fold_s = obs::Registry::global().gauge("sweep.fold_s");
-  static obs::Histogram& block_seconds = obs::Registry::global().histogram(
-      "sweep.block_seconds", {1e-3, 1e-2, 0.1, 1.0, 10.0});
 
   // Resume: re-fold the blocks the journal proves complete instead of
   // re-simulating them. Each record's stored digest must match the
@@ -400,7 +416,7 @@ SweepResult SweepEngine::run(const SweepGrid& grid) const {
   std::size_t start_case = 0;
   if (journal != nullptr) {
     GREENHPC_TRACE_SPAN("sweep.replay");
-    for (const SweepJournal::BlockRecord& rec : journal->completed()) {
+    for (const SweepBlock& rec : journal->completed()) {
       for (std::size_t i = 0; i < rec.cases.size(); ++i) {
         runner.fold(result, rec.start + i, rec.cases[i]);
       }
@@ -415,43 +431,33 @@ SweepResult SweepEngine::run(const SweepGrid& grid) const {
     start_case = journal->resume_point();
   }
 
-  std::vector<SweepCaseOutcome> scratch(
-      std::min(block_size, n_cases - std::min(n_cases, start_case)));
+  // One scratch block, reused: its case slots are flat-indexed.
+  SweepBlock block;
   const auto run_start = std::chrono::steady_clock::now();
   for (std::size_t block_start = start_case; block_start < n_cases;
        block_start += block_size) {
     const std::size_t block_n = std::min(block_size, n_cases - block_start);
-    const auto block_begin = std::chrono::steady_clock::now();
-    {
-      // Parallel fill into flat-indexed scratch slots (grain 1: one case
-      // is a whole simulation)...
-      GREENHPC_TRACE_SPAN("sweep.block.simulate");
-      pool.parallel_for_chunked(block_n, 1, [&](std::size_t i) {
-        scratch[i] = runner.run_case(block_start + i);
-      });
-    }
+    // Parallel fill of the block's case slots...
+    const double sim_s = runner.run_block(pool, block_start, block_n, block);
     const auto fold_begin = std::chrono::steady_clock::now();
     {
       // ...then a serial fold in case order: Welford accumulation and the
       // digest see every case in the same sequence for any thread count.
       GREENHPC_TRACE_SPAN("sweep.block.fold");
       for (std::size_t i = 0; i < block_n; ++i) {
-        runner.fold(result, block_start + i, scratch[i]);
+        runner.fold(result, block_start + i, block.cases[i]);
       }
     }
     if (journal != nullptr) {
       // WAL commit point: the record (metrics + quarantines + running
       // digest) is fsynced before the block is reported done, so a crash
       // after this line loses nothing and a crash before it loses only
-      // this block.
+      // this block. Chained records carry the running digest in place of
+      // the block-local one.
       GREENHPC_TRACE_SPAN("sweep.block.journal");
-      SweepJournal::BlockRecord rec;
-      rec.start = block_start;
-      rec.cases.assign(scratch.begin(),
-                       scratch.begin() + static_cast<std::ptrdiff_t>(block_n));
-      rec.digest_after = result.digest;
+      block.digest_after = result.digest;
       try {
-        journal->append(rec);
+        journal->append(block);
       } catch (const JournalIoError& e) {
         // Containment: the journal is crash INSURANCE, not a correctness
         // dependency. Losing the disk mid-sweep must not abort hours of
@@ -468,13 +474,10 @@ SweepResult SweepEngine::run(const SweepGrid& grid) const {
       }
     }
     const auto block_end = std::chrono::steady_clock::now();
-    const std::chrono::duration<double> sim_d = fold_begin - block_begin;
     const std::chrono::duration<double> fold_d = block_end - fold_begin;
     const std::chrono::duration<double> elapsed = block_end - run_start;
-    cases_counter.add(block_n);
-    simulate_s.add(sim_d.count());
+    simulate_s.add(sim_s);
     fold_s.add(fold_d.count());
-    block_seconds.record(sim_d.count() + fold_d.count());
     if (elapsed.count() > 0.0) {
       cases_per_s.set(static_cast<double>(block_start + block_n - start_case) /
                       elapsed.count());

@@ -207,6 +207,13 @@ class SweepCaseRunner {
   /// ok == false. Thread-safe: cases are independent.
   [[nodiscard]] SweepCaseOutcome run_case(std::size_t flat) const;
 
+  /// Simulate the block of flat cases [start, start + count) over `pool`
+  /// (grain 1: one case is a whole simulation) into `block`, reusing its
+  /// storage, and set its block-local digest. Records obs `sweep.cases`
+  /// and the `sweep.block_seconds` latency; returns the seconds spent.
+  double run_block(util::ThreadPool& pool, std::size_t start, std::size_t count,
+                   SweepBlock& block) const;
+
   /// Resolved coordinates of a flat case, for quarantine reports.
   [[nodiscard]] std::string describe(std::size_t flat) const;
 

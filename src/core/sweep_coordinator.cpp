@@ -497,12 +497,7 @@ SweepResult SweepCoordinator::run(const SweepGrid& grid) {
     BlockLedger::Lease ls;
     while (ledger.lease(-1, kNoBackoff, ls)) {
       SweepBlock b;
-      b.start = ls.start;
-      b.cases.resize(ls.count);
-      pool.parallel_for_chunked(b.cases.size(), 1, [&](std::size_t i) {
-        b.cases[i] = runner.run_case(ls.start + i);
-      });
-      b.digest_after = sweep_block_digest(b);
+      runner.run_block(pool, ls.start, ls.count, b);
       // Probe results are not shard-journaled: they are single-case and
       // a restarted coordinator re-probes from its own evidence.
       if (shard != nullptr && !ls.probe) {

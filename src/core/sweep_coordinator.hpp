@@ -187,9 +187,9 @@ class BlockLedger {
 class SweepCoordinator {
  public:
   struct Options {
-    /// Worker processes to spawn. 0 = run everything in-process (the
-    /// degradation path, directly; useful for tests and as the CLI's
-    /// implicit default).
+    /// Worker processes to spawn. 0 = run everything in-process through
+    /// the all-workers-dead degradation path, directly (useful for tests;
+    /// the CLI runs `--workers 0` through SweepEngine instead).
     int workers = 0;
     /// Exec argv of ONE worker (path + `sweep-worker` + grid flags); the
     /// coordinator appends per-worker `--shard-path`/`--block` flags.

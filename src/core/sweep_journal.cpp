@@ -193,13 +193,8 @@ std::size_t SweepJournal::resume_point() const {
   return completed_.back().start + completed_.back().cases.size();
 }
 
-std::string SweepJournal::serialize_block_line(const BlockRecord& rec) {
+std::string SweepJournal::serialize_block_line(const SweepBlock& rec) {
   return wire::serialize_block(rec);
-}
-
-bool SweepJournal::parse_block_line(const std::string& line, BlockRecord& rec) {
-  std::string content;
-  return wire::unseal(line, content) && wire::parse_block(content, rec);
 }
 
 bool SweepJournal::exists(const std::string& dir) {
@@ -281,7 +276,7 @@ SweepJournal SweepJournal::resume(const std::string& dir,
   std::string content;
   while (std::getline(in, line)) {
     ++line_no;
-    BlockRecord rec;
+    SweepBlock rec;
     if (!wire::unseal(line, content) || !wire::parse_block(content, rec)) break;
     if (rec.start != j.resume_point()) break;  // chain break = corruption
     const std::size_t expect =
@@ -341,7 +336,7 @@ SweepJournal::ShardLoad SweepJournal::load_shards(const std::string& dir,
     std::string content;
     while (std::getline(in, line)) {
       ++line_no;
-      BlockRecord rec;
+      SweepBlock rec;
       // Per-file valid-prefix: any torn, corrupt or structurally invalid
       // record drops the rest of THIS file only — other shards are
       // independent evidence and keep their records.
@@ -376,13 +371,13 @@ SweepJournal::ShardLoad SweepJournal::load_shards(const std::string& dir,
         report_truncation(path, line_no, file_size_of(path) - valid_bytes);
   }
   std::sort(load.blocks.begin(), load.blocks.end(),
-            [](const BlockRecord& a, const BlockRecord& b) {
+            [](const SweepBlock& a, const SweepBlock& b) {
               return a.start < b.start;
             });
   return load;
 }
 
-void SweepJournal::append(const BlockRecord& record) {
+void SweepJournal::append(const SweepBlock& record) {
   GREENHPC_ASSERT(!record.cases.empty(), "journal block must not be empty");
   if (shard_) {
     GREENHPC_ASSERT(record.start % block_ == 0 && record.start < cases_,

@@ -69,11 +69,6 @@ class JournalIoError : public std::runtime_error {
 
 class SweepJournal {
  public:
-  /// Journal records are plain sweep blocks; the aliases keep the
-  /// journal's historical vocabulary compiling.
-  using CaseEntry = SweepCaseOutcome;
-  using BlockRecord = SweepBlock;
-
   SweepJournal(SweepJournal&&) = default;
   SweepJournal& operator=(SweepJournal&&) = default;
 
@@ -115,7 +110,7 @@ class SweepJournal {
   struct ShardLoad {
     /// Distinct completed blocks, sorted by start (block-local digests
     /// verified by re-fold).
-    std::vector<BlockRecord> blocks;
+    std::vector<SweepBlock> blocks;
     std::size_t files = 0;             ///< shard files scanned
     std::size_t duplicate_blocks = 0;  ///< identical records dropped
     int max_gen = -1;                  ///< highest generation seen (-1: none)
@@ -138,16 +133,13 @@ class SweepJournal {
 
   /// Serialize one block record to its sealed journal/wire line (no
   /// trailing newline). The pipe protocol ships exactly these bytes.
-  [[nodiscard]] static std::string serialize_block_line(const BlockRecord& rec);
-  /// Parse a sealed block line; false on a torn/corrupt/malformed line.
-  [[nodiscard]] static bool parse_block_line(const std::string& line,
-                                             BlockRecord& rec);
+  [[nodiscard]] static std::string serialize_block_line(const SweepBlock& rec);
 
   // ----------------------------------------------------------------------
 
   /// Blocks proven complete by the journal. Chained mode: contiguous
   /// from case 0, in order. Shard mode: the order they were appended.
-  [[nodiscard]] const std::vector<BlockRecord>& completed() const {
+  [[nodiscard]] const std::vector<SweepBlock>& completed() const {
     return completed_;
   }
   /// First case not covered by a completed block (chained mode).
@@ -174,7 +166,7 @@ class SweepJournal {
   /// broken record). Throws JournalIoError if the write or fsync fails;
   /// the record is NOT recorded as completed in that case (the file may
   /// hold a torn line, which resume() will drop).
-  void append(const BlockRecord& record);
+  void append(const SweepBlock& record);
 
   /// Journal file name inside a run directory (chained mode).
   static constexpr const char* kFileName = "sweep.journal";
@@ -188,7 +180,7 @@ class SweepJournal {
   std::size_t block_ = 0;
   bool shard_ = false;
   std::uint64_t truncations_ = 0;
-  std::vector<BlockRecord> completed_;
+  std::vector<SweepBlock> completed_;
 };
 
 }  // namespace greenhpc::core

@@ -134,7 +134,7 @@ std::vector<DesignEvaluation> DesignSpaceExplorer::pareto_front(
     const std::vector<DesignPoint>& candidates, CarbonIntensity grid) const {
   GREENHPC_REQUIRE(!candidates.empty(), "candidate set must not be empty");
   std::vector<DesignEvaluation> evals(candidates.size());
-  util::parallel_for(candidates.size(), [&](std::size_t i) {
+  util::parallel_for_chunked(candidates.size(), 1, [&](std::size_t i) {
     evals[i] = evaluate(candidates[i], grid);
   });
   std::sort(evals.begin(), evals.end(),
@@ -162,7 +162,7 @@ DesignEvaluation DesignSpaceExplorer::best(const std::vector<DesignPoint>& candi
   std::mutex mutex;
   DesignEvaluation best_eval;
   double best_value = std::numeric_limits<double>::infinity();
-  util::parallel_for(candidates.size(), [&](std::size_t i) {
+  util::parallel_for_chunked(candidates.size(), 1, [&](std::size_t i) {
     const DesignEvaluation ev = evaluate(candidates[i], grid);
     const double value = ev.objective_value(objective);
     std::lock_guard lock(mutex);

@@ -691,8 +691,8 @@ void Simulator::flush_job_counters() {
   }
 }
 
-std::size_t Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
-                                Duration span_end, bool ride_arrivals) {
+void Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
+                         Duration span_end, bool ride_arrivals) {
   GREENHPC_TRACE_SPAN("sim.span");
   static obs::Counter& span_ticks = sim_counter("sim.span_ticks");
   static obs::Counter& spans_counter = sim_counter("sim.spans");
@@ -972,9 +972,8 @@ std::size_t Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
     now_ += tick;
     ++n;
   }
-  if (!event || !cfg_.span_completions) {
-    // Span exit (horizon / bound reached, or fencing mode where the
-    // per-tick path replays the event tick): scatter the local
+  if (!event) {
+    // Span exit (horizon / bound reached): scatter the local
     // accumulators back to the slot columns. The in-span event path
     // skips this — its fused pass below finalizes the leavers' columns
     // itself and keeps the survivors scratch-resident, so the
@@ -1256,13 +1255,10 @@ std::size_t Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
     }
   }
   }  // for (;;) — next sub-span continues over the compacted running set
-  if (n > 0) {
-    span_ticks.add(n);
-    spans_counter.add();
-  }
+  span_ticks.add(n);
+  spans_counter.add();
   if (event_ticks > 0) span_event_ticks.add(event_ticks);
   flush_job_counters();
-  return n;
 }
 
 SimulationResult Simulator::run(SchedulingPolicy& sched, PowerBudgetPolicy* power) {
@@ -1339,10 +1335,8 @@ SimulationResult Simulator::run(SchedulingPolicy& sched, PowerBudgetPolicy* powe
           }
           if (span_end > now_) {
             budget_now_ = cfg_.cluster.max_power();
-            if (run_span(sched, hard_end, span_end, ride) > 0) continue;
-            // 0 ticks: an event lands in the very first tick with
-            // span_completions off — take the per-tick path below so it
-            // is handled exactly.
+            run_span(sched, hard_end, span_end, ride);
+            continue;
           }
         }
       }

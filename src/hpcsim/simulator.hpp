@@ -89,16 +89,6 @@ class Simulator final : public SimulationView {
     /// bit-identical by construction; this knob exists so the
     /// equivalence property test (and debugging sessions) can prove it.
     bool reference_mode = false;
-    /// Resolve completions and walltime kills inside the span batch
-    /// kernel (the default): the event tick runs the exact integrate
-    /// path in-kernel, and the span continues when the policy attests
-    /// the release changes nothing (SchedulingPolicy::
-    /// quiescent_over_release). false restores the previous fencing
-    /// behaviour — every completion terminates the span and the per-tick
-    /// path replays the event tick — which is what bench_perf's dense
-    /// scale compares against. Both settings are bit-identical to the
-    /// reference loop.
-    bool span_completions = true;
   };
 
   /// The job list need not be sorted; it is indexed by JobId internally.
@@ -225,17 +215,17 @@ class Simulator final : public SimulationView {
   /// once per sub-span; every accumulator receives the same additions in
   /// the same order as the per-tick path, so results are bit-identical.
   /// A tick a completion or walltime kill lands in is resolved inside
-  /// the kernel (cfg_.span_completions): the scratch columns scatter
-  /// back and the exact integrate_tick runs — analytic mid-tick finish,
-  /// node release, record emission, order-preserving compaction — then
-  /// the span continues iff the policy attests the release changed
-  /// nothing (quiescent_over_release) under a re-asked horizon, and
-  /// fences back to the per-tick path otherwise. hard_end caps every
-  /// re-bound horizon (fault/repair/requeue/max_time events can never be
-  /// crossed). Returns the number of ticks integrated (0 only when an
-  /// event lands in the very first tick with span_completions off).
-  std::size_t run_span(SchedulingPolicy& sched, Duration hard_end,
-                       Duration span_end, bool ride_arrivals);
+  /// the kernel: it replays integrate_tick's exact sequence — analytic
+  /// mid-tick finish, node release, record emission, order-preserving
+  /// compaction — then the span continues iff the policy attests the
+  /// release changed nothing (quiescent_over_release) under a re-asked
+  /// horizon, and fences back to the per-tick path otherwise. hard_end
+  /// caps every re-bound horizon (fault/repair/requeue/max_time events
+  /// can never be crossed). Requires span_end > now_; integrates at
+  /// least one tick, since an event on the first tick is resolved by the
+  /// in-span event tick.
+  void run_span(SchedulingPolicy& sched, Duration hard_end, Duration span_end,
+                bool ride_arrivals);
   /// Flush the span-local per-completion counter batches to the obs
   /// registry (one add(n) per span instead of one atomic add per
   /// completion; see DESIGN.md).

@@ -42,7 +42,7 @@ std::vector<TradeoffPoint> sweep_budget_split(const ProcurementOptimizer& optimi
                                               const TradeoffConfig& config, int steps) {
   GREENHPC_REQUIRE(steps >= 3, "sweep needs at least three steps");
   std::vector<TradeoffPoint> sweep(static_cast<std::size_t>(steps));
-  util::parallel_for(sweep.size(), [&](std::size_t i) {
+  util::parallel_for_chunked(sweep.size(), 1, [&](std::size_t i) {
     const double x = static_cast<double>(i + 1) / static_cast<double>(steps + 1);
     sweep[i] = evaluate_split(optimizer, config, x);
   });

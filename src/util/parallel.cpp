@@ -135,13 +135,6 @@ void ThreadPool::run_task(Task& task) {
   if (task.error) std::rethrow_exception(task.error);
 }
 
-void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& body) {
-  // Chunk size 1 preserves the legacy contract exactly (each iteration is
-  // an independent dispatch unit); the serial fallback inside the chunked
-  // path additionally short-circuits single-worker pools and nested calls.
-  parallel_for_chunked(n, 1, [&body](std::size_t i) { body(i); });
-}
-
 std::size_t ThreadPool::env_thread_override() {
   const char* env = std::getenv("GREENHPC_THREADS");
   if (env == nullptr || *env == '\0') return 0;
@@ -165,10 +158,6 @@ ThreadPool& ThreadPool::global() {
     return env_thread_override();  // 0 falls through to hardware concurrency
   }());
   return pool;
-}
-
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body) {
-  ThreadPool::global().parallel_for(n, body);
 }
 
 }  // namespace greenhpc::util

@@ -16,15 +16,14 @@
 // serial/parallel crossover in bench_perf) from paying wakeup latency for
 // nothing: below it, "parallel" IS the serial loop.
 //
-// The chunked entry points are templates, so the body is invoked directly
-// within a chunk — the type-erasure cost (one indirect call) is paid per
-// chunk, not per iteration, unlike the legacy std::function overload.
+// The entry points are templates, so the body is invoked directly within
+// a chunk — the type-erasure cost (one indirect call) is paid per chunk,
+// not per iteration.
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -52,35 +51,28 @@ class ThreadPool {
   /// Number of worker threads.
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
-  /// Run body(i) for each i in [0, n). Blocks until all iterations finish.
-  /// Iterations must be independent.
+  /// Chunked parallel loop: run body(i) for each i in [0, n), blocking
+  /// until all iterations finish; iterations must be independent. They
+  /// are handed out to the team (workers + the calling thread) `grain` at
+  /// a time, and the body is called directly inside each chunk — no
+  /// per-iteration type erasure. grain == 1 makes every iteration its own
+  /// dispatch unit (the shape for coarse, skewed work items); grain == 0
+  /// picks a heuristic grain (enough chunks for dynamic load balance, few
+  /// enough that dispatch cost stays invisible). Falls back to a serial
+  /// loop below the crossover (single-worker pool, a single chunk, or a
+  /// nested call). Results written to preallocated slots are bit-identical
+  /// for every thread count including the serial fallback.
   ///
-  /// Exception contract (shared with parallel_for_chunked): the first
-  /// exception a body throws is captured and rethrown on the calling
-  /// thread after the loop quiesces — never swallowed, never a call to
-  /// std::terminate, never a deadlocked caller. Once a task has failed,
-  /// chunks that have not yet started are abandoned (their iterations do
-  /// not run), in-flight chunks finish, and later exceptions are dropped.
-  /// The pool itself is left fully usable: workers survive, and the next
-  /// parallel loop behaves as if the failure never happened. On the
-  /// serial-fallback path the exception propagates directly from the body
-  /// at the throwing iteration, which satisfies the same contract.
-  ///
-  /// Legacy std::function shape (one indirect call per iteration); new
-  /// code and hot fan-outs should prefer parallel_for_chunked.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
-
-  /// Chunked parallel loop: iterations [0, n) are handed out to the team
-  /// (workers + the calling thread) `grain` at a time, and the body is
-  /// called directly inside each chunk — no per-iteration type erasure.
-  /// grain == 0 picks a heuristic grain (enough chunks for dynamic load
-  /// balance, few enough that dispatch cost stays invisible). Falls back
-  /// to a serial loop below the crossover (single-worker pool, a single
-  /// chunk, or a nested call). Same independence/exception contract as
-  /// parallel_for (first exception rethrown on the calling thread,
-  /// unstarted chunks abandoned after a failure, pool remains usable);
-  /// results written to preallocated slots are bit-identical for every
-  /// thread count including the serial fallback.
+  /// Exception contract: the first exception a body throws is captured
+  /// and rethrown on the calling thread after the loop quiesces — never
+  /// swallowed, never a call to std::terminate, never a deadlocked
+  /// caller. Once a task has failed, chunks that have not yet started are
+  /// abandoned (their iterations do not run), in-flight chunks finish, and
+  /// later exceptions are dropped. The pool itself is left fully usable:
+  /// workers survive, and the next parallel loop behaves as if the failure
+  /// never happened. On the serial-fallback path the exception propagates
+  /// directly from the body at the throwing iteration, which satisfies the
+  /// same contract.
   template <typename Body>
   void parallel_for_chunked(std::size_t n, std::size_t grain, Body&& body) {
     if (n == 0) return;
@@ -162,9 +154,6 @@ class ThreadPool {
   std::size_t generation_ = 0;
   bool stop_ = false;
 };
-
-/// Convenience wrapper over ThreadPool::global().parallel_for.
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
 /// Convenience wrapper over ThreadPool::global().parallel_for_chunked.
 template <typename Body>

@@ -7,9 +7,11 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/sweep_journal.hpp"
+#include "obs/metrics.hpp"
 #include "sched/easy_backfill.hpp"
 #include "sched/fcfs.hpp"
 #include "util/error.hpp"
@@ -338,6 +340,27 @@ TEST(SweepCoordinator, InProcessPathMatchesTheEngineBitForBit) {
   expect_equal_results(reference, result);
   EXPECT_FALSE(coord.stats().degraded_in_process);
   EXPECT_EQ(coord.stats().worker_deaths, 0u);
+}
+
+TEST(SweepCoordinator, InProcessPathRecordsBlockMetrics) {
+  // The registry is process-global, so measure deltas across the run.
+  const auto recorded = [] {
+    const obs::StatSnapshot snap = obs::Registry::global().snapshot();
+    const obs::HistogramSnapshot* h = snap.find_histogram("sweep.block_seconds");
+    const std::uint64_t* cases = snap.find_counter("sweep.cases");
+    return std::pair<std::uint64_t, std::uint64_t>{h != nullptr ? h->total() : 0,
+                                                   cases != nullptr ? *cases : 0};
+  };
+  const SweepGrid grid = small_grid();
+  SweepCoordinator::Options opts;
+  opts.workers = 0;
+  opts.block = 5;
+  const auto before = recorded();
+  const SweepResult result = SweepCoordinator(std::move(opts)).run(grid);
+  const auto after = recorded();
+  ASSERT_EQ(result.cases, 24u);
+  EXPECT_EQ(after.first - before.first, 5u);  // ceil(24 / 5) blocks
+  EXPECT_EQ(after.second - before.second, 24u);
 }
 
 TEST(SweepCoordinator, QuarantinedCasesAreIdenticalToTheEngines) {

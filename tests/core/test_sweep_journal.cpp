@@ -407,7 +407,7 @@ TEST(SweepJournal, BitFlippedRecordDropsItselfAndEverythingAfter) {
 TEST(SweepJournal, AppendOutOfOrderIsALogicError) {
   const std::string dir = run_dir("out_of_order");
   SweepJournal journal = SweepJournal::create(dir, 1, 10, 5);
-  SweepJournal::BlockRecord rec;
+  SweepBlock rec;
   rec.start = 5;  // must be 0
   rec.cases.resize(5);
   EXPECT_THROW(journal.append(rec), LogicError);
@@ -475,9 +475,8 @@ TEST(SweepJournal, DroppedSuffixIsReportedOnStderrAndCounted) {
 
 /// Internally-consistent synthetic shard record (the journal verifies the
 /// digest re-fold, not the simulation).
-SweepJournal::BlockRecord shard_rec(std::size_t cases_total, std::size_t block,
-                                    std::size_t start) {
-  SweepJournal::BlockRecord rec;
+SweepBlock shard_rec(std::size_t cases_total, std::size_t block, std::size_t start) {
+  SweepBlock rec;
   rec.start = start;
   rec.cases.resize(std::min(block, cases_total - start));
   for (std::size_t i = 0; i < rec.cases.size(); ++i) {
@@ -560,7 +559,7 @@ TEST(SweepShardJournal, AtLeastOnceDuplicatesDedupConflictsThrow) {
     SweepJournal b = SweepJournal::create_shard(
         dir, SweepJournal::shard_file_name(0, "w1"), kConfig, 8, 4);
     a.append(shard_rec(8, 4, 0));
-    SweepJournal::BlockRecord twisted = shard_rec(8, 4, 0);
+    SweepBlock twisted = shard_rec(8, 4, 0);
     twisted.cases[1].metrics.total_energy_mwh += 1.0;
     twisted.digest_after = sweep_block_digest(twisted);
     b.append(twisted);
@@ -616,15 +615,15 @@ TEST(SweepShardJournal, AppendRejectsStructurallyBrokenRecords) {
   SweepJournal shard = SweepJournal::create_shard(
       dir, SweepJournal::shard_file_name(0, "w0"), 0x1, 10, 4);
 
-  SweepJournal::BlockRecord misaligned = shard_rec(10, 4, 4);
+  SweepBlock misaligned = shard_rec(10, 4, 4);
   misaligned.start = 2;
   EXPECT_THROW(shard.append(misaligned), LogicError);
 
-  SweepJournal::BlockRecord bad_digest = shard_rec(10, 4, 0);
+  SweepBlock bad_digest = shard_rec(10, 4, 0);
   bad_digest.digest_after ^= 1;
   EXPECT_THROW(shard.append(bad_digest), LogicError);
 
-  SweepJournal::BlockRecord wrong_size = shard_rec(10, 4, 0);
+  SweepBlock wrong_size = shard_rec(10, 4, 0);
   wrong_size.cases.pop_back();
   wrong_size.digest_after = sweep_block_digest(wrong_size);
   EXPECT_THROW(shard.append(wrong_size), LogicError);

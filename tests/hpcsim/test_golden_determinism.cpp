@@ -11,8 +11,7 @@
 // Covers a fault-free FCFS run, a fault-free carbon-aware EASY run (the
 // two extremes of policy complexity), a fault-injected EASY run (the
 // victim-draw and requeue machinery) and a completion-dense EASY run
-// (the in-span completion kernel, cross-checked against the fenced
-// engine).
+// (the in-span completion kernel).
 
 #include <gtest/gtest.h>
 
@@ -135,13 +134,11 @@ core::ScenarioConfig dense_scenario() {
   return cfg;
 }
 
-hpcsim::SimulationResult run_dense(hpcsim::SchedulingPolicy& sched,
-                                   bool span_completions) {
+hpcsim::SimulationResult run_dense(hpcsim::SchedulingPolicy& sched) {
   const core::ScenarioRunner runner(dense_scenario());
   hpcsim::Simulator::Config cfg;
   cfg.cluster = runner.config().cluster;
   cfg.carbon_intensity = runner.trace();
-  cfg.span_completions = span_completions;
   hpcsim::Simulator sim(cfg, runner.jobs());
   return sim.run(sched);
 }
@@ -172,8 +169,7 @@ constexpr std::uint64_t kGoldenFcfs = 0x75c804ab89d0e737ull;
 constexpr std::uint64_t kGoldenCarbonEasy = 0x06d083d01b4c2209ull;
 constexpr std::uint64_t kGoldenEasyFaults = 0x83eb17206180faa9ull;
 // Dense completion-bound scale, recorded with the in-span completion
-// kernel the same day the fenced engine produced the identical digest
-// (the test asserts both, so a drift in either path fails).
+// kernel.
 constexpr std::uint64_t kGoldenEasyDense = 0xf8aadb5c80df7733ull;
 
 TEST(GoldenDeterminism, FcfsReferenceScenario) {
@@ -212,22 +208,16 @@ TEST(GoldenDeterminism, EasyWithInjectedFaults) {
 }
 
 // The completion-dense regime: thousands of single-node finishes resolve
-// inside batch spans. Pins the absolute digest AND cross-checks the
-// fenced (per-event span exit) engine against the in-span completion
-// kernel on the same scenario — a drift in either path fails here.
+// inside batch spans; the digest pins the in-span completion kernel.
 TEST(GoldenDeterminism, EasyDenseCompletionScenario) {
-  sched::EasyBackfillScheduler easy_inspan;
-  const auto r = run_dense(easy_inspan, /*span_completions=*/true);
+  sched::EasyBackfillScheduler easy;
+  const auto r = run_dense(easy);
   const std::uint64_t d = hash_result(r);
   RecordProperty("digest", std::to_string(d));
   std::printf("golden easy dense digest: 0x%016llx\n",
               static_cast<unsigned long long>(d));
   EXPECT_EQ(r.walltime_kills + r.completed_jobs, r.jobs.size());
   EXPECT_EQ(d, kGoldenEasyDense);
-
-  sched::EasyBackfillScheduler easy_fenced;
-  const auto rf = run_dense(easy_fenced, /*span_completions=*/false);
-  EXPECT_EQ(hash_result(rf), d) << "fenced engine diverged from in-span kernel";
 }
 
 }  // namespace

@@ -24,7 +24,8 @@ class GridProperties : public ::testing::TestWithParam<GridCase> {
 
 TEST_P(GridProperties, BoundsRespected) {
   const RegionTraits& t = traits(std::get<0>(GetParam()));
-  for (double v : trace().values()) {
+  const util::TimeSeries series = trace();
+  for (double v : series.values()) {
     EXPECT_GE(v, t.floor_gkwh);
     EXPECT_LE(v, t.cap_gkwh);
   }

@@ -17,21 +17,21 @@ namespace {
 TEST(ThreadPool, ExecutesAllIterationsExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  pool.parallel_for_chunked(hits.size(), 1, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ZeroIterationsIsNoop) {
   ThreadPool pool(2);
   bool touched = false;
-  pool.parallel_for(0, [&](std::size_t) { touched = true; });
+  pool.parallel_for_chunked(0, 1, [&](std::size_t) { touched = true; });
   EXPECT_FALSE(touched);
 }
 
 TEST(ThreadPool, SingleThreadPoolWorks) {
   ThreadPool pool(1);
   std::atomic<long> sum{0};
-  pool.parallel_for(100, [&](std::size_t i) { sum += static_cast<long>(i); });
+  pool.parallel_for_chunked(100, 1, [&](std::size_t i) { sum += static_cast<long>(i); });
   EXPECT_EQ(sum.load(), 4950);
 }
 
@@ -39,30 +39,30 @@ TEST(ThreadPool, ReusableAcrossCalls) {
   ThreadPool pool(3);
   for (int round = 0; round < 10; ++round) {
     std::atomic<int> count{0};
-    pool.parallel_for(50, [&](std::size_t) { count.fetch_add(1); });
+    pool.parallel_for_chunked(50, 1, [&](std::size_t) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), 50);
   }
 }
 
 TEST(ThreadPool, PropagatesFirstException) {
   ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_for(100,
-                                 [&](std::size_t i) {
-                                   if (i == 42) throw std::runtime_error("boom");
-                                 }),
+  EXPECT_THROW(pool.parallel_for_chunked(100, 1,
+                                         [&](std::size_t i) {
+                                           if (i == 42) throw std::runtime_error("boom");
+                                         }),
                std::runtime_error);
   // Pool survives the exception.
   std::atomic<int> count{0};
-  pool.parallel_for(10, [&](std::size_t) { count.fetch_add(1); });
+  pool.parallel_for_chunked(10, 1, [&](std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 10);
 }
 
 TEST(ThreadPool, NestedParallelForRunsSerially) {
   ThreadPool pool(4);
   std::atomic<int> inner_total{0};
-  pool.parallel_for(8, [&](std::size_t) {
+  pool.parallel_for_chunked(8, 1, [&](std::size_t) {
     // Nested call must not deadlock; it degrades to serial execution.
-    parallel_for(4, [&](std::size_t) { inner_total.fetch_add(1); });
+    parallel_for_chunked(4, 1, [&](std::size_t) { inner_total.fetch_add(1); });
   });
   EXPECT_EQ(inner_total.load(), 32);
 }
@@ -89,11 +89,11 @@ TEST(ThreadPool, PreallocatedSlotWritesAreThreadCountInvariant) {
   std::vector<double> one(kSlots), many(kSlots);
   {
     ThreadPool pool(1);
-    pool.parallel_for(kSlots, [&](std::size_t i) { one[i] = work(i); });
+    pool.parallel_for_chunked(kSlots, 1, [&](std::size_t i) { one[i] = work(i); });
   }
   {
     ThreadPool pool(8);
-    pool.parallel_for(kSlots, [&](std::size_t i) { many[i] = work(i); });
+    pool.parallel_for_chunked(kSlots, 1, [&](std::size_t i) { many[i] = work(i); });
   }
   for (std::size_t i = 0; i < kSlots; ++i) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(one[i]), std::bit_cast<std::uint64_t>(many[i]))
@@ -296,7 +296,7 @@ TEST(ThreadPool, ParallelSumMatchesSerial) {
   std::vector<double> xs(10000);
   std::iota(xs.begin(), xs.end(), 0.0);
   std::vector<double> squares(xs.size());
-  parallel_for(xs.size(), [&](std::size_t i) { squares[i] = xs[i] * xs[i]; });
+  parallel_for_chunked(xs.size(), 1, [&](std::size_t i) { squares[i] = xs[i] * xs[i]; });
   double parallel_total = 0.0;
   for (double v : squares) parallel_total += v;
   double serial_total = 0.0;
