@@ -209,7 +209,7 @@ int main(int argc, char** argv) {
     s.threads = threads;
     s.wall_s = seconds_since(t0);
     s.digest = result.digest;
-    // Mirrors parallel_for_chunked's crossover test: a single-worker pool
+    // Mirrors parallel_for_ordered's crossover test: a single-worker pool
     // dispatches nothing and runs the plain serial loop.
     s.serial_fallback = pool.size() <= 1;
     samples.push_back(s);

@@ -402,11 +402,18 @@ SweepResult SweepEngine::run(const SweepGrid& grid) const {
   // Engine-side observability: per-block phase timing feeds the metrics
   // registry and (when enabled) the tracer. None of it touches simulation
   // state, so the fold order and digest stay bit-identical with tracing
-  // on or off.
+  // on or off. Both phase gauges are the calling thread's wall seconds:
+  // fold_s its time in commits (fold + journal append), simulate_s the
+  // rest of the streamed loop outside progress calls (its own cases, or
+  // waiting for the next case to fold). A block's latency runs from the
+  // claim of its first case to the end of its commit.
   GREENHPC_TRACE_SPAN("sweep.run");
   static obs::Gauge& cases_per_s = obs::Registry::global().gauge("sweep.cases_per_s");
   static obs::Gauge& simulate_s = obs::Registry::global().gauge("sweep.simulate_s");
   static obs::Gauge& fold_s = obs::Registry::global().gauge("sweep.fold_s");
+  static obs::Counter& cases_counter = obs::Registry::global().counter("sweep.cases");
+  static obs::Histogram& block_seconds = obs::Registry::global().histogram(
+      "sweep.block_seconds", {1e-3, 1e-2, 0.1, 1.0, 10.0});
 
   // Resume: re-fold the blocks the journal proves complete instead of
   // re-simulating them. Each record's stored digest must match the
@@ -431,29 +438,63 @@ SweepResult SweepEngine::run(const SweepGrid& grid) const {
     start_case = journal->resume_point();
   }
 
-  // One scratch block, reused: its case slots are flat-indexed.
-  SweepBlock block;
-  const auto run_start = std::chrono::steady_clock::now();
-  for (std::size_t block_start = start_case; block_start < n_cases;
-       block_start += block_size) {
-    const std::size_t block_n = std::min(block_size, n_cases - block_start);
-    // Parallel fill of the block's case slots...
-    const double sim_s = runner.run_block(pool, block_start, block_n, block);
-    const auto fold_begin = std::chrono::steady_clock::now();
-    {
-      // ...then a serial fold in case order: Welford accumulation and the
-      // digest see every case in the same sequence for any thread count.
-      GREENHPC_TRACE_SPAN("sweep.block.fold");
-      for (std::size_t i = 0; i < block_n; ++i) {
-        runner.fold(result, block_start + i, block.cases[i]);
-      }
+  // Streamed simulation of the remaining cases: one pool task claims them
+  // in flat order, and this thread commits each block in order while
+  // later cases are still simulating. Commit = fold every case of the
+  // block in case order (Welford accumulation and the digest see the same
+  // sequence for any thread count), then journal the block and report
+  // progress. Outcomes travel from the simulating thread to the fold
+  // through a ring of `window` slots; the pool never claims a case
+  // `window` or more past the commit frontier, so a slot is refilled only
+  // after its previous case was folded.
+  using Clock = std::chrono::steady_clock;
+  struct Slot {
+    SweepCaseOutcome outcome;
+    Clock::time_point claimed;
+  };
+  const std::size_t remaining = n_cases - start_case;
+  const std::size_t window = std::min(
+      remaining, std::max(2 * block_size, 8 * (pool.size() + 1)));
+  std::vector<Slot> ring(window);
+  SweepBlock block;  // the journal record being assembled
+  Clock::time_point block_claimed;
+  double block_fold_s = 0.0;
+  const auto run_start = Clock::now();
+  auto mark = run_start;  // end of the previous block's progress call
+
+  const auto simulate = [&](std::size_t k) {
+    Slot& slot = ring[k % window];
+    slot.claimed = Clock::now();
+    slot.outcome = runner.run_case(start_case + k);
+  };
+  const auto commit = [&](std::size_t k) {
+    const std::size_t flat = start_case + k;
+    const std::size_t pos = k % block_size;
+    Slot& slot = ring[k % window];
+    if (pos == 0) {
+      block_claimed = slot.claimed;
+      block.start = flat;
+      block.cases.clear();
+      block_fold_s = 0.0;
     }
+    const auto fold_begin = Clock::now();
+    {
+      GREENHPC_TRACE_SPAN("sweep.case.fold");
+      runner.fold(result, flat, slot.outcome);
+    }
+    if (journal != nullptr) block.cases.push_back(std::move(slot.outcome));
+    if (pos + 1 < block_size && flat + 1 < n_cases) {
+      block_fold_s += std::chrono::duration<double>(Clock::now() - fold_begin).count();
+      return;
+    }
+    // The block's last case is folded: commit the block.
     if (journal != nullptr) {
       // WAL commit point: the record (metrics + quarantines + running
-      // digest) is fsynced before the block is reported done, so a crash
-      // after this line loses nothing and a crash before it loses only
-      // this block. Chained records carry the running digest in place of
-      // the block-local one.
+      // digest) is fsynced only after every case of the block has been
+      // folded and before the block is reported done, so a crash after
+      // this line loses nothing of it and a crash before it loses this
+      // block plus whatever later cases were simulating. Chained records
+      // carry the running digest.
       GREENHPC_TRACE_SPAN("sweep.block.journal");
       block.digest_after = result.digest;
       try {
@@ -473,17 +514,21 @@ SweepResult SweepEngine::run(const SweepGrid& grid) const {
         journal = nullptr;
       }
     }
-    const auto block_end = std::chrono::steady_clock::now();
-    const std::chrono::duration<double> fold_d = block_end - fold_begin;
+    const auto block_end = Clock::now();
+    block_fold_s += std::chrono::duration<double>(block_end - fold_begin).count();
+    const std::chrono::duration<double> since_mark = block_end - mark;
     const std::chrono::duration<double> elapsed = block_end - run_start;
-    simulate_s.add(sim_s);
-    fold_s.add(fold_d.count());
+    cases_counter.add(pos + 1);
+    block_seconds.record(std::chrono::duration<double>(block_end - block_claimed).count());
+    fold_s.add(block_fold_s);
+    simulate_s.add(since_mark.count() - block_fold_s);
     if (elapsed.count() > 0.0) {
-      cases_per_s.set(static_cast<double>(block_start + block_n - start_case) /
-                      elapsed.count());
+      cases_per_s.set(static_cast<double>(flat + 1 - start_case) / elapsed.count());
     }
-    if (opts_.progress) opts_.progress(block_start + block_n, n_cases);
-  }
+    if (opts_.progress) opts_.progress(flat + 1, n_cases);
+    mark = Clock::now();
+  };
+  pool.parallel_for_ordered(remaining, window, simulate, commit);
   return result;
 }
 

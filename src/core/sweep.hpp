@@ -5,15 +5,17 @@
 // statements — a policy is only "better" if it wins across regions, seeds
 // and cluster shapes, the way the Top500-scale carbon studies sweep their
 // estimates. SweepEngine turns that into one call: a cartesian grid of
-// scenario axes × policies × seed replicas is expanded into cases, fanned
-// out over the thread pool in fixed-size blocks, and streamed through
-// Welford mean/stddev/CI aggregation per grid cell, so memory stays
-// bounded by the block size and the cell table — never by the case count.
+// scenario axes × policies × seed replicas is expanded into cases,
+// streamed over the thread pool in flat case order, and folded in
+// fixed-size blocks through Welford mean/stddev/CI aggregation per grid
+// cell, so memory stays bounded by the streaming window, the block size
+// and the cell table — never by the case count.
 //
 // Determinism contract: per-case seeds are splitmix64-derived from the
 // base seed (replica r gets the r-th draw of the stream, independent of
-// every grid axis), cases write scratch slots indexed by flat case id, and
-// blocks are folded serially in case order. The aggregate table — and the
+// every grid axis), cases hand their outcomes to the fold through slots
+// keyed by flat case id, and cases are folded serially in case order on
+// the thread that called run(). The aggregate table — and the
 // FNV-1a digest over every case's metrics — is therefore bit-identical
 // for ANY thread count, including the serial fallback. Shared scenario
 // assets (carbon::TraceCache, hpcsim::WorkloadCache) make the fan-out
@@ -211,6 +213,9 @@ class SweepCaseRunner {
   /// (grain 1: one case is a whole simulation) into `block`, reusing its
   /// storage, and set its block-local digest. Records obs `sweep.cases`
   /// and the `sweep.block_seconds` latency; returns the seconds spent.
+  /// One pool task per call, with a barrier at its end: the coordinator's
+  /// in-process fallback runs leased blocks this way. SweepEngine streams
+  /// its cases through run_case instead.
   double run_block(util::ThreadPool& pool, std::size_t start, std::size_t count,
                    SweepBlock& block) const;
 
@@ -245,19 +250,31 @@ class SweepEngine {
   struct Options {
     /// Pool to fan out over; null = the process-global pool.
     util::ThreadPool* pool = nullptr;
-    /// Cases simulated per streaming block (bounds scratch memory; the
-    /// serial fold runs after each block).
+    /// Cases per block: the unit of the fold's bookkeeping — one journal
+    /// record, one progress call and one `sweep.block_seconds` sample per
+    /// block. It does not split the parallel work: every remaining case
+    /// runs in one ordered pool loop that claims cases one at a time, and
+    /// a block is committed as soon as its cases are folded, while later
+    /// cases may still be simulating.
     std::size_t block = 256;
     /// Optional progress callback, invoked with (cases done, cases total)
-    /// after each block. Serialization contract: the callback always runs
-    /// on the thread that called run(), between blocks, never while the
-    /// pool is executing the block — so it needs no internal locking.
-    /// Asserted by SweepTest.ProgressCallbackIsSerializedUnderThreadPool.
+    /// once per block, in block order, after the block is folded and
+    /// journaled. Serialization contract: the callback always runs on the
+    /// thread that called run(), never concurrently with itself or with
+    /// the fold, so it needs no internal locking. Other blocks' cases may
+    /// be simulating on the pool while it runs. A callback that throws
+    /// stops the sweep: no later block is folded, journaled or reported,
+    /// and the exception propagates from run() once the simulations in
+    /// flight have finished. Asserted by
+    /// SweepEngine.ProgressCallbackIsSerializedUnderThreadPool and
+    /// SweepEngine.ProgressThrowAtBlockKLeavesKRecordsAndResumes.
     std::function<void(std::size_t, std::size_t)> progress;
     /// Optional write-ahead journal (crash-safe sweeps). When set, run()
     /// first folds the blocks the journal proves complete (bit-identical
     /// replay of their recorded metrics, digest-verified), then simulates
-    /// the remainder, appending one fsynced record per finished block.
+    /// the remainder, appending one fsynced record per block once every
+    /// case of the block has been folded. A crash loses the block being
+    /// committed and any later cases already simulated.
     /// The journal's recorded block size overrides `block` so boundaries
     /// line up with the journaled records. The journal must have been
     /// opened against this grid's config_digest()/case_count(); a digest

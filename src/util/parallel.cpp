@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 
 #include "obs/metrics.hpp"
@@ -54,6 +55,16 @@ std::size_t ThreadPool::default_grain(std::size_t n) const {
   return std::max<std::size_t>(1, n / (8 * team));
 }
 
+void ThreadPool::capture_failure(Task& task) {
+  {
+    std::lock_guard lock(task.error_mutex);
+    if (!task.error) task.error = std::current_exception();
+  }
+  // The release pairs with the executors' acquire loads, so the caller's
+  // rethrow happens-after the failing iteration's writes.
+  task.failed.store(true, std::memory_order_release);
+}
+
 void ThreadPool::run_chunks(Task& task) {
   // Dynamic self-scheduling over a shared atomic chunk counter; the body
   // runs direct (non-erased) within a chunk, so the fetch_add and the one
@@ -62,8 +73,6 @@ void ThreadPool::run_chunks(Task& task) {
   for (;;) {
     // Cancel-on-error: once any chunk has thrown, the remaining chunks are
     // abandoned instead of burning the rest of the grid on a doomed task.
-    // The acquire pairs with the release store below so the caller's
-    // rethrow happens-after the failing chunk's writes.
     if (task.failed.load(std::memory_order_acquire)) break;
     const std::size_t c = task.next_chunk.fetch_add(1, std::memory_order_relaxed);
     if (c >= task.chunks) break;
@@ -73,14 +82,136 @@ void ThreadPool::run_chunks(Task& task) {
     try {
       task.invoke(task.ctx, begin, end);
     } catch (...) {
-      {
-        std::lock_guard lock(task.error_mutex);
-        if (!task.error) task.error = std::current_exception();
-      }
-      task.failed.store(true, std::memory_order_release);
+      capture_failure(task);
     }
     chunks_done.add();
   }
+}
+
+// Shared state of one parallel_for_ordered loop. Indices flow through
+// three counters: `next` (claimed so far), the bodies' `ready` flags, and
+// `frontier` (committed so far, advanced only by the calling thread).
+// Index i may be claimed only while i < frontier + window, so the ready
+// flag of i lives in slot i % window and is free again once i - window
+// has been committed.
+struct ThreadPool::OrderedLoop {
+  OrderedLoop(std::size_t n_, std::size_t window_, IndexFn body_, void* body_ctx_,
+              IndexFn commit_, void* commit_ctx_)
+      : n(n_), window(window_), body(body_), body_ctx(body_ctx_), commit(commit_),
+        commit_ctx(commit_ctx_), ready(window_) {}
+
+  std::size_t n;
+  std::size_t window;
+  IndexFn body;
+  void* body_ctx;
+  IndexFn commit;
+  void* commit_ctx;
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> frontier{0};
+  std::vector<std::atomic<bool>> ready;
+  /// Wait words (32-bit, so they map onto a futex). `commits` changes on
+  /// every commit and on failure: workers waiting for window room block on
+  /// it. `bodies` changes whenever a body returns or throws: the caller
+  /// waiting for the next index to commit blocks on it.
+  std::atomic<std::uint32_t> commits{0};
+  std::atomic<std::uint32_t> bodies{0};
+
+  void wake_workers() {
+    commits.fetch_add(1, std::memory_order_release);
+    commits.notify_all();
+  }
+
+  /// Claim the next index if it lies inside the window. With `wait`, block
+  /// while the window is full; without, give up. False once every index
+  /// is claimed or the loop has failed.
+  bool claim(const Task& task, bool wait, std::size_t& out) {
+    for (;;) {
+      // Read the epoch before the frontier: a commit after this load
+      // changes the epoch, so the wait below cannot miss it.
+      const std::uint32_t epoch = commits.load(std::memory_order_acquire);
+      if (task.failed.load(std::memory_order_acquire)) return false;
+      std::size_t i = next.load(std::memory_order_relaxed);
+      if (i >= n) return false;
+      // The acquire pairs with the frontier's release store: commit(i -
+      // window) has returned before body(i) may reuse its slot.
+      if (i < frontier.load(std::memory_order_acquire) + window) {
+        if (next.compare_exchange_weak(i, i + 1, std::memory_order_relaxed)) {
+          out = i;
+          return true;
+        }
+        continue;
+      }
+      if (!wait) return false;
+      commits.wait(epoch, std::memory_order_acquire);
+    }
+  }
+
+  void run_body(Task& task, std::size_t i) {
+    static obs::Counter& chunks_done = obs::Registry::global().counter("pool.chunks");
+    {
+      GREENHPC_TRACE_SPAN("pool.chunk");
+      try {
+        body(body_ctx, i);
+        ready[i % window].store(true, std::memory_order_release);
+      } catch (...) {
+        capture_failure(task);
+        wake_workers();
+      }
+    }
+    chunks_done.add();
+    bodies.fetch_add(1, std::memory_order_release);
+    bodies.notify_one();  // only the calling thread waits on it
+  }
+};
+
+void ThreadPool::run_ordered_worker(Task& task) {
+  OrderedLoop& loop = *static_cast<OrderedLoop*>(task.ctx);
+  std::size_t i = 0;
+  while (loop.claim(task, /*wait=*/true, i)) loop.run_body(task, i);
+}
+
+void ThreadPool::run_ordered_lead(Task& task) {
+  OrderedLoop& loop = *static_cast<OrderedLoop*>(task.ctx);
+  std::size_t f = 0;  // commit frontier; only this thread advances it
+  while (f < loop.n && !task.failed.load(std::memory_order_acquire)) {
+    std::atomic<bool>& next_ready = loop.ready[f % loop.window];
+    if (next_ready.load(std::memory_order_acquire)) {
+      next_ready.store(false, std::memory_order_relaxed);
+      try {
+        loop.commit(loop.commit_ctx, f);
+      } catch (...) {
+        capture_failure(task);
+        loop.wake_workers();
+        return;
+      }
+      loop.frontier.store(++f, std::memory_order_release);
+      loop.wake_workers();
+      continue;
+    }
+    // The next index is still running elsewhere: simulate one more if the
+    // window allows, otherwise sleep until some body returns.
+    std::size_t i = 0;
+    if (loop.claim(task, /*wait=*/false, i)) {
+      loop.run_body(task, i);
+      continue;
+    }
+    const std::uint32_t seen = loop.bodies.load(std::memory_order_acquire);
+    if (!next_ready.load(std::memory_order_acquire) &&
+        !task.failed.load(std::memory_order_acquire)) {
+      loop.bodies.wait(seen, std::memory_order_acquire);
+    }
+  }
+}
+
+void ThreadPool::run_ordered(std::size_t n, std::size_t window, IndexFn body,
+                             void* body_ctx, IndexFn commit, void* commit_ctx) {
+  OrderedLoop loop(n, std::max<std::size_t>(1, window), body, body_ctx, commit,
+                   commit_ctx);
+  Task task;
+  task.work = &run_ordered_worker;
+  task.lead = &run_ordered_lead;
+  task.ctx = &loop;
+  run_task(task);
 }
 
 void ThreadPool::worker_loop() {
@@ -100,7 +231,7 @@ void ThreadPool::worker_loop() {
     static obs::Counter& wakeups =
         obs::Registry::global().counter("pool.worker_wakeups");
     wakeups.add();
-    run_chunks(*task);
+    task->work(*task);
     if (task->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       std::lock_guard lock(mutex_);
       done_cv_.notify_all();
@@ -126,7 +257,7 @@ void ThreadPool::run_task(Task& task) {
   // The calling thread is part of the team: it chews chunks alongside the
   // workers instead of blocking, so a T-worker pool runs T+1 executors and
   // small fan-outs finish before some workers even wake.
-  run_chunks(task);
+  task.lead(task);
   {
     std::unique_lock lock(mutex_);
     done_cv_.wait(lock, [&] { return task.remaining.load(std::memory_order_acquire) == 0; });

@@ -6,7 +6,9 @@
 // multi-seed replicas and calibration sweeps all fan out over independent
 // work items. ThreadPool provides a contention-light dynamically
 // self-scheduled parallel_for with chunking, which is the right shape for
-// these uniform-to-mildly-skewed workloads.
+// these uniform-to-mildly-skewed workloads, and an ordered streaming loop
+// whose results are committed on the calling thread in index order while
+// later iterations still run (the sweep engine's fold).
 //
 // Dispatch model: the calling thread is part of the team (it executes
 // chunks alongside the workers, OpenMP-style), and loops fall back to a
@@ -85,6 +87,7 @@ class ThreadPool {
     }
     using Fn = std::remove_reference_t<Body>;
     Task task;
+    task.work = task.lead = &run_chunks;
     task.invoke = [](void* ctx, std::size_t begin, std::size_t end) {
       Fn& f = *static_cast<Fn*>(ctx);
       for (std::size_t i = begin; i < end; ++i) f(i);
@@ -94,6 +97,55 @@ class ThreadPool {
     task.grain = grain;
     task.chunks = chunks;
     run_task(task);
+  }
+
+  /// Ordered streaming loop: run body(i) for each i in [0, n) over the
+  /// team, and commit(i) on the calling thread, in index order, exactly
+  /// once, after body(i) has returned. Iterations are claimed one at a
+  /// time in index order; the caller is a team member and commits
+  /// whatever is ready between its own iterations, then waits for the
+  /// rest. This is the shape of a streamed fold: the commit side stays
+  /// serial and ordered while later iterations are still running, with no
+  /// barrier between groups of iterations.
+  ///
+  /// Window: no index is claimed `window` or more past the commit
+  /// frontier, so body(i) starts only after commit(i - window) has
+  /// returned. A ring of `window` slots indexed i % window can therefore
+  /// carry results from body to commit without synchronization of its
+  /// own. window == 0 is treated as 1.
+  ///
+  /// The body and the commit are type-erased (one indirect call per
+  /// iteration each), so this is for coarse iterations. Threads that wait
+  /// for the window or for the next ready index block on an atomic; none
+  /// spins. Falls back to `body(i); commit(i);` for each i in turn on a
+  /// single-worker pool, for n == 1, and in a nested call.
+  ///
+  /// Exception contract: the first exception thrown by a body or by a
+  /// commit stops new claims and stops commits; in-flight bodies finish,
+  /// and the exception is rethrown on the calling thread once the loop
+  /// has quiesced. An index whose body threw is never committed, so no
+  /// index at or past a failing body or commit is committed. Later
+  /// exceptions are dropped, and the pool stays fully usable.
+  template <typename Body, typename Commit>
+  void parallel_for_ordered(std::size_t n, std::size_t window, Body&& body,
+                            Commit&& commit) {
+    if (n == 0) return;
+    if (n == 1 || workers_.size() <= 1 || in_parallel_region()) {
+      detail::note_pool_serial_fallback();
+      for (std::size_t i = 0; i < n; ++i) {
+        body(i);
+        commit(i);
+      }
+      return;
+    }
+    using B = std::remove_reference_t<Body>;
+    using C = std::remove_reference_t<Commit>;
+    run_ordered(
+        n, window,
+        [](void* ctx, std::size_t i) { (*static_cast<B*>(ctx))(i); },
+        const_cast<void*>(static_cast<const void*>(&body)),
+        [](void* ctx, std::size_t i) { (*static_cast<C*>(ctx))(i); },
+        const_cast<void*>(static_cast<const void*>(&commit)));
   }
 
   /// Heuristic chunk size for n iterations on this pool: aims at ~8 chunks
@@ -123,28 +175,43 @@ class ThreadPool {
   [[nodiscard]] static std::size_t env_thread_override();
 
  private:
+  using IndexFn = void (*)(void*, std::size_t);
+  struct OrderedLoop;
+
   struct Task {
-    /// Type-erased chunk runner: invoke(ctx, begin, end) calls the body
-    /// for each iteration in [begin, end).
-    void (*invoke)(void*, std::size_t, std::size_t) = nullptr;
+    /// What each worker runs on the task, and what the calling thread
+    /// runs alongside them.
+    void (*work)(Task&) = nullptr;
+    void (*lead)(Task&) = nullptr;
+    /// Chunked loops: the body, and a type-erased chunk runner that calls
+    /// it for each iteration in [begin, end). Ordered loops: the
+    /// OrderedLoop.
     void* ctx = nullptr;
+    void (*invoke)(void*, std::size_t, std::size_t) = nullptr;
     std::size_t n = 0;
     std::size_t grain = 1;
     std::size_t chunks = 0;
     std::atomic<std::size_t> next_chunk{0};
     std::atomic<std::size_t> remaining{0};
-    /// Set when any chunk throws; executors observe it before claiming
-    /// another chunk and abandon the rest of the loop (cancel-on-error).
+    /// Set when a body (or a commit) throws; executors observe it before
+    /// claiming more work and abandon the rest of the loop
+    /// (cancel-on-error).
     std::atomic<bool> failed{false};
     std::exception_ptr error;
     std::mutex error_mutex;
   };
 
-  /// Post the task to the workers, help run it from the calling thread,
+  /// Post the task to the workers, run task.lead on the calling thread,
   /// wait for completion and rethrow the first captured exception.
   void run_task(Task& task);
+  void run_ordered(std::size_t n, std::size_t window, IndexFn body, void* body_ctx,
+                   IndexFn commit, void* commit_ctx);
   void worker_loop();
   static void run_chunks(Task& task);
+  static void run_ordered_worker(Task& task);
+  static void run_ordered_lead(Task& task);
+  /// Record the exception in flight as the task's failure (first wins).
+  static void capture_failure(Task& task);
 
   std::vector<std::thread> workers_;
   std::mutex mutex_;

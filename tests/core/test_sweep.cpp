@@ -5,14 +5,21 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/sweep_journal.hpp"
+#include "obs/metrics.hpp"
 #include "sched/easy_backfill.hpp"
 #include "sched/fcfs.hpp"
 #include "util/error.hpp"
+#include "util/fault_injector.hpp"
 #include "util/parallel.hpp"
 
 namespace greenhpc::core {
@@ -104,30 +111,6 @@ TEST(SweepEngine, CellTableIsCellMajorWithCoordinates) {
   }
 }
 
-TEST(SweepEngine, DigestInvariantAcrossThreadCountsAndBlockSizes) {
-  // The determinism contract: bit-identical aggregates and digest for any
-  // fan-out shape. Exercised across pools of 1 / 2 / 8 workers (the first
-  // engages the serial fallback) and a block size smaller than the grid.
-  const SweepGrid grid = small_grid();
-  std::vector<SweepResult> results;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    util::ThreadPool pool(threads);
-    SweepEngine::Options opts;
-    opts.pool = &pool;
-    opts.block = 5;  // forces several partial blocks over the 24 cases
-    results.push_back(SweepEngine(std::move(opts)).run(grid));
-  }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].digest, results[0].digest) << "pool " << i;
-    ASSERT_EQ(results[i].cells.size(), results[0].cells.size());
-    for (std::size_t c = 0; c < results[i].cells.size(); ++c) {
-      EXPECT_EQ(results[i].cells[c].carbon_t.mean(), results[0].cells[c].carbon_t.mean());
-      EXPECT_EQ(results[i].cells[c].wait_h.sample_stddev(),
-                results[0].cells[c].wait_h.sample_stddev());
-    }
-  }
-}
-
 TEST(SweepEngine, ProgressReportsMonotonicallyToTotal) {
   SweepGrid grid = small_grid();
   std::vector<std::size_t> done;
@@ -173,6 +156,164 @@ TEST(SweepEngine, ProgressCallbackIsSerializedUnderThreadPool) {
   EXPECT_FALSE(overlapped.load()) << "progress callback ran concurrently";
   EXPECT_FALSE(wrong_thread.load()) << "progress callback left the run() thread";
   EXPECT_EQ(calls.load(), 8);
+}
+
+/// What a journaled run leaves behind: the result and the journal bytes.
+struct JournaledRun {
+  SweepResult result;
+  std::string journal;
+};
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// `tag` names the run directory: ctest runs test cases in parallel
+/// processes, so each test case needs its own.
+JournaledRun run_journaled(const std::string& tag, const SweepGrid& grid,
+                           std::size_t threads, std::size_t block) {
+  const std::string dir = ::testing::TempDir() + "greenhpc_sweep_" + tag;
+  std::filesystem::remove_all(dir);
+  util::ThreadPool pool(threads);
+  JournaledRun run;
+  {
+    SweepJournal journal =
+        SweepJournal::create(dir, grid.config_digest(), grid.case_count(), block);
+    SweepEngine::Options opts;
+    opts.pool = &pool;
+    opts.block = block;
+    opts.journal = &journal;
+    opts.case_retries = 0;
+    run.result = SweepEngine(std::move(opts)).run(grid);
+    run.journal = read_file(journal.path());
+  }
+  std::filesystem::remove_all(dir);
+  return run;
+}
+
+void expect_same_stats(const util::RunningStats& a, const util::RunningStats& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.count(), b.count()) << what;
+  EXPECT_EQ(a.mean(), b.mean()) << what;
+  EXPECT_EQ(a.sample_stddev(), b.sample_stddev()) << what;
+  EXPECT_EQ(a.min(), b.min()) << what;
+  EXPECT_EQ(a.max(), b.max()) << what;
+}
+
+void expect_same_run(const JournaledRun& a, const JournaledRun& b, const std::string& what) {
+  EXPECT_EQ(a.result.digest, b.result.digest) << what;
+  ASSERT_EQ(a.result.cells.size(), b.result.cells.size()) << what;
+  for (std::size_t c = 0; c < a.result.cells.size(); ++c) {
+    const SweepCellStats& x = a.result.cells[c];
+    const SweepCellStats& y = b.result.cells[c];
+    const std::string cell = what + " cell " + std::to_string(c);
+    expect_same_stats(x.carbon_t, y.carbon_t, cell);
+    expect_same_stats(x.energy_mwh, y.energy_mwh, cell);
+    expect_same_stats(x.wait_h, y.wait_h, cell);
+    expect_same_stats(x.slowdown, y.slowdown, cell);
+    expect_same_stats(x.utilization, y.utilization, cell);
+    expect_same_stats(x.green_share, y.green_share, cell);
+    expect_same_stats(x.completed, y.completed, cell);
+  }
+  ASSERT_EQ(a.result.failed_cases.size(), b.result.failed_cases.size()) << what;
+  for (std::size_t i = 0; i < a.result.failed_cases.size(); ++i) {
+    EXPECT_EQ(a.result.failed_cases[i].flat, b.result.failed_cases[i].flat) << what;
+    EXPECT_EQ(a.result.failed_cases[i].where, b.result.failed_cases[i].where) << what;
+    EXPECT_EQ(a.result.failed_cases[i].error, b.result.failed_cases[i].error) << what;
+    EXPECT_EQ(a.result.failed_cases[i].attempts, b.result.failed_cases[i].attempts)
+        << what;
+  }
+  EXPECT_EQ(a.journal, b.journal) << what << ": journal records differ";
+}
+
+TEST(SweepEngine, DigestInvariantAcrossThreadCountsAndBlockSizes) {
+  // The determinism contract: bit-identical aggregates, digest and journal
+  // records for any fan-out shape. Pools of 2 and 8 workers stream the
+  // grid through one ordered pool task and must reproduce the 1-worker
+  // serial run for every block size, from one case per block to more
+  // than the 24 cases of the grid: block size sets only the fold and
+  // journal unit.
+  const SweepGrid grid = small_grid();
+  for (const std::size_t block : {1, 2, 3, 5, 7, 24, 100}) {
+    const JournaledRun serial = run_journaled("streamed", grid, 1, block);
+    EXPECT_TRUE(serial.result.failed_cases.empty());
+    for (const std::size_t threads : {2, 8}) {
+      expect_same_run(run_journaled("streamed", grid, threads, block), serial,
+                      "block " + std::to_string(block) + ", " +
+                          std::to_string(threads) + " workers");
+    }
+  }
+}
+
+TEST(SweepEngine, StreamedQuarantineMatchesTheSerialRun) {
+  util::FaultInjector& inj = util::FaultInjector::global();
+  inj.arm({{"case.poison", 5, 1, util::FaultAction::Fail, 0}});
+  struct Disarm {
+    ~Disarm() { util::FaultInjector::global().disarm(); }
+  } disarm;
+  const SweepGrid grid = small_grid();
+  const JournaledRun serial = run_journaled("quarantine", grid, 1, 3);
+  ASSERT_EQ(serial.result.failed_cases.size(), 1u);
+  EXPECT_EQ(serial.result.failed_cases[0].flat, 5u);
+  for (const std::size_t threads : {2, 8}) {
+    expect_same_run(run_journaled("quarantine", grid, threads, 3), serial,
+                    std::to_string(threads) + " workers");
+  }
+}
+
+TEST(SweepEngine, ProgressThrowAtBlockKLeavesKRecordsAndResumes) {
+  // A progress callback that throws at block k stands in for a crash
+  // after the k-th fsync: the journal holds exactly k records (later
+  // blocks that were already simulating are lost), and resuming from it
+  // reproduces the clean digest.
+  const SweepGrid grid = small_grid();
+  const std::size_t n_cases = grid.case_count();
+  const std::uint64_t clean = SweepEngine().run(grid).digest;
+  const std::string dir = ::testing::TempDir() + "greenhpc_sweep_progress_abort";
+  struct Abort {};
+  for (const std::size_t threads : {1, 2, 8}) {
+    for (const std::size_t k : {1, 3, 7}) {
+      std::filesystem::remove_all(dir);
+      util::ThreadPool pool(threads);
+      {
+        SweepJournal journal = SweepJournal::create(dir, grid.config_digest(), n_cases, 3);
+        SweepEngine::Options opts;
+        opts.pool = &pool;
+        opts.journal = &journal;
+        std::size_t blocks_done = 0;
+        opts.progress = [&blocks_done, k](std::size_t, std::size_t) {
+          if (++blocks_done == k) throw Abort{};
+        };
+        EXPECT_THROW((void)SweepEngine(std::move(opts)).run(grid), Abort);
+      }
+      SweepJournal journal = SweepJournal::resume(dir, grid.config_digest(), n_cases);
+      EXPECT_EQ(journal.completed().size(), k) << threads << " workers, k " << k;
+      SweepEngine::Options opts;
+      opts.pool = &pool;
+      opts.journal = &journal;
+      const SweepResult resumed = SweepEngine(std::move(opts)).run(grid);
+      EXPECT_EQ(resumed.digest, clean) << threads << " workers, k " << k;
+      EXPECT_EQ(resumed.replayed_cases, 3 * k) << threads << " workers, k " << k;
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SweepEngine, OnePoolTaskPerSweepWhateverTheBlockSize) {
+  obs::Counter& tasks = obs::Registry::global().counter("pool.tasks");
+  const SweepGrid grid = small_grid();
+  util::ThreadPool pool(2);
+  for (const std::size_t block : {1, 5, 24}) {
+    SweepEngine::Options opts;
+    opts.pool = &pool;
+    opts.block = block;
+    const std::uint64_t before = tasks.value();
+    (void)SweepEngine(std::move(opts)).run(grid);
+    EXPECT_EQ(tasks.value() - before, 1u) << "block " << block;
+  }
 }
 
 TEST(SweepCellStats, Ci95MatchesNormalApproximation) {

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "carbon/forecast.hpp"
@@ -143,6 +144,18 @@ struct Combo {
   bool harmonic = false;
   double feed_outage = 0.0;
 };
+
+// gtest prints a parameter into its ctest name; without this it would dump
+// the struct's bytes, including the scheduler pointer and padding, which
+// differ from build to build.
+void PrintTo(const Combo& c, std::ostream* os) {
+  *os << c.scheduler << " seed=" << c.seed << " nodes=" << c.nodes
+      << " jobs=" << c.jobs << " span_days=" << c.span_days
+      << " faults=" << c.faults << " waves=" << c.waves
+      << " region=" << carbon::traits(c.region).code << " kind="
+      << (c.kind == carbon::IntensityKind::Marginal ? "marginal" : "average")
+      << " harmonic=" << c.harmonic << " feed_outage=" << c.feed_outage;
+}
 
 std::unique_ptr<hpcsim::SchedulingPolicy> make_scheduler(const std::string& name,
                                                          bool harmonic = false) {

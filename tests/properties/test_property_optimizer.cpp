@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "procure/optimizer.hpp"
 #include "util/rng.hpp"
 
@@ -11,7 +13,9 @@ namespace {
 
 struct OptimizerCase {
   std::uint64_t seed;
-  int types;
+  // 64-bit so the struct has no padding: gtest prints a parameter's bytes
+  // into its ctest name, and padding would carry stack garbage.
+  std::int64_t types;
   double cost_budget;
   double power_kw;
   double carbon_t;

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <tuple>
+#include <type_traits>
 
 #include "hpcsim/simulator.hpp"
 #include "hpcsim/workload.hpp"
@@ -21,7 +23,12 @@ struct SimCase {
   std::uint64_t seed;
   int nodes;
   bool easy;  // EASY vs FCFS
+  // Explicit zeroed tail instead of padding: gtest prints a parameter's
+  // bytes into its ctest name, and padding would carry stack garbage.
+  char unused[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<SimCase>,
+              "SimCase must have no padding bytes");
 
 class SimulatorProperties : public ::testing::TestWithParam<SimCase> {
  protected:

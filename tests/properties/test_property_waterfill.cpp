@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "powerstack/budget_tree.hpp"
 #include "util/rng.hpp"
 
@@ -13,7 +15,9 @@ struct TreeCase {
   std::uint64_t seed;
   int jobs;
   int nodes_per_job;
-  int gpus;
+  // 64-bit so the struct has no padding: gtest prints a parameter's bytes
+  // into its ctest name, and padding would carry stack garbage.
+  std::int64_t gpus;
   double budget_fraction;  // of the tree's aggregate max
 };
 
@@ -22,7 +26,7 @@ class WaterFillProperties : public ::testing::TestWithParam<TreeCase> {
   BudgetNode tree() const {
     const TreeCase& c = GetParam();
     ComponentBounds bounds;
-    bounds.gpus_per_node = c.gpus;
+    bounds.gpus_per_node = static_cast<int>(c.gpus);
     return make_site_tree(c.jobs, c.nodes_per_job, bounds);
   }
   Power budget() const {
@@ -45,7 +49,7 @@ TEST_P(WaterFillProperties, EveryLeafWithinItsBounds) {
   const auto root = tree();
   const auto assignments = distribute(root, budget());
   ComponentBounds b;
-  b.gpus_per_node = GetParam().gpus;
+  b.gpus_per_node = static_cast<int>(GetParam().gpus);
   for (const auto& a : assignments) {
     if (!a.is_leaf) continue;
     EXPECT_GE(a.budget.watts(), 0.0) << a.path;

@@ -4,11 +4,13 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace greenhpc::util {
@@ -290,6 +292,176 @@ TEST(ThreadPoolChunked, PreallocatedSlotWritesAreThreadCountInvariant) {
     ASSERT_EQ(std::bit_cast<std::uint64_t>(one[i]), std::bit_cast<std::uint64_t>(many[i]))
         << "slot " << i;
   }
+}
+
+TEST(ThreadPoolOrdered, CommitsInIndexOrderOnCallerExactlyOnce) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    ThreadPool pool(threads);
+    constexpr std::size_t kN = 600;
+    const auto caller = std::this_thread::get_id();
+    std::vector<std::atomic<int>> bodies(kN);
+    std::vector<std::size_t> commits;  // not atomic: commits are serial
+    bool off_thread = false;
+    bool before_body = false;
+    pool.parallel_for_ordered(
+        kN, 5, [&](std::size_t i) { bodies[i].fetch_add(1); },
+        [&](std::size_t i) {
+          off_thread |= std::this_thread::get_id() != caller;
+          before_body |= bodies[i].load() != 1;
+          commits.push_back(i);
+        });
+    EXPECT_FALSE(off_thread) << threads << " workers";
+    EXPECT_FALSE(before_body) << threads << " workers";
+    ASSERT_EQ(commits.size(), kN) << threads << " workers";
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(commits[i], i) << threads << " workers";
+      ASSERT_EQ(bodies[i].load(), 1) << threads << " workers";
+    }
+  }
+}
+
+TEST(ThreadPoolOrdered, ClaimsStayInsideTheWindow) {
+  // claimed - committed, sampled as each body starts, never exceeds the
+  // window: body(i) runs only after commit(i - window) has returned. A
+  // commit that sleeps now and then lets the workers run into the bound.
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+    for (const std::size_t window : {std::size_t{1}, std::size_t{3}, std::size_t{16}}) {
+      ThreadPool pool(threads);
+      std::atomic<std::size_t> committed{0};
+      std::atomic<std::size_t> max_ahead{0};
+      pool.parallel_for_ordered(
+          400, window,
+          [&](std::size_t i) {
+            const std::size_t ahead = i + 1 - committed.load(std::memory_order_acquire);
+            std::size_t seen = max_ahead.load();
+            while (ahead > seen && !max_ahead.compare_exchange_weak(seen, ahead)) {
+            }
+          },
+          [&](std::size_t i) {
+            if (i % 16 == 0) std::this_thread::sleep_for(std::chrono::microseconds(200));
+            committed.fetch_add(1, std::memory_order_release);
+          });
+      EXPECT_EQ(committed.load(), 400u);
+      EXPECT_LE(max_ahead.load(), window) << threads << " workers, window " << window;
+      EXPECT_GE(max_ahead.load(), 1u);
+    }
+  }
+}
+
+TEST(ThreadPoolOrdered, BodyExceptionRethrownAfterQuiescence) {
+  ThreadPool pool(4);
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<int> active{0};
+    std::atomic<std::size_t> bodies{0};
+    std::vector<std::size_t> commits;
+    bool caught = false;
+    try {
+      pool.parallel_for_ordered(
+          5000, 8,
+          [&](std::size_t i) {
+            active.fetch_add(1);
+            bodies.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::microseconds(20));
+            active.fetch_sub(1);
+            if (i == 100) throw std::runtime_error("body failure");
+          },
+          [&](std::size_t i) { commits.push_back(i); });
+    } catch (const std::runtime_error& e) {
+      caught = true;
+      EXPECT_STREQ(e.what(), "body failure");
+    }
+    ASSERT_TRUE(caught) << "round " << round;
+    EXPECT_EQ(active.load(), 0) << "rethrown before in-flight bodies finished";
+    // Claims stopped: nothing past the window of the failing index ran.
+    EXPECT_LE(bodies.load(), 100u + 8u) << "round " << round;
+    // Commits are a gap-free prefix that stops short of the failing index.
+    EXPECT_LT(commits.size(), 101u) << "round " << round;
+    for (std::size_t i = 0; i < commits.size(); ++i) ASSERT_EQ(commits[i], i);
+    std::atomic<int> count{0};
+    pool.parallel_for_ordered(
+        64, 4, [&](std::size_t) { count.fetch_add(1); }, [](std::size_t) {});
+    EXPECT_EQ(count.load(), 64) << "round " << round;
+  }
+}
+
+TEST(ThreadPoolOrdered, CommitExceptionStopsLaterCommits) {
+  ThreadPool pool(4);
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<int> active{0};
+    std::atomic<std::size_t> bodies{0};
+    std::vector<std::size_t> commits;
+    bool caught = false;
+    try {
+      pool.parallel_for_ordered(
+          5000, 8,
+          [&](std::size_t) {
+            active.fetch_add(1);
+            bodies.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::microseconds(20));
+            active.fetch_sub(1);
+          },
+          [&](std::size_t i) {
+            commits.push_back(i);
+            if (i == 50) throw std::runtime_error("commit failure");
+          });
+    } catch (const std::runtime_error& e) {
+      caught = true;
+      EXPECT_STREQ(e.what(), "commit failure");
+    }
+    ASSERT_TRUE(caught) << "round " << round;
+    EXPECT_EQ(active.load(), 0) << "rethrown before in-flight bodies finished";
+    EXPECT_LE(bodies.load(), 50u + 8u) << "round " << round;
+    ASSERT_EQ(commits.size(), 51u) << "an index past the failing commit was committed";
+    for (std::size_t i = 0; i < commits.size(); ++i) ASSERT_EQ(commits[i], i);
+    std::vector<std::size_t> again;
+    pool.parallel_for_ordered(
+        64, 4, [](std::size_t) {}, [&](std::size_t i) { again.push_back(i); });
+    EXPECT_EQ(again.size(), 64u) << "round " << round;
+  }
+}
+
+TEST(ThreadPoolOrdered, SerialFallbackInterleavesBodyAndCommit) {
+  // A single-worker pool and a nested call both run body(i) then
+  // commit(i) for each i in turn, on the calling thread.
+  const auto trace_of = [](ThreadPool& pool, std::size_t n) {
+    const auto caller = std::this_thread::get_id();
+    std::vector<long> trace;  // +i+1 for body(i), -(i+1) for commit(i)
+    pool.parallel_for_ordered(
+        n, 2,
+        [&](std::size_t i) {
+          EXPECT_EQ(std::this_thread::get_id(), caller);
+          trace.push_back(static_cast<long>(i) + 1);
+        },
+        [&](std::size_t i) {
+          EXPECT_EQ(std::this_thread::get_id(), caller);
+          trace.push_back(-static_cast<long>(i) - 1);
+        });
+    return trace;
+  };
+  std::vector<long> expect;
+  for (long i = 1; i <= 6; ++i) {
+    expect.push_back(i);
+    expect.push_back(-i);
+  }
+  ThreadPool single(1);
+  EXPECT_EQ(trace_of(single, 6), expect);
+
+  ThreadPool pool(4);
+  std::atomic<int> nested_ok{0};
+  pool.parallel_for_chunked(8, 1, [&](std::size_t) {
+    EXPECT_TRUE(ThreadPool::in_parallel_region());
+    if (trace_of(pool, 6) == expect) nested_ok.fetch_add(1);
+  });
+  EXPECT_EQ(nested_ok.load(), 8);
+  EXPECT_FALSE(ThreadPool::in_parallel_region());
+}
+
+TEST(ThreadPoolOrdered, ZeroIterationsIsNoop) {
+  ThreadPool pool(2);
+  bool touched = false;
+  pool.parallel_for_ordered(
+      0, 4, [&](std::size_t) { touched = true; }, [&](std::size_t) { touched = true; });
+  EXPECT_FALSE(touched);
 }
 
 TEST(ThreadPool, ParallelSumMatchesSerial) {

@@ -522,10 +522,13 @@ int report_sweep_result(const Args& args, const core::SweepResult& result,
   report.add("failed_cases", static_cast<double>(result.failed_cases.size()));
   report.add("journal_truncations",
              static_cast<double>(result.journal_truncations));
-  // Block-simulation latency percentiles from the local registry (the
-  // in-process engine and the degraded fallback both record them; the
-  // distributed path additionally reports fleet_block_seconds_p50/p99
-  // merged from worker-shipped histograms).
+  // Block latency percentiles from the local registry. The in-process
+  // engine streams its blocks, so a block's latency runs from the claim
+  // of its first case to the end of its commit (fold + journal append),
+  // and may include waiting for earlier blocks to commit. The
+  // coordinator's in-process fallback records simulation time per leased
+  // block. The distributed path additionally reports
+  // fleet_block_seconds_p50/p99 merged from worker-shipped histograms.
   {
     const obs::StatSnapshot snap = obs::Registry::global().snapshot();
     if (const obs::HistogramSnapshot* h =
