@@ -1,14 +1,13 @@
-// EXP-PERF — simulator hot-path throughput and sweep scaling.
+// EXP-PERF — simulator hot-path throughput.
 //
 // Not a paper experiment: this bench tracks the engine itself, so the
 // operational experiments (which run hundreds of simulations per sweep)
-// stay cheap enough to iterate on. Three workloads of increasing size are
-// timed through the FCFS and EASY hot loops (ticks/s, jobs/s), and one
-// policy sweep is run serially and through the thread pool to measure
-// sweep scaling and to assert that parallel fan-out reproduces the serial
-// results bit for bit. A final pass re-runs the reference hot loop with
+// stay cheap enough to iterate on. Workloads of increasing size are timed
+// through the FCFS and EASY hot loops (ticks/s, jobs/s), plus a dense
+// completion-bound scale. A final pass re-runs the reference hot loop with
 // the event tracer enabled and reports the overhead ratio plus a
-// span-derived phase breakdown ("tracing" block in the JSON).
+// span-derived phase breakdown ("tracing" block in the JSON). Sweep
+// timing lives in the sweep ledger (sweepbench/).
 //
 // Usage: bench_perf [--smoke] [--json-out FILE] [--baseline FILE]
 //   --smoke      smallest scale only (CI perf gate)
@@ -31,9 +30,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "carbon/forecast.hpp"
 #include "obs/trace.hpp"
-#include "sched/carbon_aware.hpp"
 #include "sched/easy_backfill.hpp"
 #include "sched/fcfs.hpp"
 #include "util/parallel.hpp"
@@ -135,101 +132,6 @@ HotLoopSample time_hot_loop(const core::ScenarioRunner& runner, const char* scal
   return out;
 }
 
-/// FNV-1a over the bit patterns of the headline totals: enough to detect
-/// any serial-vs-parallel divergence without hauling full results around.
-std::uint64_t outcome_digest(const std::vector<core::PolicyOutcome>& outcomes) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    for (int i = 0; i < 8; ++i) {
-      h ^= (bits >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
-  for (const auto& o : outcomes) {
-    mix(o.result.total_carbon.grams());
-    mix(o.result.total_energy.joules());
-    mix(o.result.makespan.seconds());
-    mix(static_cast<double>(o.completed));
-    for (const auto& j : o.result.jobs) {
-      mix(j.finish.seconds());
-      mix(j.energy.joules());
-    }
-  }
-  return h;
-}
-
-std::vector<core::ScenarioRunner::PolicyCase> sweep_cases() {
-  std::vector<core::ScenarioRunner::PolicyCase> cases;
-  cases.push_back({"fcfs", [] { return std::make_unique<sched::FcfsScheduler>(); }});
-  cases.push_back({"easy", [] { return std::make_unique<sched::EasyBackfillScheduler>(); }});
-  cases.push_back(
-      {"easy+mold", [] { return std::make_unique<sched::EasyBackfillScheduler>(true); }});
-  for (int k = 0; k < 3; ++k) {
-    cases.push_back({"carbon-easy/" + std::to_string(k), [] {
-                       sched::CarbonAwareEasyScheduler::Config c;
-                       c.max_hold = hours(24.0);
-                       return std::make_unique<sched::CarbonAwareEasyScheduler>(
-                           c, std::make_shared<carbon::PersistenceForecaster>());
-                     }});
-  }
-  return cases;
-}
-
-/// Fixed unit of work for the crossover probe: enough arithmetic
-/// (~volatile-protected 20k fused ops) that a handful of units dominate
-/// chunk-dispatch cost, small enough that the probe stays in microseconds.
-double crossover_unit(std::size_t i) {
-  volatile double x = 1.0 + static_cast<double>(i % 7);
-  for (int k = 0; k < 20000; ++k) x = x * 1.0000001 + 1e-9;
-  return x;
-}
-
-struct CrossoverReport {
-  bool serial_fallback = false;  ///< pool cannot win; crossover undefined
-  std::size_t crossover_n = 0;   ///< smallest n where parallel <= serial (0 = never)
-  double unit_us = 0.0;          ///< measured cost of one work unit
-};
-
-/// Measure the serial/parallel crossover of the chunked fan-out: the
-/// smallest iteration count n for which the pool path is no slower than
-/// the plain loop (within 5% — below it, ThreadPool's serial fallback is
-/// the right call; sweeps at or above it should fan out).
-CrossoverReport measure_crossover() {
-  CrossoverReport rep;
-  auto& pool = util::ThreadPool::global();
-  rep.serial_fallback = pool.size() <= 1;
-
-  const auto tu = Clock::now();
-  double sink = 0.0;
-  for (std::size_t i = 0; i < 32; ++i) sink += crossover_unit(i);
-  rep.unit_us = seconds_since(tu) / 32.0 * 1e6;
-  (void)sink;
-  if (rep.serial_fallback) return rep;  // parallel IS serial; nothing to probe
-
-  for (const std::size_t n : {2u, 4u, 8u, 16u, 32u, 64u}) {
-    double serial_best = 1e300;
-    double parallel_best = 1e300;
-    for (int rep_i = 0; rep_i < 3; ++rep_i) {
-      double s = 0.0;
-      auto t0 = Clock::now();
-      for (std::size_t i = 0; i < n; ++i) s += crossover_unit(i);
-      serial_best = std::min(serial_best, seconds_since(t0));
-      t0 = Clock::now();
-      std::vector<double> slots(n);
-      pool.parallel_for_chunked(n, 1, [&](std::size_t i) { slots[i] = crossover_unit(i); });
-      parallel_best = std::min(parallel_best, seconds_since(t0));
-      (void)s;
-    }
-    if (parallel_best <= 1.05 * serial_best) {
-      rep.crossover_n = n;
-      break;
-    }
-  }
-  return rep;
-}
-
 /// Minimal scanner for `"key": <number>` in the baseline JSON — the file
 /// is our own flat output, not arbitrary JSON.
 bool find_json_number(const std::string& text, const std::string& key, double* out) {
@@ -300,59 +202,6 @@ int main(int argc, char** argv) {
                      "hourly arrival waves)")
                   .c_str());
 
-  // --- serial vs parallel sweep ---
-  auto sweep_cfg = scale_config(kScales[0]);
-  sweep_cfg.workload.checkpointable_fraction = 0.5;
-  core::ScenarioRunner sweep_runner(sweep_cfg);
-  const auto cases = sweep_cases();
-
-  // Best of 5, serial and parallel interleaved: at this scale the sweep is
-  // milliseconds, so a single-shot (or phase-ordered) timing would gate on
-  // allocator state and clock drift rather than on the fan-out path.
-  std::vector<core::PolicyOutcome> serial;
-  std::vector<core::PolicyOutcome> parallel;
-  double serial_s = 1e300;
-  double parallel_s = 1e300;
-  for (int rep = 0; rep < 5; ++rep) {
-    const auto ts0 = Clock::now();
-    std::vector<core::PolicyOutcome> s_out;
-    s_out.reserve(cases.size());
-    for (const auto& c : cases) s_out.push_back(sweep_runner.run(c.label, c.scheduler, c.power));
-    serial_s = std::min(serial_s, seconds_since(ts0));
-    serial = std::move(s_out);
-
-    const auto tp0 = Clock::now();
-    std::vector<core::PolicyOutcome> p_out = sweep_runner.run_all(cases);
-    parallel_s = std::min(parallel_s, seconds_since(tp0));
-    parallel = std::move(p_out);
-  }
-
-  const std::uint64_t serial_digest = outcome_digest(serial);
-  const std::uint64_t parallel_digest = outcome_digest(parallel);
-  const bool identical = serial_digest == parallel_digest;
-  const std::size_t threads = util::ThreadPool::global().size();
-
-  const CrossoverReport crossover = measure_crossover();
-  std::printf("Sweep (%zu cases): serial %.3f s, parallel %.3f s on %zu threads "
-              "(pool speedup %.2fx%s); results %s\n",
-              cases.size(), serial_s, parallel_s, threads, serial_s / parallel_s,
-              crossover.serial_fallback ? ", serial fallback engaged" : "",
-              identical ? "bit-identical" : "DIVERGED");
-  if (crossover.serial_fallback) {
-    std::printf("Crossover: single-worker pool — chunked loops run the serial "
-                "path (unit %.1f us)\n",
-                crossover.unit_us);
-  } else if (crossover.crossover_n > 0) {
-    std::printf("Crossover: parallel fan-out breaks even at n=%zu units of "
-                "%.1f us on %zu threads\n",
-                crossover.crossover_n, crossover.unit_us, threads);
-  } else {
-    std::printf("Crossover: parallel never beat serial up to n=64 (unit %.1f us, "
-                "%zu threads)\n",
-                crossover.unit_us, threads);
-  }
-  std::printf("\n");
-
   // --- tracing overhead probe ---
   // One more pass over the reference hot loop (small/fcfs) with the event
   // tracer switched on: overhead_x is the "instrumentation compiled in AND
@@ -390,8 +239,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 2;
   }
-  std::fprintf(f, "{\n  \"threads\": %zu,\n  \"smoke\": %s,\n", threads,
-               smoke ? "true" : "false");
+  std::fprintf(f, "{\n  \"threads\": %zu,\n  \"smoke\": %s,\n",
+               util::ThreadPool::global().size(), smoke ? "true" : "false");
   std::fprintf(f, "  \"reference_ticks_per_s\": %.1f,\n", ref.ticks_per_s());
   std::fprintf(f, "  \"hot_loop\": [\n");
   for (std::size_t i = 0; i < samples.size(); ++i) {
@@ -421,13 +270,6 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"dense_fcfs_ticks_per_s\": %.1f,\n",
                dense_samples[0].ticks_per_s());
   std::fprintf(f,
-               "  \"sweep\": {\"cases\": %zu, \"serial_s\": %.6f, \"parallel_s\": "
-               "%.6f, \"speedup\": %.3f, \"bit_identical\": %s, "
-               "\"serial_fallback\": %s},\n",
-               cases.size(), serial_s, parallel_s, serial_s / parallel_s,
-               identical ? "true" : "false",
-               crossover.serial_fallback ? "true" : "false");
-  std::fprintf(f,
                "  \"tracing\": {\"enabled_wall_s\": %.6f, \"disabled_wall_s\": %.6f, "
                "\"overhead_x\": %.3f, \"dropped\": %llu, \"phases\": [\n",
                traced_s, ref.wall_s, overhead_x,
@@ -438,19 +280,9 @@ int main(int argc, char** argv) {
                  p.name.c_str(), static_cast<unsigned long long>(p.count), p.total_ms,
                  i + 1 < phases.size() ? "," : "");
   }
-  std::fprintf(f, "  ]},\n");
-  std::fprintf(f,
-               "  \"crossover\": {\"serial_fallback\": %s, \"crossover_n\": %zu, "
-               "\"unit_us\": %.2f}\n}\n",
-               crossover.serial_fallback ? "true" : "false", crossover.crossover_n,
-               crossover.unit_us);
+  std::fprintf(f, "  ]}\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
-
-  if (!identical) {
-    std::fprintf(stderr, "FAIL: parallel sweep diverged from serial results\n");
-    return 1;
-  }
 
   // --- baseline regression gate ---
   if (!baseline_path.empty()) {
@@ -478,21 +310,6 @@ int main(int argc, char** argv) {
                    "FAIL: reference hot loop regressed >2x vs baseline "
                    "(%.0f < 0.5 * %.0f ticks/s)\n",
                    measured, base_tps);
-      return 1;
-    }
-    // The pool path must never lose to the plain loop: either it wins, or
-    // the serial fallback makes it the plain loop (speedup ~1.0). 0.9
-    // rather than 1.0 absorbs timer noise on the few-second sweep.
-    const double sweep_speedup = serial_s / parallel_s;
-    std::printf("Baseline gate: sweep parallel/serial speedup %.2fx%s\n",
-                sweep_speedup,
-                crossover.serial_fallback ? " (serial fallback)" : "");
-    if (sweep_speedup < 0.9) {
-      std::fprintf(stderr,
-                   "FAIL: parallel sweep slower than serial (%.2fx < 0.9x) — "
-                   "fan-out overhead is not being amortized or the serial "
-                   "fallback failed to engage\n",
-                   sweep_speedup);
       return 1;
     }
     // Dense gate: the completion-bound scale must not regress >2x against

@@ -290,7 +290,7 @@ ChaosReport run_chaos(const ChaosOptions& opts) {
     inj.arm({{"case.poison", flat, 1, FaultAction::Kill, 0}});
     SweepEngine::Options peng;
     peng.block = opts.block;
-    peng.case_retries = 0;
+    peng.case_opts.case_retries = 0;
     SweepResult r = SweepEngine(peng).run(*opts.grid);
     inj.disarm();
     GREENHPC_REQUIRE(r.failed_cases.size() == 1 && r.failed_cases[0].flat == flat,

@@ -374,11 +374,7 @@ std::uint64_t SweepEngine::replica_seed(std::uint64_t base, int replica) {
 }
 
 SweepResult SweepEngine::run(const SweepGrid& grid) const {
-  SweepCaseRunner::Options case_opts;
-  case_opts.case_retries = opts_.case_retries;
-  case_opts.retry_backoff_base_s = opts_.retry_backoff_base_s;
-  case_opts.retry_backoff_cap_s = opts_.retry_backoff_cap_s;
-  const SweepCaseRunner runner(grid, case_opts);
+  const SweepCaseRunner runner(grid, opts_.case_opts);
   const std::size_t n_cases = runner.case_count();
 
   SweepResult result;

@@ -187,9 +187,15 @@ struct SweepResult {
 class SweepCaseRunner {
  public:
   struct Options {
-    /// Failure isolation: extra attempts before a throwing case is
-    /// quarantined (capped exponential backoff between attempts).
+    /// Failure isolation: a throwing case is retried up to this many
+    /// extra attempts (capped exponential backoff between attempts, the
+    /// same shape as the resilience layer's job requeue backoff), then
+    /// quarantined into SweepResult::failed_cases instead of aborting
+    /// the sweep. Counted by obs `sweep.case_retries` /
+    /// `sweep.cases_quarantined`.
     int case_retries = 2;
+    /// Backoff before retry k (0-based): base * 2^k, capped. Wall-clock
+    /// seconds — these are harness retries, not simulated time.
     double retry_backoff_base_s = 0.01;
     double retry_backoff_cap_s = 1.0;
   };
@@ -213,9 +219,9 @@ class SweepCaseRunner {
   /// (grain 1: one case is a whole simulation) into `block`, reusing its
   /// storage, and set its block-local digest. Records obs `sweep.cases`
   /// and the `sweep.block_seconds` latency; returns the seconds spent.
-  /// One pool task per call, with a barrier at its end: the coordinator's
-  /// in-process fallback runs leased blocks this way. SweepEngine streams
-  /// its cases through run_case instead.
+  /// One pool task per call, with a barrier at its end: a worker process
+  /// and the coordinator's in-process fallback run leased blocks this
+  /// way. SweepEngine streams its cases through run_case instead.
   double run_block(util::ThreadPool& pool, std::size_t start, std::size_t count,
                    SweepBlock& block) const;
 
@@ -280,17 +286,8 @@ class SweepEngine {
     /// opened against this grid's config_digest()/case_count(); a digest
     /// that does not re-fold throws InvalidArgument.
     SweepJournal* journal = nullptr;
-    /// Failure isolation: a throwing case is retried up to this many
-    /// extra attempts (capped exponential backoff between attempts, the
-    /// same shape as the resilience layer's job requeue backoff), then
-    /// quarantined into SweepResult::failed_cases instead of aborting
-    /// the sweep. Counted by obs `sweep.case_retries` /
-    /// `sweep.cases_quarantined`.
-    int case_retries = 2;
-    /// Backoff before retry k (0-based): base * 2^k, capped. Wall-clock
-    /// seconds — these are harness retries, not simulated time.
-    double retry_backoff_base_s = 0.01;
-    double retry_backoff_cap_s = 1.0;
+    /// Failure isolation: the retry budget and backoff of every case.
+    SweepCaseRunner::Options case_opts;
   };
 
   SweepEngine();

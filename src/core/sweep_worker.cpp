@@ -104,14 +104,11 @@ int SweepWorker::run(const SweepGrid& grid) {
   // never reads stat/trace lines). Fleet spans are recorded directly
   // into a small main-thread buffer rather than through the global
   // Tracer: enabling the tracer would also switch on every per-tick
-  // simulator span, whose recording cost is exactly the shipping
-  // overhead the bench_sweep gate budgets at 5%. Three events per block
-  // need no ring.
+  // simulator span, and shipping would pay for recording them all.
+  // Three events per block need no ring.
   const bool ship_obs = opts_.ship_stats || opts_.ship_trace;
   static obs::Gauge& rate_gauge =
       obs::Registry::global().gauge("sweep.cases_per_s");
-  static obs::Histogram& block_hist = obs::Registry::global().histogram(
-      "sweep.block_seconds", {1e-3, 1e-2, 0.1, 1.0, 10.0});
   const auto ship_stat = [&] {
     (void)out.write_line(encode_stat(pid, obs::Tracer::now_ns(),
                                      obs::Registry::global().snapshot()));
@@ -236,16 +233,10 @@ int SweepWorker::run(const SweepGrid& grid) {
     }
 
     SweepBlock block;
-    block.start = m.start;
-    block.cases.resize(m.count);
-    const double block_t0_s = clock.now_s();
     fleet_instant("worker.assign", static_cast<double>(m.start));
     {
       const std::uint64_t span_t0_ns = obs::Tracer::now_ns();
-      pool.parallel_for_chunked(m.count, 1, [&](std::size_t i) {
-        block.cases[i] = runner->run_case(m.start + i);
-      });
-      block.digest_after = sweep_block_digest(block);
+      runner->run_block(pool, m.start, m.count, block);
       fleet_span("worker.block", span_t0_ns);
     }
     {
@@ -282,7 +273,6 @@ int SweepWorker::run(const SweepGrid& grid) {
       }
       fleet_span("worker.journal", span_t0_ns);
     }
-    block_hist.record(clock.now_s() - block_t0_s);
     done_cases += m.count;
     const double elapsed_s = clock.now_s() - t0_s;
     if (elapsed_s > 0.0) {

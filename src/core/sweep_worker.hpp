@@ -20,7 +20,7 @@
 // ride the same LineWriter as heartbeats and block records, so shipped
 // telemetry can never interleave bytes into the result stream, and the
 // fold path ignores the new verbs entirely — shipping is digest-neutral
-// by construction (bench_sweep hard-checks it).
+// by construction (the cli_sweep_distributed_digest ctest checks it).
 
 #include <string>
 

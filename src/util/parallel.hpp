@@ -14,9 +14,9 @@
 // chunks alongside the workers, OpenMP-style), and loops fall back to a
 // plain serial loop when parallel dispatch provably cannot win — a
 // single-worker pool, a single chunk, or a nested call from inside a
-// parallel region. The fallback is what keeps small sweeps (the measured
-// serial/parallel crossover in bench_perf) from paying wakeup latency for
-// nothing: below it, "parallel" IS the serial loop.
+// parallel region. The fallback is what keeps small sweeps from paying
+// wakeup latency for nothing: below the crossover, "parallel" IS the
+// serial loop.
 //
 // The entry points are templates, so the body is invoked directly within
 // a chunk — the type-erasure cost (one indirect call) is paid per chunk,

@@ -149,7 +149,7 @@ TEST(Chaos, InProcessPoisonIsQuarantinedNotFatal) {
   const SweepGrid grid = tiny_grid();
   SweepEngine::Options eopts;
   eopts.block = 1;
-  eopts.case_retries = 0;
+  eopts.case_opts.case_retries = 0;
   const SweepEngine engine(eopts);
 
   const SweepResult clean = engine.run(grid);

@@ -398,8 +398,11 @@ TEST(SweepObsShipCoordinator, GarbageObsLinesAreCountedAndTheSweepCompletes) {
 }
 
 TEST(SweepObsShipCoordinator, ShippingOnAndOffFoldToTheSameDigest) {
-  // In-process twin of the bench_sweep shipping gate: the ship_stats
-  // switch must be invisible to the fold.
+  // The ship_stats switch must be invisible to the fold. With the
+  // default workers = 0 every block runs in process and nothing is
+  // shipped, so this only pins the switch as inert on that path; the
+  // cli_sweep_distributed_digest ctest runs real workers with shipping
+  // on and off.
   const SweepGrid grid = small_grid();
   SweepCoordinator::Options on;
   on.block = 6;

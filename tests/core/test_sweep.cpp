@@ -16,6 +16,7 @@
 
 #include "core/sweep_journal.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "sched/easy_backfill.hpp"
 #include "sched/fcfs.hpp"
 #include "util/error.hpp"
@@ -186,7 +187,7 @@ JournaledRun run_journaled(const std::string& tag, const SweepGrid& grid,
     opts.pool = &pool;
     opts.block = block;
     opts.journal = &journal;
-    opts.case_retries = 0;
+    opts.case_opts.case_retries = 0;
     run.result = SweepEngine(std::move(opts)).run(grid);
     run.journal = read_file(journal.path());
   }
@@ -300,6 +301,26 @@ TEST(SweepEngine, ProgressThrowAtBlockKLeavesKRecordsAndResumes) {
     }
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST(SweepEngine, TracedRunMatchesUntracedDigest) {
+  // The tracer is purely observational: with spans recording on every
+  // pool thread and around the fold, a 2-worker sweep must reproduce the
+  // untraced digest, cells, quarantine list and journal bit for bit.
+  struct TracerOff {
+    ~TracerOff() {
+      obs::Tracer::set_enabled(false);
+      obs::Tracer::reset();
+    }
+  } tracer_off;
+  const SweepGrid grid = small_grid();
+  const JournaledRun untraced = run_journaled("traced", grid, 2, 5);
+  obs::Tracer::reset();
+  obs::Tracer::set_enabled(true);
+  const JournaledRun traced = run_journaled("traced", grid, 2, 5);
+  obs::Tracer::set_enabled(false);
+  EXPECT_FALSE(obs::Tracer::aggregate_spans().empty()) << "the tracer recorded nothing";
+  expect_same_run(traced, untraced, "traced vs untraced");
 }
 
 TEST(SweepEngine, OnePoolTaskPerSweepWhateverTheBlockSize) {

@@ -373,8 +373,8 @@ TEST(SweepCoordinator, QuarantinedCasesAreIdenticalToTheEngines) {
          throw std::runtime_error("deterministically down");
        }});
   SweepEngine::Options eopts;
-  eopts.case_retries = 0;
-  eopts.retry_backoff_base_s = 0.0;
+  eopts.case_opts.case_retries = 0;
+  eopts.case_opts.retry_backoff_base_s = 0.0;
   const SweepResult reference = SweepEngine(std::move(eopts)).run(grid);
   ASSERT_FALSE(reference.failed_cases.empty());
 

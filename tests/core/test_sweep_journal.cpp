@@ -210,8 +210,8 @@ TEST(SweepJournal, ThrowingCaseIsQuarantinedNotFatal) {
   const std::uint64_t quarantined_before = quarantined.value();
 
   SweepEngine::Options opts;
-  opts.case_retries = 1;
-  opts.retry_backoff_base_s = 0.0;  // deterministic failure: don't wait on it
+  opts.case_opts.case_retries = 1;
+  opts.case_opts.retry_backoff_base_s = 0.0;  // deterministic failure: don't wait on it
   const SweepResult result = SweepEngine(std::move(opts)).run(grid);
 
   // 2 regions x 2 node counts x 3 replicas of the broken policy quarantine;
@@ -254,8 +254,8 @@ TEST(SweepJournal, TransientFailureIsRetriedToSuccess) {
   const std::uint64_t retries_before = retries.value();
 
   SweepEngine::Options opts;
-  opts.case_retries = 2;
-  opts.retry_backoff_base_s = 0.0;
+  opts.case_opts.case_retries = 2;
+  opts.case_opts.retry_backoff_base_s = 0.0;
   const SweepResult result = SweepEngine(std::move(opts)).run(grid);
 
   EXPECT_TRUE(result.failed_cases.empty());
@@ -271,8 +271,8 @@ TEST(SweepJournal, ResumedRunReproducesQuarantinedCases) {
          throw std::runtime_error("deterministically down");
        }});
   SweepEngine::Options ref_opts;
-  ref_opts.case_retries = 0;
-  ref_opts.retry_backoff_base_s = 0.0;
+  ref_opts.case_opts.case_retries = 0;
+  ref_opts.case_opts.retry_backoff_base_s = 0.0;
   const SweepResult reference = SweepEngine(std::move(ref_opts)).run(grid);
 
   const std::string dir = run_dir("quarantine_resume");
@@ -281,8 +281,8 @@ TEST(SweepJournal, ResumedRunReproducesQuarantinedCases) {
         SweepJournal::create(dir, grid.config_digest(), grid.case_count(), 6);
     SweepEngine::Options opts;
     opts.journal = &journal;
-    opts.case_retries = 0;
-    opts.retry_backoff_base_s = 0.0;
+    opts.case_opts.case_retries = 0;
+    opts.case_opts.retry_backoff_base_s = 0.0;
     std::size_t blocks_done = 0;
     opts.progress = [&](std::size_t, std::size_t) {
       if (++blocks_done == 3) throw Interrupt();
@@ -294,8 +294,8 @@ TEST(SweepJournal, ResumedRunReproducesQuarantinedCases) {
   EXPECT_EQ(resumed.resume_point(), 18u);
   SweepEngine::Options opts;
   opts.journal = &resumed;
-  opts.case_retries = 0;
-  opts.retry_backoff_base_s = 0.0;
+  opts.case_opts.case_retries = 0;
+  opts.case_opts.retry_backoff_base_s = 0.0;
   const SweepResult result = SweepEngine(std::move(opts)).run(grid);
   expect_equal_results(reference, result);
 }

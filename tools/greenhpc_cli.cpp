@@ -746,7 +746,7 @@ int cmd_sweep(const Args& args, obs::RunReport& report) {
   // Single-process path: the original engine, with the chained journal.
   core::SweepEngine::Options opts;
   opts.block = block;
-  opts.case_retries = retries;
+  opts.case_opts.case_retries = retries;
   std::unique_ptr<core::SweepJournal> journal;
   if (mode == SweepJournalMode::Resume) {
     journal = std::make_unique<core::SweepJournal>(core::SweepJournal::resume(

@@ -1,9 +1,13 @@
 # CLI-level distributed digest gate, run as a ctest:
 #   cmake -DCLI=<greenhpc binary> -DWORKDIR=<scratch dir> -P distributed_digest.cmake
 #
-# Runs the same small sweep single-process and with 2 worker processes and
-# requires the two printed digests to be bit-identical — the coordinator
-# contract observable from the outside, with no test hooks.
+# Runs the same small sweep single-process, with 0, 1, 2 and 4 worker
+# processes, and twice more with 2 workers: once with the observability
+# plane fully on (stat and trace shipping plus the fleet trace merge) and
+# once with --no-obs-ship. Every printed digest must be bit-identical to
+# the single-process one: the coordinator contract for any worker count,
+# and the proof that shipped telemetry never feeds the fold, both
+# observable from the outside with no test hooks.
 
 if(NOT DEFINED CLI OR NOT DEFINED WORKDIR)
   message(FATAL_ERROR "usage: cmake -DCLI=... -DWORKDIR=... -P distributed_digest.cmake")
@@ -32,11 +36,29 @@ function(run_sweep out_var)
   set(${out_var} "${CMAKE_MATCH_1}" PARENT_SCOPE)
 endfunction()
 
-run_sweep(single)
-run_sweep(distributed --workers 2)
+function(expect_single label digest)
+  if(NOT digest STREQUAL single)
+    message(FATAL_ERROR "distributed sweep digest diverged: single-process "
+                        "${single} vs ${label} ${digest}")
+  endif()
+endfunction()
 
-if(NOT single STREQUAL distributed)
-  message(FATAL_ERROR "distributed sweep digest diverged: single-process "
-                      "${single} vs --workers 2 ${distributed}")
+run_sweep(single)
+
+foreach(workers 0 1 2 4)
+  run_sweep(distributed --workers ${workers})
+  expect_single("--workers ${workers}" "${distributed}")
+endforeach()
+
+set(FLEET_TRACE "${WORKDIR}/fleet.json")
+run_sweep(shipping_on --workers 2 --fleet-trace-out "${FLEET_TRACE}")
+expect_single("--workers 2 --fleet-trace-out" "${shipping_on}")
+if(NOT EXISTS "${FLEET_TRACE}")
+  message(FATAL_ERROR "--fleet-trace-out wrote no fleet trace at ${FLEET_TRACE}")
 endif()
-message(STATUS "digest ${single} bit-identical single-process and --workers 2")
+
+run_sweep(shipping_off --workers 2 --no-obs-ship)
+expect_single("--workers 2 --no-obs-ship" "${shipping_off}")
+
+message(STATUS "digest ${single} bit-identical single-process, with 0/1/2/4 "
+               "workers, and with obs shipping on and off")
