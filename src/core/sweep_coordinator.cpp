@@ -126,6 +126,18 @@ std::size_t BlockLedger::orphan_worker(int worker, double now_s) {
   return orphaned;
 }
 
+bool BlockLedger::release(int worker, std::size_t start) {
+  if (start >= cases_) return false;
+  Entry& e = states_[start / block_];
+  if (e.state != State::Leased || e.worker != worker) return false;
+  e.state = State::Pending;
+  e.worker = -1;
+  e.probe_active = kNoProbe;
+  --leased_;
+  ++pending_;
+  return true;
+}
+
 void BlockLedger::finalize_if_probed(std::size_t index) {
   Entry& e = states_[index];
   for (const std::uint8_t d : e.probe_done) {
@@ -250,8 +262,10 @@ struct WorkerConn {
   bool hello_ok = false;
   int misses = 0;                 ///< consecutive heartbeat misses
   util::Deadline liveness;        ///< hello deadline, then heartbeat deadline
-  bool has_lease = false;
+  bool has_lease = false;          ///< a running lease (the block simulating)
   std::size_t lease_start = 0;
+  bool has_queued = false;         ///< a second lease queued behind it
+  std::size_t queued_start = 0;
   util::Deadline lease_deadline;     ///< hung-worker trap
   util::Deadline progress_deadline;  ///< wedged-but-heartbeating trap
   int incarnation = 0;               ///< 0 = first spawn of this slot
@@ -260,7 +274,7 @@ struct WorkerConn {
   int lane = -1;                   ///< fleet trace lane (-1 = no fleet)
   bool obs_aligned = false;        ///< clock anchor received
   std::int64_t obs_offset_ns = 0;  ///< local ns = remote ns + offset
-  std::uint64_t lease_grant_ns = 0;  ///< for synthesized lease spans
+  std::uint64_t lease_grant_ns = 0;  ///< running-lease start, for lease spans
   obs::FlightRecorder fr{256};
   std::unique_ptr<obs::Histogram> rtt;  ///< per-worker receipt lag
   /// Latest shipped sweep.block_seconds snapshot (cumulative, so the
@@ -280,6 +294,8 @@ SweepResult SweepCoordinator::run(const SweepGrid& grid) {
       obs::Registry::global().counter("sweep.worker_deaths");
   static obs::Counter& reassigned_counter =
       obs::Registry::global().counter("sweep.blocks_reassigned");
+  static obs::Counter& prefetched_counter =
+      obs::Registry::global().counter("sweep.leases_prefetched");
   static obs::Counter& hb_miss_counter =
       obs::Registry::global().counter("sweep.heartbeat_misses");
   static obs::Counter& dup_counter =
@@ -541,12 +557,21 @@ SweepResult SweepCoordinator::run(const SweepGrid& grid) {
     c.has_lease = false;
     const long pid = static_cast<long>(c.proc.pid());
     c.proc.kill_hard();
+    // A worker reports each block before it reads its next assign, so a
+    // queued lease was never started: it goes back without a strike.
+    // Only the running lease is orphaned and counts toward suspicion.
+    std::size_t released = 0;
+    if (c.has_queued) {
+      c.has_queued = false;
+      released = ledger.release(c.id, c.queued_start) ? 1 : 0;
+    }
     const std::size_t orphaned = ledger.orphan_worker(c.id, clock.now_s());
+    const std::size_t returned = orphaned + released;
     // A probe death can be the final accusation that quarantines a case
     // and completes its block — the fold frontier may be movable NOW.
     drain_folds();
-    stats_.blocks_reassigned += orphaned;
-    for (std::size_t i = 0; i < orphaned; ++i) reassigned_counter.add();
+    stats_.blocks_reassigned += returned;
+    for (std::size_t i = 0; i < returned; ++i) reassigned_counter.add();
     ++stats_.worker_deaths;
     deaths_counter.add();
     WorkerInfo& wi = stats_.workers[static_cast<std::size_t>(c.id)];
@@ -554,11 +579,12 @@ SweepResult SweepCoordinator::run(const SweepGrid& grid) {
     wi.busy = false;
     alive_gauge.set(static_cast<double>(alive_count()));
     fleet_mark("coord.worker_dead", static_cast<double>(c.id));
-    if (orphaned > 0) {
-      fleet_mark("coord.reassign", static_cast<double>(orphaned));
+    if (returned > 0) {
+      fleet_mark("coord.reassign", static_cast<double>(returned));
     }
     c.fr.record(clock.now_s(), "dead",
-                std::string(why) + "; orphaned=" + std::to_string(orphaned));
+                std::string(why) + "; orphaned=" + std::to_string(orphaned) +
+                    " released=" + std::to_string(released));
     // Worker death is THE postmortem trigger: dump the last protocol
     // exchange this connection saw.
     wi.postmortem_path =
@@ -571,7 +597,7 @@ SweepResult SweepCoordinator::run(const SweepGrid& grid) {
     std::fprintf(stderr,
                  "greenhpc: sweep worker %d (pid %ld) dead: %s; %zu block(s) "
                  "returned for reassignment\n",
-                 c.id, pid, why, orphaned);
+                 c.id, pid, why, returned);
   };
 
   /// (Re)spawn slot `k` at incarnation `inc`. False = the spawn failed
@@ -643,6 +669,48 @@ SweepResult SweepCoordinator::run(const SweepGrid& grid) {
   }
   alive_gauge.set(static_cast<double>(alive_count()));
 
+  /// Make the block at `start` `c`'s running lease. Its lease and
+  /// progress deadlines and its coord.lease span start here: at the
+  /// grant for an idle worker, at promotion for a queued lease.
+  const auto start_running = [&](WorkerConn& c, std::size_t start) {
+    const double now = clock.now_s();
+    c.has_lease = true;
+    c.lease_start = start;
+    c.lease_deadline = util::Deadline(now, opts_.lease_timeout_s);
+    if (opts_.progress_timeout_s > 0.0) {
+      c.progress_deadline = util::Deadline(now, opts_.progress_timeout_s);
+    }
+    c.lease_grant_ns = obs::Tracer::now_ns();
+    stats_.workers[static_cast<std::size_t>(c.id)].busy = true;
+  };
+
+  /// Lease the next block to `c` and send its assign, as the running
+  /// lease or (`queued`) as the one behind it. False when nothing is
+  /// leasable right now.
+  const auto grant = [&](WorkerConn& c, bool queued) -> bool {
+    BlockLedger::Lease ls;
+    if (!ledger.lease(c.id, clock.now_s(), ls)) return false;
+    if (queued) {
+      c.has_queued = true;
+      c.queued_start = ls.start;
+      ++stats_.leases_prefetched;
+      prefetched_counter.add();
+    } else {
+      start_running(c, ls.start);
+    }
+    c.fr.record(clock.now_s(), "assign",
+                "start=" + std::to_string(ls.start) +
+                    " count=" + std::to_string(ls.count) +
+                    (ls.probe ? " probe" : "") + (queued ? " queued" : ""));
+    if (!util::write_all(c.proc.stdin_fd(),
+                         encode_assign(ls.start, ls.count) + "\n")) {
+      declare_dead(c, "assign write failed");
+      return true;
+    }
+    fleet_mark("coord.assign", static_cast<double>(ls.start));
+    return true;
+  };
+
   // Returns false when the worker must be declared dead (protocol
   // violation, unfoldable record). Throws only on config skew — a worker
   // computing a DIFFERENT grid is an operator error no reassignment can
@@ -688,8 +756,6 @@ SweepResult SweepCoordinator::run(const SweepGrid& grid) {
                         (d == BlockLedger::Deliver::Duplicate ? " dup" : ""));
         fleet_mark("coord.block_recv", static_cast<double>(m.block.start));
         if (c.has_lease && m.block.start == c.lease_start) {
-          c.has_lease = false;
-          wi.busy = false;
           if (fleet != nullptr) {
             // Synthesize the assign->completion window as a span on the
             // control-plane lane, one thread row per worker.
@@ -703,6 +769,14 @@ SweepResult SweepCoordinator::run(const SweepGrid& grid) {
             span.dur_ns =
                 now_ns > c.lease_grant_ns ? now_ns - c.lease_grant_ns : 0;
             fleet->add_event(coord_lane, std::move(span));
+          }
+          if (c.has_queued) {
+            // The worker moves straight on to its queued block.
+            c.has_queued = false;
+            start_running(c, c.queued_start);
+          } else {
+            c.has_lease = false;
+            wi.busy = false;
           }
         }
         c.misses = 0;
@@ -818,30 +892,27 @@ SweepResult SweepCoordinator::run(const SweepGrid& grid) {
     }
     alive_gauge.set(static_cast<double>(alive_count()));
 
-    // Hand work to every idle, handshaken worker.
+    // Hand a running lease to every idle, handshaken worker.
+    bool saturated = true;
     for (WorkerConn& c : conns) {
       if (!c.alive || !c.hello_ok || c.has_lease) continue;
-      BlockLedger::Lease ls;
-      if (!ledger.lease(c.id, clock.now_s(), ls)) break;
-      if (!util::write_all(c.proc.stdin_fd(),
-                           encode_assign(ls.start, ls.count) + "\n")) {
-        declare_dead(c, "assign write failed");
-        continue;
+      if (!grant(c, false)) {
+        saturated = false;
+        break;
       }
-      c.has_lease = true;
-      c.lease_start = ls.start;
-      c.lease_deadline = util::Deadline(clock.now_s(), opts_.lease_timeout_s);
-      if (opts_.progress_timeout_s > 0.0) {
-        c.progress_deadline =
-            util::Deadline(clock.now_s(), opts_.progress_timeout_s);
+    }
+    // Pipelining: queue a second lease behind each running one, so a
+    // worker starts its next block without waiting a round trip through
+    // this loop. Only while every worker is busy, only while the ledger
+    // keeps a block per live worker for the tail of the run, and never
+    // once a block is suspect: probes stay stop-and-wait, so a probe
+    // death still accuses exactly one case.
+    if (saturated && ledger.suspects() == 0) {
+      const std::size_t live = alive_count();
+      for (WorkerConn& c : conns) {
+        if (!c.alive || !c.has_lease || c.has_queued) continue;
+        if (ledger.pending() < live + 1 || !grant(c, true)) break;
       }
-      c.lease_grant_ns = obs::Tracer::now_ns();
-      stats_.workers[static_cast<std::size_t>(c.id)].busy = true;
-      c.fr.record(clock.now_s(), "assign",
-                  "start=" + std::to_string(ls.start) +
-                      " count=" + std::to_string(ls.count) +
-                      (ls.probe ? " probe" : ""));
-      fleet_mark("coord.assign", static_cast<double>(ls.start));
     }
 
     // Sleep until the earliest of: any pipe readable, the next liveness

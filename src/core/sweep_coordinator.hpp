@@ -6,11 +6,19 @@
 // transport) and folds their digest-verified block records into one
 // SweepResult. The process boundary is the fault model: a worker that
 // crashes, hangs, is OOM-killed or `kill -9`ed is detected (EOF on its
-// pipe, missed heartbeats, or an expired lease), its in-flight block is
+// pipe, missed heartbeats, or an expired lease), its running block is
 // returned to the pool under capped exponential backoff, and the sweep
 // continues. If EVERY worker dies the coordinator degrades to running
 // the remaining blocks in-process — a distributed sweep can end slower,
 // never wrong and never empty-handed.
+//
+// Leases are pipelined two deep: while every worker is busy, the ledger
+// keeps a block per live worker and no block is suspect, each worker
+// holds a second lease queued behind its running one, so it starts its
+// next block without waiting a round trip through the coordinator. A
+// queued lease becomes the running one (deadlines and lease span start
+// then) when its predecessor's record arrives; a worker that dies
+// returns it without a strike, because it never started it.
 //
 // Digest identity is the core invariant: the fold consumes blocks in
 // flat case order (BlockLedger releases them contiguously), each block's
@@ -18,7 +26,7 @@
 // simulation itself is the same SweepCaseRunner the in-process engine
 // uses. The result digest is therefore bit-identical to a single-process
 // run for ANY worker count and ANY failure/kill schedule — enforced by
-// tests, a bench gate and the CI distributed-sweep job.
+// tests and the CI distributed-sweep job.
 //
 // Recovery composes with the journal layer: workers journal completed
 // blocks into per-worker shard files (see SweepJournal shard mode), and
@@ -54,6 +62,7 @@ namespace greenhpc::core {
 ///   Pending --lease()--> Leased --deliver()--> Ready --next_to_fold()--> Folded
 ///      ^                    |
 ///      +---orphan_worker()--+   (backoff: base * 2^orphanings, capped)
+///      +------release()-----+   (a lease never started: no strike, no backoff)
 ///
 /// Pure bookkeeping over synthetic double-seconds timestamps — no I/O,
 /// no real clock — so every failure schedule is unit-testable without
@@ -111,6 +120,13 @@ class BlockLedger {
   /// (the worker died or hung). A probe lease accuses its single case
   /// (see class comment). Returns how many leases were orphaned.
   std::size_t orphan_worker(int worker, double now_s);
+
+  /// Return the lease `worker` holds on the block starting at `start` to
+  /// Pending with no orphaning counted and no backoff: the coordinator
+  /// releases a queued lease its dead worker never started, before
+  /// orphan_worker() strikes the one it was running. False when
+  /// `worker` holds no such lease.
+  bool release(int worker, std::size_t start);
 
   enum class Deliver { Accepted, Duplicate };
 
@@ -281,7 +297,11 @@ class SweepCoordinator {
   };
   struct Stats {
     std::vector<WorkerInfo> workers;
+    /// Leases a dead worker returned: its running lease (orphaned) plus
+    /// its queued one (released), so at most 2 per death.
     std::size_t blocks_reassigned = 0;
+    /// Second leases granted behind a running one (pipelining engaged).
+    std::size_t leases_prefetched = 0;
     std::size_t worker_deaths = 0;
     std::size_t heartbeat_misses = 0;
     std::size_t duplicate_block_records = 0;

@@ -23,6 +23,14 @@ namespace greenhpc::core {
 
 namespace {
 
+/// Most fleet events one `trace` line carries. Pending events ship
+/// when one more block could overflow the cap or a heartbeat interval
+/// has passed, so a fast worker's trace costs one line per batch rather
+/// than one per block while its buffer stays a few kilobytes.
+constexpr std::size_t kTraceBatchEvents = 256;
+/// Fleet events one block records: assign, block and journal.
+constexpr std::size_t kFleetEventsPerBlock = 3;
+
 /// Injected sleep, milliseconds (Stall/Delay actions).
 void chaos_sleep_ms(std::uint64_t ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
@@ -105,7 +113,7 @@ int SweepWorker::run(const SweepGrid& grid) {
   // into a small main-thread buffer rather than through the global
   // Tracer: enabling the tracer would also switch on every per-tick
   // simulator span, and shipping would pay for recording them all.
-  // Three events per block need no ring.
+  // The buffer is bounded by kTraceBatchEvents, so it needs no ring.
   const bool ship_obs = opts_.ship_stats || opts_.ship_trace;
   static obs::Gauge& rate_gauge =
       obs::Registry::global().gauge("sweep.cases_per_s");
@@ -116,6 +124,7 @@ int SweepWorker::run(const SweepGrid& grid) {
   // Pending cat=="fleet" events; MAIN THREAD ONLY, between blocks (the
   // heartbeat thread never records).
   std::vector<obs::RemoteTraceEvent> fleet_events;
+  util::MonotoneClock clock;
   const auto fleet_instant = [&](const char* name, double value) {
     if (!opts_.ship_trace) return;
     obs::RemoteTraceEvent e;
@@ -137,11 +146,13 @@ int SweepWorker::run(const SweepGrid& grid) {
     e.dur_ns = now_ns > begin_ns ? now_ns - begin_ns : 0;
     fleet_events.push_back(std::move(e));
   };
+  double trace_flushed_s = clock.now_s();
   const auto ship_trace_batch = [&] {
     if (!opts_.ship_trace) return;
     (void)out.write_line(
         encode_trace(pid, obs::Tracer::now_ns(), 0, fleet_events));
     fleet_events.clear();
+    trace_flushed_s = clock.now_s();
   };
 
   if (!out.write_line(encode_hello(pid, config, n_cases, opts_.block))) {
@@ -198,7 +209,6 @@ int SweepWorker::run(const SweepGrid& grid) {
     heartbeat.join();
   };
 
-  util::MonotoneClock clock;
   const double t0_s = clock.now_s();
   std::size_t done_cases = 0;
 
@@ -311,7 +321,10 @@ int SweepWorker::run(const SweepGrid& grid) {
       break;  // coordinator died mid-run; the shard record survives
     }
     if (opts_.ship_stats) ship_stat();
-    ship_trace_batch();
+    if (fleet_events.size() + kFleetEventsPerBlock > kTraceBatchEvents ||
+        clock.now_s() - trace_flushed_s >= opts_.heartbeat_interval_s) {
+      ship_trace_batch();
+    }
   }
   // Last snapshot out the door (best effort — the coordinator may
   // already be gone): the final protocol exchange a postmortem shows.

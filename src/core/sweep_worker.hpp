@@ -9,14 +9,20 @@
 // journals the completed record into its own shard file, and only then
 // reports it — journal-before-report is what lets the coordinator treat
 // a worker death after journaling as recoverable evidence rather than
-// lost work. EOF on stdin (coordinator died) or a `shutdown` verb ends
-// the worker cleanly; it owns no state anyone needs to clean up.
+// lost work. Assignments are served in arrival order, and each block is
+// reported before the next `assign` is read: the coordinator may queue
+// a second assign behind the running one, and releases it without a
+// strike if the worker dies, because the worker never started it. EOF
+// on stdin (coordinator died) or a `shutdown` verb ends the worker
+// cleanly; it owns no state anyone needs to clean up.
 //
 // Observability shipping: unless disabled, the worker batches its
 // process-local obs::Registry snapshot onto `stat` lines (one right
 // after hello — the coordinator's clock anchor — then one per heartbeat
 // and one per completed block) and, when `ship_trace` is on, its
-// cat=="fleet" trace events onto `trace` lines after each block. Both
+// cat=="fleet" trace events onto `trace` lines in batches: between
+// blocks once a heartbeat interval has passed since the last batch or
+// one more block could take it past 256 events, and once at farewell. Both
 // ride the same LineWriter as heartbeats and block records, so shipped
 // telemetry can never interleave bytes into the result stream, and the
 // fold path ignores the new verbs entirely — shipping is digest-neutral
@@ -49,7 +55,7 @@ class SweepWorker {
     /// then per heartbeat and per block). Off only for overhead
     /// measurement — the lines are digest-neutral either way.
     bool ship_stats = true;
-    /// Ship cat=="fleet" trace events on `trace` lines per block. The
+    /// Ship cat=="fleet" trace events on batched `trace` lines. The
     /// events are recorded directly (not via the process-global Tracer,
     /// which would also enable the costly per-tick simulator spans).
     /// The coordinator requests it (via the `--ship-trace` worker flag)

@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -18,6 +19,7 @@
 #include "core/sweep_coordinator.hpp"
 #include "core/sweep_protocol.hpp"
 #include "core/sweep_worker.hpp"
+#include "obs/fleet.hpp"
 #include "obs/metrics.hpp"
 #include "sched/easy_backfill.hpp"
 #include "sched/fcfs.hpp"
@@ -44,6 +46,22 @@ SweepGrid small_grid() {
   grid.policies.push_back(
       {"easy", [] { return std::make_unique<sched::EasyBackfillScheduler>(); }});
   return grid;  // 2 regions x 2 policies x 3 replicas = 12 cases
+}
+
+/// A delivered block record is whole, its block-local digest re-folds,
+/// and every case is bit-identical to the serial reference runner.
+void expect_block_matches_runner(const SweepBlock& block, std::size_t count,
+                                 const SweepCaseRunner& runner) {
+  EXPECT_EQ(sweep_block_digest(block), block.digest_after);
+  ASSERT_EQ(block.cases.size(), count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const SweepCaseOutcome expected = runner.run_case(block.start + i);
+    ASSERT_TRUE(block.cases[i].ok);
+    EXPECT_EQ(block.cases[i].metrics.total_carbon_t,
+              expected.metrics.total_carbon_t);
+    EXPECT_EQ(block.cases[i].metrics.mean_wait_h, expected.metrics.mean_wait_h);
+    EXPECT_EQ(block.cases[i].metrics.utilization, expected.metrics.utilization);
+  }
 }
 
 // --- wire round-trips -----------------------------------------------------
@@ -164,7 +182,9 @@ TEST(SweepObsShipProtocol, DefectiveObsLinesAreRejectedNeverFatal) {
 // --- worker shipping ------------------------------------------------------
 
 /// WorkerHarness twin that counts and skips shipped stat/trace lines in
-/// addition to heartbeats (see test_sweep_worker.cpp for the original).
+/// addition to heartbeats (see test_sweep_worker.cpp for the original),
+/// merging trace batches into a one-lane FleetTrace as the coordinator
+/// would.
 class ShipHarness {
  public:
   ShipHarness(SweepWorker::Options opts, const SweepGrid& grid) {
@@ -205,16 +225,7 @@ class ShipHarness {
         if (in_->fill() == util::LineChannel::Fill::Eof) return Message{};
       }
       Message m = parse_message(line);
-      if (m.kind == MsgKind::Heartbeat) continue;
-      if (m.kind == MsgKind::Stat) {
-        ++stat_batches_;
-        last_stat_ = std::move(m);
-        continue;
-      }
-      if (m.kind == MsgKind::Trace) {
-        ++trace_batches_;
-        continue;
-      }
+      if (absorb(m)) continue;
       EXPECT_NE(m.kind, MsgKind::ObsRejected);  // workers never ship junk
       return m;
     }
@@ -226,11 +237,7 @@ class ShipHarness {
     for (;;) {
       while (in_->next_line(line)) {
         Message m = parse_message(line);
-        if (m.kind == MsgKind::Stat) {
-          ++stat_batches_;
-          last_stat_ = std::move(m);
-        }
-        if (m.kind == MsgKind::Trace) ++trace_batches_;
+        (void)absorb(m);
       }
       if (util::poll_readable({from_worker_[0]}, 0.0).empty()) break;
       if (in_->fill() == util::LineChannel::Fill::Eof) break;
@@ -244,16 +251,44 @@ class ShipHarness {
 
   [[nodiscard]] std::size_t stat_batches() const { return stat_batches_; }
   [[nodiscard]] std::size_t trace_batches() const { return trace_batches_; }
+  [[nodiscard]] std::size_t max_trace_batch() const { return max_trace_batch_; }
   [[nodiscard]] const Message& last_stat() const { return last_stat_; }
+  [[nodiscard]] const std::vector<obs::RemoteTraceEvent>& fleet_events() const {
+    return fleet_.events(lane_);
+  }
 
  private:
+  /// Count (and merge) a heartbeat or obs line; false for anything else.
+  bool absorb(Message& m) {
+    switch (m.kind) {
+      case MsgKind::Heartbeat:
+        return true;
+      case MsgKind::Stat:
+        ++stat_batches_;
+        fleet_.align(lane_, m.remote_now_ns, obs::Tracer::now_ns());
+        last_stat_ = std::move(m);
+        return true;
+      case MsgKind::Trace:
+        ++trace_batches_;
+        max_trace_batch_ = std::max(max_trace_batch_, m.trace_events.size());
+        fleet_.align(lane_, m.remote_now_ns, obs::Tracer::now_ns());
+        fleet_.add_events(lane_, m.trace_events);
+        return true;
+      default:
+        return false;
+    }
+  }
+
   int to_worker_[2] = {-1, -1};
   int from_worker_[2] = {-1, -1};
   std::unique_ptr<util::LineChannel> in_;
   std::thread thread_;
   std::size_t stat_batches_ = 0;
   std::size_t trace_batches_ = 0;
+  std::size_t max_trace_batch_ = 0;
   Message last_stat_;
+  obs::FleetTrace fleet_;
+  int lane_ = fleet_.add_lane(1, "worker");
   int rc_ = -1;
 };
 
@@ -339,18 +374,7 @@ TEST(SweepObsShipWorker, ConcurrentShippingWorkersStayBitIdentical) {
     const Message rec = workers[w]->next_control();
     ASSERT_EQ(rec.kind, MsgKind::Block);
     EXPECT_EQ(rec.block.start, w * 4);
-    EXPECT_EQ(sweep_block_digest(rec.block), rec.block.digest_after);
-    ASSERT_EQ(rec.block.cases.size(), 4u);
-    for (std::size_t i = 0; i < rec.block.cases.size(); ++i) {
-      const SweepCaseOutcome expected = runner.run_case(w * 4 + i);
-      ASSERT_TRUE(rec.block.cases[i].ok);
-      EXPECT_EQ(rec.block.cases[i].metrics.total_carbon_t,
-                expected.metrics.total_carbon_t);
-      EXPECT_EQ(rec.block.cases[i].metrics.mean_wait_h,
-                expected.metrics.mean_wait_h);
-      EXPECT_EQ(rec.block.cases[i].metrics.utilization,
-                expected.metrics.utilization);
-    }
+    expect_block_matches_runner(rec.block, 4, runner);
   }
   for (auto& w : workers) ASSERT_TRUE(w->send(encode_shutdown()));
   for (auto& w : workers) EXPECT_EQ(w->join(), 0);
@@ -358,6 +382,75 @@ TEST(SweepObsShipWorker, ConcurrentShippingWorkersStayBitIdentical) {
     w->drain();
     EXPECT_GE(w->stat_batches(), 1u);  // at least the anchor snapshot
   }
+}
+
+// Lease pipelining rests on this contract: a worker handed a second
+// assign before it reported the first serves both in grant order, each
+// record whole and exactly what the serial runner computes.
+TEST(SweepObsShipWorker, BackToBackAssignsAreServedInGrantOrder) {
+  const SweepGrid grid = small_grid();  // 12 cases
+  const SweepCaseRunner runner(grid);
+  SweepWorker::Options opts;
+  opts.block = 4;
+  util::ThreadPool pool(2);
+  opts.pool = &pool;
+  ShipHarness h(std::move(opts), grid);
+  ASSERT_EQ(h.next_control().kind, MsgKind::Hello);
+
+  const std::size_t granted[] = {8, 0};
+  for (const std::size_t start : granted) {
+    ASSERT_TRUE(h.send(encode_assign(start, 4)));
+  }
+  for (const std::size_t start : granted) {
+    const Message rec = h.next_control();
+    ASSERT_EQ(rec.kind, MsgKind::Block);
+    EXPECT_EQ(rec.block.start, start);
+    expect_block_matches_runner(rec.block, 4, runner);
+  }
+  ASSERT_TRUE(h.send(encode_shutdown()));
+  EXPECT_EQ(h.join(), 0);
+}
+
+// Batched trace shipping loses nothing: with the heartbeat cadence out
+// of reach, only the batch cap and the farewell flush ship spans, and
+// every block's span still arrives exactly once, in order.
+TEST(SweepObsShipWorker, BatchedTraceShipsEverySpanWithinTheCap) {
+  SweepGrid grid = small_grid();
+  grid.seed_replicas = 75;  // 2 regions x 2 policies x 75 = 300 cases
+  const std::size_t n = grid.case_count();
+  ASSERT_EQ(n, 300u);
+  SweepWorker::Options opts;
+  opts.block = 1;
+  opts.ship_trace = true;
+  opts.heartbeat_interval_s = 10.0;
+  util::ThreadPool pool(2);
+  opts.pool = &pool;
+  ShipHarness h(std::move(opts), grid);
+  ASSERT_EQ(h.next_control().kind, MsgKind::Hello);
+
+  for (std::size_t start = 0; start < n; ++start) {
+    ASSERT_TRUE(h.send(encode_assign(start, 1)));
+    const Message rec = h.next_control();
+    ASSERT_EQ(rec.kind, MsgKind::Block);
+    ASSERT_EQ(rec.block.start, start);
+  }
+  ASSERT_TRUE(h.send(encode_shutdown()));
+  EXPECT_EQ(h.join(), 0);
+  h.drain();
+
+  EXPECT_GE(h.trace_batches(), 3u);  // two full batches, then the farewell
+  EXPECT_LE(h.max_trace_batch(), 256u);
+  std::size_t block_spans = 0;
+  std::uint64_t last_ts = 0;
+  for (const obs::RemoteTraceEvent& e : h.fleet_events()) {
+    if (e.name == "worker.block") {
+      EXPECT_EQ(e.phase, 'X');
+      ++block_spans;
+    }
+    EXPECT_GE(e.ts_ns, last_ts) << "lane timestamps went backwards";
+    last_ts = e.ts_ns;
+  }
+  EXPECT_EQ(block_spans, n);
 }
 
 // --- coordinator end to end -----------------------------------------------

@@ -153,6 +153,48 @@ TEST(BlockLedger, OrphanReturnsEveryBlockOfTheDeadWorkerOnly) {
   EXPECT_EQ(ledger.leased(), 1u);
 }
 
+TEST(BlockLedger, QueuedLeaseOfADeadWorkerIsReleasedWithoutAStrike) {
+  // A pipelined worker holds running block A and queued block B, then
+  // dies. The coordinator releases B (never started) and orphans A.
+  BlockLedger::Options opts;
+  opts.backoff_base_s = 1.0;
+  opts.backoff_cap_s = 1.0;
+  opts.suspect_after = 3;
+  BlockLedger ledger(8, 2, opts);  // blocks A = [0,2), B = [2,4), ...
+  BlockLedger::Lease ls;
+  double now = 0.0;
+  for (int death = 0; death < opts.suspect_after; ++death) {
+    ASSERT_TRUE(ledger.lease(1, now, ls));
+    ASSERT_EQ(ls.start, 0u);  // A, running
+    ASSERT_TRUE(ledger.lease(1, now, ls));
+    ASSERT_EQ(ls.start, 2u);  // B, queued
+    EXPECT_FALSE(ledger.release(2, 2)) << "worker 2 holds no lease on B";
+    EXPECT_TRUE(ledger.release(1, 2));
+    EXPECT_FALSE(ledger.release(1, 2)) << "B was already released";
+    EXPECT_EQ(ledger.orphan_worker(1, now), 1u);  // only A is struck
+    EXPECT_EQ(ledger.leased(), 0u);
+
+    // A waits out its backoff; B is leasable at once, so it was never
+    // orphaned (any orphaning would have parked it for a backoff).
+    ASSERT_TRUE(ledger.lease(3, now, ls));
+    EXPECT_EQ(ls.start, 2u);
+    EXPECT_FALSE(ls.probe);
+    EXPECT_TRUE(ledger.release(3, 2));
+    now += 10.0;
+  }
+
+  // suspect_after deaths made A, and only A, suspect: A now leases as
+  // single-case probes while B still leases whole.
+  EXPECT_EQ(ledger.suspects(), 1u);
+  ASSERT_TRUE(ledger.lease(1, now, ls));
+  EXPECT_TRUE(ls.probe);
+  EXPECT_EQ(ls.start, 0u);
+  ASSERT_TRUE(ledger.lease(1, now, ls));
+  EXPECT_FALSE(ls.probe);
+  EXPECT_EQ(ls.start, 2u);
+  EXPECT_EQ(ls.count, 2u);
+}
+
 TEST(BlockLedger, DuplicateDeliveryIsCountedConflictThrows) {
   BlockLedger ledger(4, 2);
   const SweepBlock rec = make_rec(4, 2, 0);

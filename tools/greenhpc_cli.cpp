@@ -674,9 +674,9 @@ int cmd_sweep(const Args& args, obs::RunReport& report) {
     const int rc = report_sweep_result(args, result, report);
     std::fprintf(stderr,
                  "workers: %d spawned, %zu death(s), %zu block(s) reassigned, "
-                 "%zu heartbeat miss(es)%s\n",
+                 "%zu heartbeat miss(es), %zu lease(s) prefetched%s\n",
                  workers, st.worker_deaths, st.blocks_reassigned,
-                 st.heartbeat_misses,
+                 st.heartbeat_misses, st.leases_prefetched,
                  st.degraded_in_process ? " — degraded to in-process" : "");
     if (st.stat_batches > 0 || st.trace_batches > 0 ||
         st.obs_lines_rejected > 0) {
@@ -694,6 +694,7 @@ int cmd_sweep(const Args& args, obs::RunReport& report) {
     report.add("workers", static_cast<double>(workers));
     report.add("worker_deaths", static_cast<double>(st.worker_deaths));
     report.add("blocks_reassigned", static_cast<double>(st.blocks_reassigned));
+    report.add("leases_prefetched", static_cast<double>(st.leases_prefetched));
     report.add("heartbeat_misses", static_cast<double>(st.heartbeat_misses));
     report.add("duplicate_block_records",
                static_cast<double>(st.duplicate_block_records));

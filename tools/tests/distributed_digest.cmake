@@ -4,10 +4,12 @@
 # Runs the same small sweep single-process, with 0, 1, 2 and 4 worker
 # processes, and twice more with 2 workers: once with the observability
 # plane fully on (stat and trace shipping plus the fleet trace merge) and
-# once with --no-obs-ship. Every printed digest must be bit-identical to
-# the single-process one: the coordinator contract for any worker count,
-# and the proof that shipped telemetry never feeds the fold, both
-# observable from the outside with no test hooks.
+# once with --no-obs-ship, and once with one-case blocks, where every
+# worker queues a second lease behind its running one (the run report
+# must count those grants). Every printed digest must be bit-identical to
+# the single-process one: the coordinator contract for any worker count
+# and lease depth, and the proof that shipped telemetry never feeds the
+# fold, both observable from the outside with no test hooks.
 
 if(NOT DEFINED CLI OR NOT DEFINED WORKDIR)
   message(FATAL_ERROR "usage: cmake -DCLI=... -DWORKDIR=... -P distributed_digest.cmake")
@@ -60,5 +62,19 @@ endif()
 run_sweep(shipping_off --workers 2 --no-obs-ship)
 expect_single("--workers 2 --no-obs-ship" "${shipping_off}")
 
+# One-case blocks: 8 blocks for 2 workers, so the first worker to say
+# hello already finds more pending blocks than live workers and gets a
+# queued lease.
+set(PIPELINED_REPORT "${WORKDIR}/pipelined.json")
+run_sweep(pipelined --workers 2 --block 1 --report "${PIPELINED_REPORT}")
+expect_single("--workers 2 --block 1" "${pipelined}")
+file(READ "${PIPELINED_REPORT}" report_json)
+string(JSON prefetched GET "${report_json}" numbers leases_prefetched)
+if(NOT prefetched GREATER 0)
+  message(FATAL_ERROR "--workers 2 --block 1 queued no second lease "
+                      "(leases_prefetched = ${prefetched})")
+endif()
+
 message(STATUS "digest ${single} bit-identical single-process, with 0/1/2/4 "
-               "workers, and with obs shipping on and off")
+               "workers, with pipelined leases, and with obs shipping on and "
+               "off")
