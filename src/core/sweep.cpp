@@ -367,10 +367,11 @@ SweepEngine::SweepEngine(Options opts) : opts_(std::move(opts)) {
 }
 
 std::uint64_t SweepEngine::replica_seed(std::uint64_t base, int replica) {
-  std::uint64_t state = base;
-  std::uint64_t out = 0;
-  for (int r = 0; r <= replica; ++r) out = util::splitmix64(state);
-  return out;
+  GREENHPC_REQUIRE(replica >= 0, "replica index must be >= 0");
+  // splitmix64's state advances by the constant gamma per draw, so after
+  // r draws it is base + r * gamma (mod 2^64); draw r + 1 mixes from there.
+  std::uint64_t state = base + static_cast<std::uint64_t>(replica) * util::kSplitMix64Gamma;
+  return util::splitmix64(state);
 }
 
 SweepResult SweepEngine::run(const SweepGrid& grid) const {

@@ -299,7 +299,7 @@ class SweepEngine {
 
   /// Seed of replica r: the r-th draw of the splitmix64 stream seeded
   /// with `base` (replica 0 = first draw, so even it decorrelates from
-  /// neighbouring base seeds).
+  /// neighbouring base seeds). O(1) in r. Requires r >= 0.
   [[nodiscard]] static std::uint64_t replica_seed(std::uint64_t base, int replica);
 
  private:

@@ -53,7 +53,9 @@ Simulator::Simulator(Config config, util::Shared<std::vector<JobSpec>> jobs)
               .total_energy = {},
               .total_carbon = {},
               .idle_energy = {},
-              .idle_carbon = {}} {
+              .idle_carbon = {},
+              .wasted_energy = {},
+              .wasted_carbon = {}} {
   cfg_.cluster.validate();
   GREENHPC_REQUIRE(cfg_.carbon_intensity && !cfg_.carbon_intensity->empty(),
                    "simulator requires a carbon-intensity trace");
@@ -634,8 +636,8 @@ void Simulator::fast_forward_idle(Duration stop) {
   // Preconditions (checked by the caller): no job in any phase list, no
   // pending repairs, no power policy. Until `stop` (next arrival, next
   // fault event, or max_time) every tick is a pure idle-floor tick, so
-  // this loop replays exactly the arithmetic integrate_tick performs on
-  // an empty system — same accumulation order, same per-tick series
+  // this replays exactly the arithmetic integrate_tick performs on an
+  // empty system — same accumulation order, same per-tick series
   // samples, same history and telemetry — while skipping the scheduler
   // call (nothing to schedule), the arrival scan and the fault machinery.
   const Duration tick = cfg_.cluster.tick;
@@ -643,23 +645,60 @@ void Simulator::fast_forward_idle(Duration stop) {
   const double idle_w = cfg_.cluster.node_idle.watts();
   const double budget_w = budget_now_.watts();
   const bool idle_over_budget = idle_w * static_cast<double>(free_nodes_) > budget_w;
+  const double idle_energy_j = idle_w * static_cast<double>(free_nodes_) * tick_s;
+  const double tick_energy_j = 0.0 + idle_energy_j;  // integrate_tick's sum from 0.0
+  const double system_power_w = tick_energy_j / tick_s;
+  last_cap_ = 1.0;
+  std::size_t n = 0;
+
+  if (cfg_.feed == nullptr && cfg_.telemetry == nullptr) {
+    // Run-length path, under run_span's chunkable condition: with no feed
+    // the observed intensity is the trace, constant per trace segment, and
+    // with no telemetry nothing records the per-tick timestamp. One sample
+    // and one append per series per segment; the accumulators still take
+    // one addition per tick, in tick order, so their bits are unchanged.
+    const util::TimeSeries& trace = *cfg_.carbon_intensity;
+    staleness_ = seconds(0.0);
+    while (now_ < stop) {
+      ci_true_ = trace.sample_at_clamped(now_, ci_cursor_);
+      ci_now_ = ci_true_;
+      const Duration seg_end = std::min(stop, trace_segment_end(trace, now_));
+      const double idle_carbon_g = idle_energy_j / 3.6e6 * ci_true_;
+      const double tick_carbon_g = tick_energy_j / 3.6e6 * ci_true_;
+      std::size_t m = 0;
+      do {
+        result_.idle_energy += joules(idle_energy_j);
+        result_.idle_carbon += grams_co2(idle_carbon_g);
+        result_.total_energy += joules(tick_energy_j);
+        result_.total_carbon += grams_co2(tick_carbon_g);
+        now_ += tick;
+        ++m;
+      } while (now_ < seg_end);
+      if (idle_over_budget) result_.budget_violations += static_cast<int>(m);
+      result_.system_power.append_fill(m, system_power_w);
+      result_.power_budget.append_fill(m, budget_w);
+      result_.carbon_intensity.append_fill(m, ci_true_);
+      result_.busy_nodes.append_fill(m, 0.0);
+      ci_history_.append_fill(m, ci_now_);
+      n += m;
+    }
+    ff_ticks.add(n);
+    return;
+  }
+
   while (now_ < stop) {
     observe_intensity();
     if (idle_over_budget) ++result_.budget_violations;
-    last_cap_ = 1.0;
-    double tick_energy_j = 0.0;
-    const double idle_energy_j = idle_w * static_cast<double>(free_nodes_) * tick_s;
-    tick_energy_j += idle_energy_j;
     result_.idle_energy += joules(idle_energy_j);
     result_.idle_carbon += grams_co2(idle_energy_j / 3.6e6 * ci_true_);
     result_.total_energy += joules(tick_energy_j);
     result_.total_carbon += grams_co2(tick_energy_j / 3.6e6 * ci_true_);
-    result_.system_power.push_back(tick_energy_j / tick_s);
+    result_.system_power.push_back(system_power_w);
     result_.power_budget.push_back(budget_w);
     result_.carbon_intensity.push_back(ci_true_);
     result_.busy_nodes.push_back(0.0);
     if (cfg_.telemetry != nullptr) {
-      cfg_.telemetry->record("system.power", now_, tick_energy_j / tick_s);
+      cfg_.telemetry->record("system.power", now_, system_power_w);
       cfg_.telemetry->record("system.budget", now_, budget_w);
       cfg_.telemetry->record("system.ci", now_, ci_true_);
       cfg_.telemetry->record("system.busy_nodes", now_, 0.0);
@@ -674,8 +713,9 @@ void Simulator::fast_forward_idle(Duration stop) {
     }
     ci_history_.push_back(ci_now_);
     now_ += tick;
-    ff_ticks.add();
+    ++n;
   }
+  ff_ticks.add(n);
 }
 
 void Simulator::flush_job_counters() {

@@ -36,6 +36,12 @@ double bucket_percentile(const std::vector<double>& bounds,
 
 }  // namespace
 
+unsigned detail::assign_counter_shard() {
+  static std::atomic<unsigned> next{0};
+  counter_shard = next.fetch_add(1, std::memory_order_relaxed) % Counter::kShards;
+  return counter_shard;
+}
+
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1) {}
 

@@ -13,9 +13,16 @@
 // Returned references stay valid for the registry's lifetime (entries are
 // never erased; reset() zeroes values but keeps the objects). All update
 // paths are single relaxed atomic RMWs (CAS loop for doubles), safe from
-// any thread.
+// any thread. A Counter is sharded per thread: add() hits a cache-line-
+// padded shard picked by a thread-local index, so threads bumping the same
+// counter do not bounce one cache line between cores; threads beyond the
+// shard count share shards (still exact, the RMW is atomic). Every read
+// (value(), snapshots, write_json/write_csv, shipped `stat` lines) sums
+// the shards, and reset() zeroes them all.
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -28,19 +35,41 @@
 
 namespace greenhpc::obs {
 
-/// Monotone event count.
+namespace detail {
+/// This thread's counter shard, assigned round-robin on its first add();
+/// kNoShard until then. Constant-initialised, so reading it is a plain
+/// TLS load.
+inline constexpr unsigned kNoShard = ~0u;
+inline thread_local unsigned counter_shard = kNoShard;
+unsigned assign_counter_shard();
+}  // namespace detail
+
+/// Monotone event count, sharded per thread (see the file comment).
 class Counter {
  public:
+  /// Shards per counter: more than the busy threads of a sweep process.
+  static constexpr unsigned kShards = 8;
+
   void add(std::uint64_t delta = 1) {
-    v_.fetch_add(delta, std::memory_order_relaxed);
+    unsigned s = detail::counter_shard;
+    if (s == detail::kNoShard) [[unlikely]] s = detail::assign_counter_shard();
+    shards_[s].v.fetch_add(delta, std::memory_order_relaxed);
   }
+  /// Sum of the shards; each shard is monotone, so successive reads are.
   [[nodiscard]] std::uint64_t value() const {
-    return v_.load(std::memory_order_relaxed);
+    std::uint64_t total = 0;
+    for (const Shard& sh : shards_) total += sh.v.load(std::memory_order_relaxed);
+    return total;
   }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
+  void reset() {
+    for (Shard& sh : shards_) sh.v.store(0, std::memory_order_relaxed);
+  }
 
  private:
-  std::atomic<std::uint64_t> v_{0};
+  struct alignas(64) Shard {
+    std::atomic<std::uint64_t> v{0};
+  };
+  std::array<Shard, kShards> shards_{};
 };
 
 /// Last-written (or accumulated) double value.

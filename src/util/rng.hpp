@@ -14,6 +14,9 @@
 
 namespace greenhpc::util {
 
+/// SplitMix64's state increment: each draw first adds it to the state.
+inline constexpr std::uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ull;
+
 /// SplitMix64 — used to seed xoshiro and as a cheap stateless mixer.
 [[nodiscard]] std::uint64_t splitmix64(std::uint64_t& state);
 

@@ -50,14 +50,21 @@ void RunningStats::merge(const RunningStats& other) {
 double percentile(std::span<const double> xs, double q) {
   GREENHPC_REQUIRE(!xs.empty(), "percentile of empty sample");
   GREENHPC_REQUIRE(q >= 0.0 && q <= 1.0, "percentile q must be in [0,1]");
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted.front();
-  const double pos = q * static_cast<double>(sorted.size() - 1);
+  if (xs.size() == 1) return xs.front();
+  const double pos = q * static_cast<double>(xs.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
   const double frac = pos - static_cast<double>(lo);
-  if (lo + 1 >= sorted.size()) return sorted.back();
-  return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
+  if (lo + 1 >= xs.size()) return *std::max_element(xs.begin(), xs.end());
+  // Selection instead of a sort: nth_element puts the rank-lo order
+  // statistic at lo and only larger-or-equal values after it, so the
+  // rank-(lo+1) one is the minimum of that upper partition. Both are the
+  // values a full sort would leave at lo and lo+1, so the result is the
+  // same bits, in O(n).
+  std::vector<double> part(xs.begin(), xs.end());
+  const auto nth = part.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(part.begin(), nth, part.end());
+  const double next = *std::min_element(nth + 1, part.end());
+  return *nth * (1.0 - frac) + next * frac;
 }
 
 SlidingPercentile::SlidingPercentile(std::size_t capacity) : capacity_(capacity) {

@@ -60,13 +60,15 @@ struct Summary {
 [[nodiscard]] Summary summarize(std::span<const double> xs);
 
 /// Linear-interpolated percentile, q in [0, 1]. Requires non-empty input.
+/// O(n): selects the two order statistics it interpolates between (on a
+/// copy) instead of sorting, with the same result bits as a sort.
 [[nodiscard]] double percentile(std::span<const double> xs, double q);
 
 /// Percentiles over a sliding window of the last `capacity` appended
 /// values, bit-identical to calling percentile() on that window but
-/// without the per-query copy-and-sort: the window is kept sorted across
-/// appends (one binary search + memmove per push instead of an
-/// O(W log W) sort per query). Built for per-tick quantile gates over a
+/// without the per-query copy-and-select: the window is kept sorted across
+/// appends (one binary search + memmove per push instead of an O(W)
+/// copy and selection per query). Built for per-tick quantile gates over a
 /// trailing history window (e.g. the carbon-aware green threshold).
 class SlidingPercentile {
  public:

@@ -22,6 +22,7 @@
 #include "util/error.hpp"
 #include "util/fault_injector.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace greenhpc::core {
 namespace {
@@ -90,6 +91,22 @@ TEST(SweepEngine, ReplicaSeedsAreDistinctAndAxisIndependent) {
   EXPECT_NE(SweepEngine::replica_seed(2023, 0), 2023u);
   // Neighbouring base seeds do not collide on early replicas.
   EXPECT_NE(SweepEngine::replica_seed(2023, 0), SweepEngine::replica_seed(2024, 0));
+}
+
+TEST(SweepEngine, ReplicaSeedIsTheIteratedSplitmixDraw) {
+  // The definition: draw r of the splitmix64 stream seeded with `base`.
+  for (const std::uint64_t base : {std::uint64_t{2023}, std::uint64_t{0},
+                                   ~std::uint64_t{0}}) {
+    std::uint64_t state = base;
+    for (int r = 0; r < 2000; ++r) {
+      const std::uint64_t draw = util::splitmix64(state);
+      ASSERT_EQ(SweepEngine::replica_seed(base, r), draw) << "base " << base << " r " << r;
+    }
+    for (int r = 2000; r < 1000000; ++r) (void)util::splitmix64(state);
+    EXPECT_EQ(SweepEngine::replica_seed(base, 1000000), util::splitmix64(state))
+        << "base " << base;
+  }
+  EXPECT_THROW((void)SweepEngine::replica_seed(2023, -1), InvalidArgument);
 }
 
 TEST(SweepEngine, CellTableIsCellMajorWithCoordinates) {

@@ -20,6 +20,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "carbon/forecast.hpp"
 #include "core/scenario.hpp"
@@ -143,6 +144,11 @@ struct Combo {
   carbon::IntensityKind kind = carbon::IntensityKind::Average;
   bool harmonic = false;
   double feed_outage = 0.0;
+  // Off-grid trace: a trace step that is not a multiple of the tick, and
+  // (when trace_days > 0) a simulator trace cut short of the workload so
+  // the last idle gaps run past its end.
+  double trace_step_min = 15.0;
+  double trace_days = 0.0;
 };
 
 // gtest prints a parameter into its ctest name; without this it would dump
@@ -155,6 +161,9 @@ void PrintTo(const Combo& c, std::ostream* os) {
       << " region=" << carbon::traits(c.region).code << " kind="
       << (c.kind == carbon::IntensityKind::Marginal ? "marginal" : "average")
       << " harmonic=" << c.harmonic << " feed_outage=" << c.feed_outage;
+  if (c.trace_step_min != 15.0 || c.trace_days > 0.0) {
+    *os << " trace_step_min=" << c.trace_step_min << " trace_days=" << c.trace_days;
+  }
 }
 
 std::unique_ptr<hpcsim::SchedulingPolicy> make_scheduler(const std::string& name,
@@ -191,7 +200,7 @@ hpcsim::SimulationResult run_once(const Combo& combo, bool reference_mode) {
   sc.region = combo.region;
   sc.intensity_kind = combo.kind;
   sc.trace_span = days(combo.span_days + 4.0);
-  sc.trace_step = minutes(15.0);
+  sc.trace_step = minutes(combo.trace_step_min);
   sc.workload.job_count = combo.jobs;
   sc.workload.span = days(combo.span_days);
   sc.workload.max_job_nodes = combo.waves ? 2 : combo.nodes / 2;
@@ -207,6 +216,14 @@ hpcsim::SimulationResult run_once(const Combo& combo, bool reference_mode) {
   hpcsim::Simulator::Config cfg;
   cfg.cluster = runner.config().cluster;
   cfg.carbon_intensity = runner.trace();
+  if (combo.trace_days > 0.0) {
+    const util::TimeSeries& full = runner.trace();
+    const auto n = static_cast<std::size_t>(days(combo.trace_days).seconds() /
+                                            full.step().seconds());
+    cfg.carbon_intensity = util::TimeSeries(
+        full.start(), full.step(),
+        std::vector<double>(full.values().begin(), full.values().begin() + n));
+  }
   cfg.reference_mode = reference_mode;
   if (combo.faults) {
     for (int k = 0; k < 10; ++k) {
@@ -268,6 +285,7 @@ std::string combo_name(const ::testing::TestParamInfo<Combo>& info) {
   }
   if (info.param.harmonic) s += "_harmonic";
   if (info.param.feed_outage > 0.0) s += "_degraded_feed";
+  if (info.param.trace_days > 0.0) s += "_offgrid_trace";
   s += "_s" + std::to_string(info.param.seed);
   return s;
 }
@@ -311,7 +329,14 @@ INSTANTIATE_TEST_SUITE_P(
         Combo{"carbon-easy", 84, 32, 100, 2.0, false, false, carbon::Region::Germany,
               carbon::IntensityKind::Average, false, 0.3},
         Combo{"carbon-easy", 85, 24, 60, 1.0, false, false, carbon::Region::Germany,
-              carbon::IntensityKind::Average, true}),
+              carbon::IntensityKind::Average, true},
+        // Run-length idle fast-forward: a 7-minute trace step on a 2-minute
+        // tick, so idle gaps cross segments mid-tick, and a 2.5-day trace
+        // under a 4-day workload, so the last gaps idle past the trace end.
+        Combo{"fcfs", 91, 16, 30, 4.0, false, false, carbon::Region::Germany,
+              carbon::IntensityKind::Average, false, 0.0, 7.0, 2.5},
+        Combo{"easy", 92, 16, 30, 4.0, true, false, carbon::Region::France,
+              carbon::IntensityKind::Marginal, false, 0.0, 7.0, 2.5}),
     combo_name);
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -32,6 +33,45 @@ TEST(MetricsCounter, ConcurrentIncrementsAllLand) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kPerThread);
+}
+
+TEST(MetricsCounter, MoreThreadsThanShardsStayExactThroughResetAndSnapshot) {
+  Registry reg;
+  Counter& c = reg.counter("shard.c");
+  constexpr int kThreads = 24;  // three threads per shard
+  static_assert(kThreads > static_cast<int>(Counter::kShards));
+  constexpr int kPerThread = 5000;
+  const auto hammer = [&c] {
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&c, t] {
+        for (int i = 0; i < kPerThread; ++i) c.add(static_cast<std::uint64_t>(t + 1));
+      });
+    }
+    for (auto& th : threads) th.join();
+  };
+  // sum over t of (t + 1) * kPerThread
+  const std::uint64_t expected =
+      static_cast<std::uint64_t>(kThreads) * (kThreads + 1) / 2 * kPerThread;
+  hammer();
+  EXPECT_EQ(c.value(), expected);
+  const StatSnapshot before_reset = reg.snapshot();
+  const std::uint64_t* snapped = before_reset.find_counter("shard.c");
+  ASSERT_NE(snapped, nullptr);
+  EXPECT_EQ(*snapped, expected);
+  // reset() zeroes every shard, not only the caller's.
+  reg.reset();
+  EXPECT_EQ(c.value(), 0u);
+  const StatSnapshot after_reset = reg.snapshot();
+  EXPECT_EQ(*after_reset.find_counter("shard.c"), 0u);
+  hammer();
+  c.add(7);
+  EXPECT_EQ(c.value(), expected + 7);
+  std::ostringstream csv;
+  reg.write_csv(csv);
+  EXPECT_NE(csv.str().find("counter,shard.c," + std::to_string(expected + 7) + "\n"),
+            std::string::npos);
 }
 
 TEST(MetricsGauge, SetAddValue) {

@@ -37,7 +37,9 @@ TEST(FaultModel, ScheduleSortedWithinHorizonAndWellFormed) {
     EXPECT_LT(events[i].time, base_config().horizon);
     EXPECT_EQ(events[i].nodes, 1);
     EXPECT_GT(events[i].repair.seconds(), 0.0);
-    if (i > 0) EXPECT_LE(events[i - 1].time, events[i].time);
+    if (i > 0) {
+      EXPECT_LE(events[i - 1].time, events[i].time);
+    }
   }
 }
 

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "util/error.hpp"
@@ -80,6 +82,42 @@ TEST(Percentile, UnsortedInputAndSingleton) {
   EXPECT_DOUBLE_EQ(percentile(xs, 0.5), 3.0);
   std::vector<double> one = {7.0};
   EXPECT_DOUBLE_EQ(percentile(one, 0.9), 7.0);
+}
+
+TEST(Percentile, SelectionMatchesSortedReferenceBitForBit) {
+  // The sort-based definition percentile() replaced with selection.
+  const auto sorted_reference = [](std::vector<double> xs, double q) {
+    std::sort(xs.begin(), xs.end());
+    if (xs.size() == 1) return xs.front();
+    const double pos = q * static_cast<double>(xs.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const double frac = pos - static_cast<double>(lo);
+    if (lo + 1 >= xs.size()) return xs.back();
+    return xs[lo] * (1.0 - frac) + xs[lo + 1] * frac;
+  };
+  Rng rng(20231112);
+  const std::vector<double> fixed_qs = {0.0, 1.0, 0.4, 0.5, 0.25, 1.0 / 3.0, 0.999};
+  for (int trial = 0; trial < 400; ++trial) {
+    // Sizes 1 and 2 first, then up to a 3-day window of 15-minute samples.
+    const auto n = trial < 2 ? static_cast<std::size_t>(trial + 1)
+                             : static_cast<std::size_t>(rng.uniform_int(1, 300));
+    // Half the trials draw from a few distinct values, so ranks lo and
+    // lo + 1 often straddle a run of duplicates.
+    const bool coarse = trial % 2 == 0;
+    std::vector<double> xs(n);
+    for (double& x : xs) {
+      x = coarse ? 50.0 * static_cast<double>(rng.uniform_int(0, 5))
+                 : rng.uniform(-100.0, 900.0);
+    }
+    std::vector<double> qs = fixed_qs;
+    qs.push_back(rng.uniform());
+    for (const double q : qs) {
+      const double want = sorted_reference(xs, q);
+      const double got = percentile(xs, q);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+          << "n=" << n << " q=" << q << ": " << got << " vs " << want;
+    }
+  }
 }
 
 TEST(Percentile, Preconditions) {
