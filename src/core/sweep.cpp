@@ -338,23 +338,72 @@ SweepCaseOutcome SweepCaseRunner::run_case(std::size_t flat) const {
   }
 }
 
-double SweepCaseRunner::run_block(util::ThreadPool& pool, std::size_t start,
-                                  std::size_t count, SweepBlock& block) const {
+void SweepCaseRunner::fold_block(SweepResult& result, const SweepBlock& block) const {
+  for (std::size_t i = 0; i < block.cases.size(); ++i) {
+    fold(result, block.start + i, block.cases[i]);
+  }
+}
+
+void SweepCaseRunner::run_ranges(util::ThreadPool& pool,
+                                 const std::vector<SweepRange>& ranges,
+                                 const std::function<void(SweepBlock&)>& commit) const {
   static obs::Counter& cases_counter = obs::Registry::global().counter("sweep.cases");
   static obs::Histogram& block_seconds = obs::Registry::global().histogram(
       "sweep.block_seconds", {1e-3, 1e-2, 0.1, 1.0, 10.0});
-  GREENHPC_TRACE_SPAN("sweep.block.simulate");
-  const auto t0 = std::chrono::steady_clock::now();
-  block.start = start;
-  block.cases.resize(count);
-  pool.parallel_for_chunked(count, 1, [&](std::size_t i) {
-    block.cases[i] = run_case(start + i);
-  });
-  block.digest_after = sweep_block_digest(block);
-  const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - t0;
-  cases_counter.add(count);
-  block_seconds.record(elapsed.count());
-  return elapsed.count();
+  using Clock = std::chrono::steady_clock;
+
+  // The loop runs over stream positions: position k is the k-th case of
+  // the concatenated ranges, and ends[r] is one past range r's last one.
+  std::vector<std::size_t> ends;
+  std::size_t total = 0, largest = 0;
+  for (const SweepRange& r : ranges) {
+    GREENHPC_REQUIRE(r.count > 0 && r.start < n_cases_ && r.count <= n_cases_ - r.start,
+                     "sweep range is empty or outside the grid");
+    total += r.count;
+    largest = std::max(largest, r.count);
+    ends.push_back(total);
+  }
+  const auto flat_of = [&](std::size_t k) {
+    const std::size_t r = static_cast<std::size_t>(
+        std::upper_bound(ends.begin(), ends.end(), k) - ends.begin());
+    return ranges[r].start + (k + ranges[r].count - ends[r]);
+  };
+
+  // Outcomes reach the commit side through a ring of `window` slots; no
+  // case is claimed `window` or more past the commit frontier, so a slot
+  // is refilled only after its previous case was taken into its block.
+  struct Slot {
+    SweepCaseOutcome outcome;
+    Clock::time_point claimed;
+  };
+  const std::size_t window =
+      std::min(total, std::max(2 * largest, 8 * (pool.size() + 1)));
+  std::vector<Slot> ring(window);
+  SweepBlock block;       // the range being assembled
+  std::size_t range = 0;  // its index in `ranges`
+  Clock::time_point block_claimed;
+
+  const auto simulate = [&](std::size_t k) {
+    Slot& slot = ring[k % window];
+    slot.claimed = Clock::now();
+    slot.outcome = run_case(flat_of(k));
+  };
+  const auto take = [&](std::size_t k) {
+    Slot& slot = ring[k % window];
+    if (k + ranges[range].count == ends[range]) {  // the range's first case
+      block.start = ranges[range].start;
+      block.cases.clear();
+      block_claimed = slot.claimed;
+    }
+    block.cases.push_back(std::move(slot.outcome));
+    if (k + 1 < ends[range]) return;
+    block.digest_after = sweep_block_digest(block);
+    commit(block);
+    cases_counter.add(ranges[range].count);
+    block_seconds.record(std::chrono::duration<double>(Clock::now() - block_claimed).count());
+    ++range;
+  };
+  pool.parallel_for_ordered(total, window, simulate, take);
 }
 
 // ---------------------------------------------------------------------------
@@ -402,15 +451,11 @@ SweepResult SweepEngine::run(const SweepGrid& grid) const {
   // on or off. Both phase gauges are the calling thread's wall seconds:
   // fold_s its time in commits (fold + journal append), simulate_s the
   // rest of the streamed loop outside progress calls (its own cases, or
-  // waiting for the next case to fold). A block's latency runs from the
-  // claim of its first case to the end of its commit.
+  // waiting for the next block to finish).
   GREENHPC_TRACE_SPAN("sweep.run");
   static obs::Gauge& cases_per_s = obs::Registry::global().gauge("sweep.cases_per_s");
   static obs::Gauge& simulate_s = obs::Registry::global().gauge("sweep.simulate_s");
   static obs::Gauge& fold_s = obs::Registry::global().gauge("sweep.fold_s");
-  static obs::Counter& cases_counter = obs::Registry::global().counter("sweep.cases");
-  static obs::Histogram& block_seconds = obs::Registry::global().histogram(
-      "sweep.block_seconds", {1e-3, 1e-2, 0.1, 1.0, 10.0});
 
   // Resume: re-fold the blocks the journal proves complete instead of
   // re-simulating them. Each record's stored digest must match the
@@ -421,9 +466,7 @@ SweepResult SweepEngine::run(const SweepGrid& grid) const {
   if (journal != nullptr) {
     GREENHPC_TRACE_SPAN("sweep.replay");
     for (const SweepBlock& rec : journal->completed()) {
-      for (std::size_t i = 0; i < rec.cases.size(); ++i) {
-        runner.fold(result, rec.start + i, rec.cases[i]);
-      }
+      runner.fold_block(result, rec);
       GREENHPC_REQUIRE(result.digest == rec.digest_after,
                        "journal replay digest mismatch — the journal does not "
                        "re-fold to its recorded digest for this grid");
@@ -435,97 +478,43 @@ SweepResult SweepEngine::run(const SweepGrid& grid) const {
     start_case = journal->resume_point();
   }
 
-  // Streamed simulation of the remaining cases: one pool task claims them
-  // in flat order, and this thread commits each block in order while
-  // later cases are still simulating. Commit = fold every case of the
-  // block in case order (Welford accumulation and the digest see the same
-  // sequence for any thread count), then journal the block and report
-  // progress. Outcomes travel from the simulating thread to the fold
-  // through a ring of `window` slots; the pool never claims a case
-  // `window` or more past the commit frontier, so a slot is refilled only
-  // after its previous case was folded.
+  // Stream the remaining cases, one range per block. Commit = fold the
+  // block in case order (the same sequence for any thread count), then
+  // journal it and report progress, while later cases still simulate.
+  std::vector<SweepRange> ranges;
+  for (std::size_t s = start_case; s < n_cases; s += block_size) {
+    ranges.push_back({s, std::min(block_size, n_cases - s)});
+  }
   using Clock = std::chrono::steady_clock;
-  struct Slot {
-    SweepCaseOutcome outcome;
-    Clock::time_point claimed;
-  };
-  const std::size_t remaining = n_cases - start_case;
-  const std::size_t window = std::min(
-      remaining, std::max(2 * block_size, 8 * (pool.size() + 1)));
-  std::vector<Slot> ring(window);
-  SweepBlock block;  // the journal record being assembled
-  Clock::time_point block_claimed;
-  double block_fold_s = 0.0;
   const auto run_start = Clock::now();
   auto mark = run_start;  // end of the previous block's progress call
-
-  const auto simulate = [&](std::size_t k) {
-    Slot& slot = ring[k % window];
-    slot.claimed = Clock::now();
-    slot.outcome = runner.run_case(start_case + k);
-  };
-  const auto commit = [&](std::size_t k) {
-    const std::size_t flat = start_case + k;
-    const std::size_t pos = k % block_size;
-    Slot& slot = ring[k % window];
-    if (pos == 0) {
-      block_claimed = slot.claimed;
-      block.start = flat;
-      block.cases.clear();
-      block_fold_s = 0.0;
-    }
+  runner.run_ranges(pool, ranges, [&](SweepBlock& block) {
     const auto fold_begin = Clock::now();
     {
-      GREENHPC_TRACE_SPAN("sweep.case.fold");
-      runner.fold(result, flat, slot.outcome);
+      GREENHPC_TRACE_SPAN("sweep.block.fold");
+      runner.fold_block(result, block);
     }
-    if (journal != nullptr) block.cases.push_back(std::move(slot.outcome));
-    if (pos + 1 < block_size && flat + 1 < n_cases) {
-      block_fold_s += std::chrono::duration<double>(Clock::now() - fold_begin).count();
-      return;
-    }
-    // The block's last case is folded: commit the block.
     if (journal != nullptr) {
-      // WAL commit point: the record (metrics + quarantines + running
-      // digest) is fsynced only after every case of the block has been
-      // folded and before the block is reported done, so a crash after
-      // this line loses nothing of it and a crash before it loses this
-      // block plus whatever later cases were simulating. Chained records
-      // carry the running digest.
+      // WAL commit point: the record is fsynced after every case of the
+      // block was folded and before the block is reported done, so a crash
+      // loses at most this block and the later cases in flight. Chained
+      // records carry the running digest.
       GREENHPC_TRACE_SPAN("sweep.block.journal");
       block.digest_after = result.digest;
-      try {
-        journal->append(block);
-      } catch (const JournalIoError& e) {
-        // Containment: the journal is crash INSURANCE, not a correctness
-        // dependency. Losing the disk mid-sweep must not abort hours of
-        // simulation — degrade to journal-less, loudly, and keep going
-        // (a later crash simply restarts from the journal's valid prefix).
-        static obs::Counter& degraded =
-            obs::Registry::global().counter("sweep.journal_io_degraded");
-        degraded.add();
-        std::fprintf(stderr,
-                     "greenhpc: sweep journal degraded to journal-less "
-                     "operation: %s\n",
-                     e.what());
-        journal = nullptr;
-      }
+      if (!journal_io_ok([&] { journal->append(block); })) journal = nullptr;
     }
     const auto block_end = Clock::now();
-    block_fold_s += std::chrono::duration<double>(block_end - fold_begin).count();
-    const std::chrono::duration<double> since_mark = block_end - mark;
+    const double block_fold_s = std::chrono::duration<double>(block_end - fold_begin).count();
+    const std::size_t done = block.start + block.cases.size();
     const std::chrono::duration<double> elapsed = block_end - run_start;
-    cases_counter.add(pos + 1);
-    block_seconds.record(std::chrono::duration<double>(block_end - block_claimed).count());
     fold_s.add(block_fold_s);
-    simulate_s.add(since_mark.count() - block_fold_s);
+    simulate_s.add(std::chrono::duration<double>(block_end - mark).count() - block_fold_s);
     if (elapsed.count() > 0.0) {
-      cases_per_s.set(static_cast<double>(flat + 1 - start_case) / elapsed.count());
+      cases_per_s.set(static_cast<double>(done - start_case) / elapsed.count());
     }
-    if (opts_.progress) opts_.progress(flat + 1, n_cases);
+    if (opts_.progress) opts_.progress(done, n_cases);
     mark = Clock::now();
-  };
-  pool.parallel_for_ordered(remaining, window, simulate, commit);
+  });
   return result;
 }
 

@@ -135,12 +135,18 @@ struct SweepCaseOutcome {
   std::string error;         ///< exception text when !ok
 };
 
+/// Flat cases [start, start + count): one block of run_ranges.
+struct SweepRange {
+  std::size_t start = 0;
+  std::size_t count = 0;
+};
+
 /// One completed block of consecutive flat cases. `cases[i]` is flat case
-/// `start + i`. `digest_after` is context-dependent: the engine's chained
-/// journal stores the running sweep digest after folding the block; shard
-/// journals and the worker protocol store the BLOCK-LOCAL digest (fold of
-/// just these cases from kSweepDigestBasis), because a worker cannot know
-/// the global fold position of its block.
+/// `start + i`. `digest_after` is the BLOCK-LOCAL digest (fold of just
+/// these cases from kSweepDigestBasis), as run_ranges commits it and as
+/// shard journals and the worker protocol store it: a worker cannot know
+/// its block's global fold position. The engine's chained journal stores
+/// the running sweep digest after the block instead.
 struct SweepBlock {
   std::size_t start = 0;
   std::vector<SweepCaseOutcome> cases;
@@ -179,11 +185,11 @@ struct SweepResult {
 
 /// The shared execution substrate of every sweep runner — the in-process
 /// SweepEngine, a SweepWorker process, and the SweepCoordinator's
-/// in-process degradation path all drive the SAME case pipeline through
+/// in-process path all drive the SAME case pipeline through ONE loop of
 /// this class: flat case id -> resolved scenario -> simulation with
-/// retry/quarantine -> SweepCaseOutcome, plus the serial fold of outcomes
-/// into a SweepResult. One implementation is the digest-identity
-/// argument: there is no second code path that could diverge.
+/// retry/quarantine -> SweepCaseOutcome -> committed block, plus the
+/// serial fold into a SweepResult. One implementation is the
+/// digest-identity argument: there is no second path that could diverge.
 class SweepCaseRunner {
  public:
   struct Options {
@@ -215,15 +221,18 @@ class SweepCaseRunner {
   /// ok == false. Thread-safe: cases are independent.
   [[nodiscard]] SweepCaseOutcome run_case(std::size_t flat) const;
 
-  /// Simulate the block of flat cases [start, start + count) over `pool`
-  /// (grain 1: one case is a whole simulation) into `block`, reusing its
-  /// storage, and set its block-local digest. Records obs `sweep.cases`
-  /// and the `sweep.block_seconds` latency; returns the seconds spent.
-  /// One pool task per call, with a barrier at its end: a worker process
-  /// and the coordinator's in-process fallback run leased blocks this
-  /// way. SweepEngine streams its cases through run_case instead.
-  double run_block(util::ThreadPool& pool, std::size_t start, std::size_t count,
-                   SweepBlock& block) const;
+  /// The one simulate-and-commit loop: simulates `ranges` (non-empty,
+  /// inside the grid, any order) through ONE ordered pool loop, and on the
+  /// calling thread, in list order, hands each finished range to `commit`
+  /// as a block with its block-local digest, which the commit may modify
+  /// or move from. Later cases keep simulating meanwhile, never `window`
+  /// = max(2 x largest range, 8 x team) or more past the commit frontier.
+  /// A throwing commit stops the loop: no later range is committed, and
+  /// the exception propagates once the cases in flight have finished.
+  /// Records `sweep.cases` and, per range, `sweep.block_seconds` from the
+  /// claim of its first case until its commit returns.
+  void run_ranges(util::ThreadPool& pool, const std::vector<SweepRange>& ranges,
+                  const std::function<void(SweepBlock&)>& commit) const;
 
   /// Resolved coordinates of a flat case, for quarantine reports.
   [[nodiscard]] std::string describe(std::size_t flat) const;
@@ -235,6 +244,9 @@ class SweepCaseRunner {
   /// the failed_cases list for a quarantine. MUST be called in flat case
   /// order — the digest is order-defined.
   void fold(SweepResult& result, std::size_t flat, const SweepCaseOutcome& e) const;
+
+  /// fold() every case of `block`; blocks MUST come in flat case order.
+  void fold_block(SweepResult& result, const SweepBlock& block) const;
 
  private:
   struct Coords;
@@ -259,9 +271,7 @@ class SweepEngine {
     /// Cases per block: the unit of the fold's bookkeeping — one journal
     /// record, one progress call and one `sweep.block_seconds` sample per
     /// block. It does not split the parallel work: every remaining case
-    /// runs in one ordered pool loop that claims cases one at a time, and
-    /// a block is committed as soon as its cases are folded, while later
-    /// cases may still be simulating.
+    /// streams through one SweepCaseRunner::run_ranges loop.
     std::size_t block = 256;
     /// Optional progress callback, invoked with (cases done, cases total)
     /// once per block, in block order, after the block is folded and

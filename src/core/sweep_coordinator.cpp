@@ -45,9 +45,12 @@ std::size_t BlockLedger::size_of(std::size_t index) const {
 bool BlockLedger::lease(int worker, double now_s, Lease& out) {
   // Lowest-start-first keeps the fold frontier moving: the block gating
   // next_to_fold() is always the most urgent lease.
-  for (std::size_t i = next_fold_; i < states_.size(); ++i) {
+  for (std::size_t i = lease_from_; i < states_.size(); ++i) {
     Entry& e = states_[i];
-    if (e.state != State::Pending) continue;
+    if (e.state != State::Pending) {
+      if (i == lease_from_) ++lease_from_;
+      continue;
+    }
     if (now_s < e.ready_at_s) continue;  // still in reassignment backoff
     if (e.suspect) {
       // Suspect block: hand out ONE unpinned case as a probe. One probe
@@ -88,11 +91,8 @@ std::size_t BlockLedger::orphan_worker(int worker, double now_s) {
         std::min(opts_.backoff_cap_s,
                  opts_.backoff_base_s * std::pow(2.0, e.orphanings));
     ++e.orphanings;
-    e.state = State::Pending;
-    e.worker = -1;
+    unlease(i);
     e.ready_at_s = now_s + backoff;
-    --leased_;
-    ++pending_;
     ++orphaned;
     if (e.suspect && e.probe_active != kNoProbe) {
       // A probe death is evidence against ONE case, not the block.
@@ -130,12 +130,18 @@ bool BlockLedger::release(int worker, std::size_t start) {
   if (start >= cases_) return false;
   Entry& e = states_[start / block_];
   if (e.state != State::Leased || e.worker != worker) return false;
+  unlease(start / block_);
+  e.probe_active = kNoProbe;
+  return true;
+}
+
+void BlockLedger::unlease(std::size_t index) {
+  Entry& e = states_[index];
   e.state = State::Pending;
   e.worker = -1;
-  e.probe_active = kNoProbe;
   --leased_;
   ++pending_;
-  return true;
+  lease_from_ = std::min(lease_from_, index);
 }
 
 void BlockLedger::finalize_if_probed(std::size_t index) {
@@ -188,11 +194,8 @@ BlockLedger::Deliver BlockLedger::deliver(const SweepBlock& rec) {
     e.probe_done[j] = 1;
     if (e.state == State::Leased && e.probe_active == j) {
       e.probe_active = kNoProbe;
-      e.worker = -1;
-      e.state = State::Pending;
+      unlease(index);
       e.ready_at_s = 0.0;  // the next probe needs no backoff: this one worked
-      --leased_;
-      ++pending_;
     }
     finalize_if_probed(index);
     return Deliver::Accepted;
@@ -310,8 +313,6 @@ SweepResult SweepCoordinator::run(const SweepGrid& grid) {
       obs::Registry::global().counter("sweep.workers_respawned");
   static obs::Counter& evicted_counter =
       obs::Registry::global().counter("sweep.workers_evicted_wedged");
-  static obs::Counter& journal_degraded_counter =
-      obs::Registry::global().counter("sweep.journal_io_degraded");
   static obs::Histogram& rtt_registry_hist =
       obs::Registry::global().histogram("sweep.heartbeat_rtt_s", kRttBounds);
   // Fleet-summed throughput: each worker ships its own sweep.cases_per_s
@@ -451,9 +452,7 @@ SweepResult SweepCoordinator::run(const SweepGrid& grid) {
             std::to_string(b.start));
       }
       fleet_mark("coord.fold", static_cast<double>(b.start));
-      for (std::size_t i = 0; i < b.cases.size(); ++i) {
-        runner.fold(result, b.start + i, b.cases[i]);
-      }
+      runner.fold_block(result, b);
       folded_cases += b.cases.size();
       if (opts_.progress) opts_.progress(folded_cases, n_cases);
     }
@@ -481,51 +480,46 @@ SweepResult SweepCoordinator::run(const SweepGrid& grid) {
   // In-process execution: the workers==0 configuration AND the
   // all-workers-dead degradation path. Journals its blocks into its own
   // shard so coordinator crashes stay recoverable on this path too.
-  const auto journal_degrade = [&](const JournalIoError& e) {
-    // The journal is crash insurance, not a correctness dependency:
-    // losing the disk mid-sweep degrades to journal-less, loudly, and
-    // the sweep keeps going.
-    stats_.journal_degraded = true;
-    journal_degraded_counter.add();
-    coord_fr.record(clock.now_s(), "journal_degraded", e.what());
-    fleet_mark("coord.journal_degraded", 0.0);
-    std::fprintf(stderr,
-                 "greenhpc: shard journal degraded to journal-less "
-                 "operation: %s\n",
-                 e.what());
-  };
-
   const auto run_in_process = [&] {
     if (ledger.all_folded()) return;
     util::ThreadPool& pool =
         opts_.pool != nullptr ? *opts_.pool : util::ThreadPool::global();
     std::unique_ptr<SweepJournal> shard;
+    const auto journal_io = [&](const std::function<void()>& io) {
+      std::string why;
+      if (journal_io_ok(io, &why)) return;
+      stats_.journal_degraded = true;
+      coord_fr.record(clock.now_s(), "journal_degraded", why);
+      fleet_mark("coord.journal_degraded", 0.0);
+      shard.reset();
+    };
     if (!opts_.journal_dir.empty()) {
-      try {
+      journal_io([&] {
         shard = std::make_unique<SweepJournal>(SweepJournal::create_shard(
             opts_.journal_dir, SweepJournal::shard_file_name(gen, "coord"),
             config, n_cases, block_size));
-      } catch (const JournalIoError& e) {
-        journal_degrade(e);
-      }
+      });
     }
-    const double kNoBackoff = std::numeric_limits<double>::infinity();
-    BlockLedger::Lease ls;
-    while (ledger.lease(-1, kNoBackoff, ls)) {
-      SweepBlock b;
-      runner.run_block(pool, ls.start, ls.count, b);
-      // Probe results are not shard-journaled: they are single-case and
-      // a restarted coordinator re-probes from its own evidence.
-      if (shard != nullptr && !ls.probe) {
-        try {
-          shard->append(b);
-        } catch (const JournalIoError& e) {
-          journal_degrade(e);
-          shard.reset();
-        }
+    // Leasing at time +inf ignores backoff: every pending block whole plus
+    // one probe per suspect block, streamed through one loop. A probe's
+    // result can unlock its block's next probe, hence the outer loop.
+    for (;;) {
+      std::vector<SweepRange> ranges;
+      std::vector<bool> probes;
+      BlockLedger::Lease ls;
+      while (ledger.lease(-1, std::numeric_limits<double>::infinity(), ls)) {
+        ranges.push_back({ls.start, ls.count});
+        probes.push_back(ls.probe);
       }
-      ledger.deliver(b);
-      drain_folds();
+      if (ranges.empty()) return;
+      std::size_t next = 0;
+      runner.run_ranges(pool, ranges, [&](SweepBlock& b) {
+        // Probe results are not shard-journaled: they are single-case and
+        // a restarted coordinator re-probes from its own evidence.
+        if (!probes[next++] && shard != nullptr) journal_io([&] { shard->append(b); });
+        ledger.deliver(b);
+        drain_folds();
+      });
     }
   };
 

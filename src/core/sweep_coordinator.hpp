@@ -185,12 +185,17 @@ class BlockLedger {
   [[nodiscard]] std::size_t size_of(std::size_t index) const;
   /// Promote a fully-probed suspect block to Ready (synthesized record).
   void finalize_if_probed(std::size_t index);
+  /// Return a Leased block to Pending, moving lease_from_ down to it.
+  void unlease(std::size_t index);
 
   std::size_t cases_ = 0;
   std::size_t block_ = 0;
   Options opts_;
   std::vector<Entry> states_;
   std::size_t next_fold_ = 0;      ///< index of the next block to fold
+  /// No entry below this index is Pending, so lease() starts its scan
+  /// here: leasing every block in a row stays linear, not quadratic.
+  std::size_t lease_from_ = 0;
   std::size_t folded_blocks_ = 0;
   std::size_t pending_ = 0;
   std::size_t leased_ = 0;

@@ -377,6 +377,20 @@ SweepJournal::ShardLoad SweepJournal::load_shards(const std::string& dir,
   return load;
 }
 
+bool journal_io_ok(const std::function<void()>& io, std::string* error) {
+  try {
+    io();
+    return true;
+  } catch (const JournalIoError& e) {
+    obs::Registry::global().counter("sweep.journal_io_degraded").add();
+    std::fprintf(stderr,
+                 "greenhpc: sweep journal degraded to journal-less operation: %s\n",
+                 e.what());
+    if (error != nullptr) *error = e.what();
+    return false;
+  }
+}
+
 void SweepJournal::append(const SweepBlock& record) {
   GREENHPC_ASSERT(!record.cases.empty(), "journal block must not be empty");
   if (shard_) {

@@ -47,6 +47,7 @@
 // so a restart never clobbers the shards that survived the crash.
 
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -66,6 +67,15 @@ class JournalIoError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// The one journal-degrade path of every sweep runner: runs `io` (a
+/// journal create or append) and returns whether it completed. The
+/// journal is crash insurance, not a correctness dependency, so a
+/// JournalIoError is contained: counted in `sweep.journal_io_degraded`,
+/// reported on one stderr line and in `*error` (when given), and the
+/// caller drops its journal and keeps simulating.
+[[nodiscard]] bool journal_io_ok(const std::function<void()>& io,
+                                 std::string* error = nullptr);
 
 class SweepJournal {
  public:

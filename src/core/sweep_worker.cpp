@@ -90,18 +90,12 @@ int SweepWorker::run(const SweepGrid& grid) {
   if (!opts_.shard_path.empty()) {
     std::string dir, file;
     split_path(opts_.shard_path, dir, file);
-    try {
+    // A worker without crash insurance is still a working worker: the
+    // coordinator re-leases anything this worker dies holding.
+    (void)journal_io_ok([&] {
       shard = std::make_unique<SweepJournal>(
           SweepJournal::create_shard(dir, file, config, n_cases, opts_.block));
-    } catch (const JournalIoError& e) {
-      // A worker without crash insurance is still a working worker: the
-      // coordinator re-leases anything this worker dies holding.
-      obs::Registry::global().counter("sweep.journal_io_degraded").add();
-      std::fprintf(stderr,
-                   "greenhpc: worker shard journal degraded to journal-less "
-                   "operation: %s\n",
-                   e.what());
-    }
+    });
   }
 
   util::LineWriter out(opts_.out_fd);
@@ -246,7 +240,8 @@ int SweepWorker::run(const SweepGrid& grid) {
     fleet_instant("worker.assign", static_cast<double>(m.start));
     {
       const std::uint64_t span_t0_ns = obs::Tracer::now_ns();
-      runner->run_block(pool, m.start, m.count, block);
+      runner->run_ranges(pool, {SweepRange{m.start, m.count}},
+                         [&](SweepBlock& done) { block = std::move(done); });
       fleet_span("worker.block", span_t0_ns);
     }
     {
@@ -271,16 +266,7 @@ int SweepWorker::run(const SweepGrid& grid) {
     // its own lease-death evidence.
     if (shard != nullptr && aligned) {
       const std::uint64_t span_t0_ns = obs::Tracer::now_ns();
-      try {
-        shard->append(block);
-      } catch (const JournalIoError& e) {
-        obs::Registry::global().counter("sweep.journal_io_degraded").add();
-        std::fprintf(stderr,
-                     "greenhpc: worker shard journal degraded to "
-                     "journal-less operation: %s\n",
-                     e.what());
-        shard.reset();
-      }
+      if (!journal_io_ok([&] { shard->append(block); })) shard.reset();
       fleet_span("worker.journal", span_t0_ns);
     }
     done_cases += m.count;

@@ -49,7 +49,7 @@ class SweepWorker {
     /// Cases per block; must match the coordinator's grid view.
     std::size_t block = 256;
     SweepCaseRunner::Options case_opts;
-    /// Pool for intra-block parallelism; null = the process-global pool.
+    /// Pool each assignment streams over; null = the process-global pool.
     util::ThreadPool* pool = nullptr;
     /// Ship obs::Registry snapshots on `stat` lines (anchor after hello,
     /// then per heartbeat and per block). Off only for overhead

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -352,6 +353,130 @@ TEST(SweepEngine, OnePoolTaskPerSweepWhateverTheBlockSize) {
     (void)SweepEngine(std::move(opts)).run(grid);
     EXPECT_EQ(tasks.value() - before, 1u) << "block " << block;
   }
+}
+
+TEST(SweepEngine, JournalAppendFailureDegradesToJournalLess) {
+  // A journal I/O failure at the k-th append must not stop the sweep: it
+  // finishes journal-less with the unjournaled digest, counts exactly one
+  // degradation, and the journal keeps the k records written before it.
+  const SweepGrid grid = small_grid();
+  const std::size_t n_cases = grid.case_count();
+  const std::uint64_t clean = SweepEngine().run(grid).digest;
+  obs::Counter& degraded = obs::Registry::global().counter("sweep.journal_io_degraded");
+  const std::string dir = ::testing::TempDir() + "greenhpc_sweep_journal_degrade";
+  struct Disarm {
+    ~Disarm() { util::FaultInjector::global().disarm(); }
+  } disarm;
+  util::ThreadPool pool(2);
+  for (const std::size_t k : {0, 2, 7}) {
+    std::filesystem::remove_all(dir);
+    util::FaultInjector::global().arm({{"journal.append", k, 1, util::FaultAction::Fail, 0}});
+    const std::uint64_t before = degraded.value();
+    {
+      SweepJournal journal = SweepJournal::create(dir, grid.config_digest(), n_cases, 3);
+      SweepEngine::Options opts;
+      opts.pool = &pool;
+      opts.journal = &journal;
+      EXPECT_EQ(SweepEngine(std::move(opts)).run(grid).digest, clean) << "k " << k;
+    }
+    util::FaultInjector::global().disarm();
+    EXPECT_EQ(degraded.value() - before, 1u) << "k " << k;
+    const SweepJournal journal = SweepJournal::resume(dir, grid.config_digest(), n_cases);
+    EXPECT_EQ(journal.completed().size(), k) << "k " << k;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// --- SweepCaseRunner::run_ranges -------------------------------------------
+
+bool same_outcome(const SweepCaseOutcome& a, const SweepCaseOutcome& b) {
+  return a.ok == b.ok && a.attempts == b.attempts && a.error == b.error &&
+         std::memcmp(&a.metrics, &b.metrics, sizeof(SweepCaseMetrics)) == 0;
+}
+
+/// Non-contiguous ranges of the 24-case grid in blocks of 5: an aligned
+/// block, a later block, a 1-case probe behind it, and the short last
+/// block.
+const std::vector<SweepRange> kRanges = {{0, 5}, {10, 5}, {7, 1}, {20, 4}};
+
+SweepCaseRunner::Options no_retries() {
+  SweepCaseRunner::Options opts;
+  opts.case_retries = 0;
+  opts.retry_backoff_base_s = 0.0;
+  return opts;
+}
+
+TEST(SweepCaseRunner, CommitsEachRangeOnceInListOrderWithItsBlockDigest) {
+  const SweepGrid grid = small_grid();
+  const SweepCaseRunner runner(grid, no_retries());
+  for (const std::size_t threads : {1, 2, 8}) {
+    util::ThreadPool pool(threads);
+    std::vector<SweepBlock> committed;
+    runner.run_ranges(pool, kRanges, [&](SweepBlock& b) { committed.push_back(b); });
+    ASSERT_EQ(committed.size(), kRanges.size()) << threads << " workers";
+    for (std::size_t r = 0; r < kRanges.size(); ++r) {
+      const SweepBlock& b = committed[r];
+      EXPECT_EQ(b.start, kRanges[r].start) << threads << " workers, range " << r;
+      EXPECT_EQ(b.cases.size(), kRanges[r].count) << threads << " workers, range " << r;
+      EXPECT_EQ(b.digest_after, sweep_block_digest(b)) << threads << " workers, range " << r;
+    }
+  }
+}
+
+TEST(SweepCaseRunner, OutcomesAreBitIdenticalToRunCaseOnAnyPool) {
+  // Case 11 is poisoned: a quarantine record must travel through the
+  // loop as faithfully as metrics do.
+  util::FaultInjector::global().arm({{"case.poison", 11, 1, util::FaultAction::Fail, 0}});
+  struct Disarm {
+    ~Disarm() { util::FaultInjector::global().disarm(); }
+  } disarm;
+  const SweepGrid grid = small_grid();
+  const SweepCaseRunner runner(grid, no_retries());
+  for (const std::size_t threads : {1, 2, 8}) {
+    util::ThreadPool pool(threads);
+    std::size_t checked = 0;
+    runner.run_ranges(pool, kRanges, [&](SweepBlock& b) {
+      for (std::size_t i = 0; i < b.cases.size(); ++i) {
+        EXPECT_TRUE(same_outcome(b.cases[i], runner.run_case(b.start + i)))
+            << threads << " workers, case " << b.start + i;
+        ++checked;
+      }
+    });
+    EXPECT_EQ(checked, 15u) << threads << " workers";
+  }
+}
+
+TEST(SweepCaseRunner, ThrowingCommitStopsTheLoopAndThePoolRunsTheNext) {
+  const SweepGrid grid = small_grid();
+  const SweepCaseRunner runner(grid, no_retries());
+  struct Stop {};
+  for (const std::size_t threads : {1, 2, 8}) {
+    util::ThreadPool pool(threads);
+    for (const std::size_t k : {0, 1, 3}) {
+      std::vector<std::size_t> starts;
+      EXPECT_THROW(runner.run_ranges(pool, kRanges,
+                                     [&](SweepBlock& b) {
+                                       starts.push_back(b.start);
+                                       if (starts.size() == k + 1) throw Stop{};
+                                     }),
+                   Stop);
+      ASSERT_EQ(starts.size(), k + 1) << threads << " workers, k " << k;
+      for (std::size_t r = 0; r <= k; ++r) EXPECT_EQ(starts[r], kRanges[r].start);
+      std::size_t after = 0;
+      runner.run_ranges(pool, kRanges, [&](SweepBlock&) { ++after; });
+      EXPECT_EQ(after, kRanges.size()) << threads << " workers, k " << k;
+    }
+  }
+}
+
+TEST(SweepCaseRunner, RejectsEmptyAndOutOfGridRanges) {
+  const SweepGrid grid = small_grid();  // 24 cases
+  const SweepCaseRunner runner(grid);
+  util::ThreadPool pool(1);
+  const auto commit = [](SweepBlock&) {};
+  EXPECT_THROW(runner.run_ranges(pool, {SweepRange{3, 0}}, commit), InvalidArgument);
+  EXPECT_THROW(runner.run_ranges(pool, {SweepRange{20, 5}}, commit), InvalidArgument);
+  EXPECT_THROW(runner.run_ranges(pool, {SweepRange{24, 1}}, commit), InvalidArgument);
 }
 
 TEST(SweepCellStats, Ci95MatchesNormalApproximation) {

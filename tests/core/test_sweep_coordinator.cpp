@@ -15,6 +15,8 @@
 #include "sched/easy_backfill.hpp"
 #include "sched/fcfs.hpp"
 #include "util/error.hpp"
+#include "util/fault_injector.hpp"
+#include "util/parallel.hpp"
 
 namespace greenhpc::core {
 namespace {
@@ -323,6 +325,43 @@ TEST(BlockLedger, SuspectBlockIsProbedAndThePoisonedCaseQuarantined) {
   EXPECT_EQ(ledger.deliver(make_probe_rec(1)), BlockLedger::Deliver::Duplicate);
 }
 
+TEST(BlockLedger, BlocksBackInPendingAreLeasedAfterEverythingWasLeased) {
+  // The in-process path leases every block in a row before any result
+  // arrives. A block that later returns to Pending (released, orphaned,
+  // or a suspect block whose probe came back) must still be leased, and
+  // lowest start first.
+  BlockLedger::Options opts;
+  opts.suspect_after = 1;
+  BlockLedger ledger(8, 2, opts);  // blocks [0,2), [2,4), [4,6), [6,8)
+  const double inf = std::numeric_limits<double>::infinity();
+  BlockLedger::Lease ls;
+  for (std::size_t b = 0; b < 4; ++b) ASSERT_TRUE(ledger.lease(1, inf, ls));
+  ASSERT_FALSE(ledger.lease(1, inf, ls));
+
+  ASSERT_TRUE(ledger.release(1, 4));
+  ASSERT_TRUE(ledger.lease(2, inf, ls));
+  EXPECT_EQ(ls.start, 4u);
+  EXPECT_FALSE(ledger.lease(2, inf, ls));
+
+  // Worker 1 dies holding blocks 0, 2 and 6: each turns suspect and is
+  // re-leased one probe at a time, lowest start first.
+  EXPECT_EQ(ledger.orphan_worker(1, 0.0), 3u);
+  ASSERT_TRUE(ledger.lease(3, inf, ls));
+  EXPECT_TRUE(ls.probe);
+  EXPECT_EQ(ls.start, 0u);
+  ASSERT_TRUE(ledger.lease(3, inf, ls));
+  EXPECT_EQ(ls.start, 2u);
+  ASSERT_TRUE(ledger.lease(3, inf, ls));
+  EXPECT_EQ(ls.start, 6u);
+  EXPECT_FALSE(ledger.lease(3, inf, ls));
+
+  // A delivered probe returns its block to Pending for the next probe.
+  EXPECT_EQ(ledger.deliver(make_probe_rec(2)), BlockLedger::Deliver::Accepted);
+  ASSERT_TRUE(ledger.lease(3, inf, ls));
+  EXPECT_TRUE(ls.probe);
+  EXPECT_EQ(ls.start, 3u);
+}
+
 TEST(BlockLedger, FalsePositiveSuspectSynthesizesWithoutQuarantine) {
   // A block whose workers died for unrelated reasons (OOM, chaos kills)
   // goes suspect, but every probe completes: the synthesized block must
@@ -403,6 +442,54 @@ TEST(SweepCoordinator, InProcessPathRecordsBlockMetrics) {
   ASSERT_EQ(result.cases, 24u);
   EXPECT_EQ(after.first - before.first, 5u);  // ceil(24 / 5) blocks
   EXPECT_EQ(after.second - before.second, 24u);
+}
+
+TEST(SweepCoordinator, InProcessPathIsOnePoolTaskPerRun) {
+  // With no suspect block, every pending block streams through one
+  // ordered pool loop, as the engine's cases do.
+  obs::Counter& tasks = obs::Registry::global().counter("pool.tasks");
+  const SweepGrid grid = small_grid();
+  util::ThreadPool pool(3);
+  for (const std::size_t block : {1, 5, 24}) {
+    SweepCoordinator::Options opts;
+    opts.workers = 0;
+    opts.block = block;
+    opts.pool = &pool;
+    const std::uint64_t before = tasks.value();
+    (void)SweepCoordinator(std::move(opts)).run(grid);
+    EXPECT_EQ(tasks.value() - before, 1u) << "block " << block;
+  }
+}
+
+TEST(SweepCoordinator, ShardAppendFailureDegradesTheInProcessPath) {
+  // A shard-journal I/O failure at the k-th append must not stop the
+  // sweep: the digest is the engine's, one degradation is counted and
+  // reported in Stats, and the shard keeps the k blocks written before.
+  const SweepGrid grid = small_grid();
+  const std::uint64_t reference = SweepEngine().run(grid).digest;
+  obs::Counter& degraded = obs::Registry::global().counter("sweep.journal_io_degraded");
+  const std::string dir = ::testing::TempDir() + "greenhpc_coord_shard_degrade";
+  struct Disarm {
+    ~Disarm() { util::FaultInjector::global().disarm(); }
+  } disarm;
+  for (const std::size_t k : {0, 2, 4}) {
+    std::filesystem::remove_all(dir);
+    util::FaultInjector::global().arm({{"journal.append", k, 1, util::FaultAction::Fail, 0}});
+    const std::uint64_t before = degraded.value();
+    SweepCoordinator::Options opts;
+    opts.workers = 0;
+    opts.block = 5;
+    opts.journal_dir = dir;
+    SweepCoordinator coord(std::move(opts));
+    EXPECT_EQ(coord.run(grid).digest, reference) << "k " << k;
+    util::FaultInjector::global().disarm();
+    EXPECT_EQ(degraded.value() - before, 1u) << "k " << k;
+    EXPECT_TRUE(coord.stats().journal_degraded) << "k " << k;
+    const SweepJournal::ShardLoad load =
+        SweepJournal::load_shards(dir, grid.config_digest(), grid.case_count());
+    EXPECT_EQ(load.blocks.size(), k) << "k " << k;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SweepCoordinator, QuarantinedCasesAreIdenticalToTheEngines) {

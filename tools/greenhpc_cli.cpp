@@ -522,12 +522,10 @@ int report_sweep_result(const Args& args, const core::SweepResult& result,
   report.add("failed_cases", static_cast<double>(result.failed_cases.size()));
   report.add("journal_truncations",
              static_cast<double>(result.journal_truncations));
-  // Block latency percentiles from the local registry. The in-process
-  // engine streams its blocks, so a block's latency runs from the claim
-  // of its first case to the end of its commit (fold + journal append),
-  // and may include waiting for earlier blocks to commit. The
-  // coordinator's in-process fallback records simulation time per leased
-  // block. The distributed path additionally reports
+  // Block latency percentiles from the local registry: from the claim of
+  // a block's first case until its commit returns (fold, journal append
+  // and progress in-process), which may include waiting for earlier
+  // blocks to commit. The distributed path additionally reports
   // fleet_block_seconds_p50/p99 merged from worker-shipped histograms.
   {
     const obs::StatSnapshot snap = obs::Registry::global().snapshot();

@@ -2,11 +2,13 @@
 #   cmake -DCLI=<greenhpc binary> -DWORKDIR=<scratch dir> -P distributed_digest.cmake
 #
 # Runs the same small sweep single-process, with 0, 1, 2 and 4 worker
-# processes, and twice more with 2 workers: once with the observability
-# plane fully on (stat and trace shipping plus the fleet trace merge) and
-# once with --no-obs-ship, and once with one-case blocks, where every
-# worker queues a second lease behind its running one (the run report
-# must count those grants). Every printed digest must be bit-identical to
+# processes, and four more times with 2 workers: once with the
+# observability plane fully on (stat and trace shipping plus the fleet
+# trace merge), once with --no-obs-ship, once with one-case blocks, where
+# every worker queues a second lease behind its running one (the run
+# report must count those grants), and once with --threads 6, so each
+# worker streams its blocks over a 3-thread pool whatever the host's core
+# count. Every printed digest must be bit-identical to
 # the single-process one: the coordinator contract for any worker count
 # and lease depth, and the proof that shipped telemetry never feeds the
 # fold, both observable from the outside with no test hooks.
@@ -75,6 +77,11 @@ if(NOT prefetched GREATER 0)
                       "(leases_prefetched = ${prefetched})")
 endif()
 
+# Threaded workers: --threads is split across the workers, so 6 gives
+# each worker a pool of 3 threads and its block a multi-threaded loop.
+run_sweep(threaded --workers 2 --threads 6)
+expect_single("--workers 2 --threads 6" "${threaded}")
+
 message(STATUS "digest ${single} bit-identical single-process, with 0/1/2/4 "
-               "workers, with pipelined leases, and with obs shipping on and "
-               "off")
+               "workers, with pipelined leases, with obs shipping on and "
+               "off, and with 3-thread worker pools")
