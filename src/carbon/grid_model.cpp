@@ -49,12 +49,26 @@ double GridModel::deterministic_component(Duration t) const {
   return std::clamp(v, traits_.floor_gkwh, traits_.cap_gkwh);
 }
 
-util::TimeSeries GridModel::generate(Duration start, Duration duration, Duration step,
-                                     IntensityKind kind) {
+std::vector<double> GridModel::shape(Duration start, Duration duration,
+                                     Duration step) const {
   GREENHPC_REQUIRE(duration.seconds() > 0.0, "trace duration must be positive");
   GREENHPC_REQUIRE(step.seconds() > 0.0, "trace step must be positive");
   const auto n = static_cast<std::size_t>(std::ceil(duration.seconds() / step.seconds()));
-  util::TimeSeries out(start, step);
+  std::vector<double> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = deterministic_component(start + step * static_cast<double>(i));
+  }
+  return out;
+}
+
+util::TimeSeries GridModel::generate(Duration start, Duration duration, Duration step,
+                                     IntensityKind kind) {
+  return generate(shape(start, duration, step), start, step, kind);
+}
+
+util::TimeSeries GridModel::generate(std::span<const double> shape, Duration start,
+                                     Duration step, IntensityKind kind) {
+  GREENHPC_REQUIRE(step.seconds() > 0.0, "trace step must be positive");
 
   // Exact OU discretization: x' = x*exp(-dt/tau) + sigma*sqrt(1-exp(-2dt/tau))*N(0,1).
   const double tau = traits_.ou_tau_hours * 3600.0;
@@ -64,20 +78,19 @@ util::TimeSeries GridModel::generate(Duration start, Duration duration, Duration
   // Start the weather process in its stationary distribution.
   double ou = rng_.normal(0.0, traits_.ou_sigma);
 
-  for (std::size_t i = 0; i < n; ++i) {
-    const Duration t = start + step * static_cast<double>(i);
-    double v = deterministic_component(t) + ou;
-    v = std::clamp(v, traits_.floor_gkwh, traits_.cap_gkwh);
+  // Filled in place from the shape: a cached trace keeps no spare capacity.
+  std::vector<double> values(shape.begin(), shape.end());
+  for (double& v : values) {
+    v = std::clamp(v + ou, traits_.floor_gkwh, traits_.cap_gkwh);
     if (kind == IntensityKind::Marginal) {
       // Marginal generation is fossil whenever demand sits above the
       // low-carbon floor, so the above-floor share is uplifted.
       v = traits_.floor_gkwh + (v - traits_.floor_gkwh) * traits_.marginal_uplift;
       v = std::min(v, traits_.cap_gkwh * traits_.marginal_uplift);
     }
-    out.push_back(v);
     ou = ou * decay + diffusion * rng_.normal();
   }
-  return out;
+  return util::TimeSeries(start, step, std::move(values));
 }
 
 RegionalTraces generate_european_traces(Duration start, Duration duration, Duration step,

@@ -6,6 +6,8 @@
 // deterministic for a given (region, seed) pair.
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "carbon/region.hpp"
 #include "util/rng.hpp"
@@ -44,6 +46,21 @@ class GridModel {
   /// simulation epoch; hour-of-day = (start/3600) mod 24, day 0 is a
   /// Sunday), covering `duration` at `step` resolution.
   [[nodiscard]] util::TimeSeries generate(Duration start, Duration duration, Duration step,
+                                          IntensityKind kind = IntensityKind::Average);
+
+  /// The trace's shape: deterministic_component at each sample of a
+  /// trace over `duration` from `start` at `step`. It depends on the
+  /// region traits alone, so every seed and kind of a region shares it
+  /// (carbon::TraceCache keeps one per region and window).
+  [[nodiscard]] std::vector<double> shape(Duration start, Duration duration,
+                                          Duration step) const;
+
+  /// generate() over a precomputed shape(start, duration, step): adds the
+  /// Ornstein-Uhlenbeck weather draw, the clamp and, for a marginal
+  /// trace, the uplift. Bit-identical to generate(start, duration, step,
+  /// kind) on a model of the same traits and seed.
+  [[nodiscard]] util::TimeSeries generate(std::span<const double> shape, Duration start,
+                                          Duration step,
                                           IntensityKind kind = IntensityKind::Average);
 
   /// Instantaneous intensity value of the deterministic component only

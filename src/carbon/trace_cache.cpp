@@ -30,6 +30,9 @@ std::shared_ptr<const util::TimeSeries> TraceCache::get(Region region,
                                                         Duration start, Duration span,
                                                         Duration step) {
   const Key key{region, kind, seed, start.seconds(), span.seconds(), step.seconds()};
+  const Key shape_key{region, IntensityKind::Average, 0, key.start_s, key.span_s,
+                      key.step_s};
+  std::shared_ptr<const std::vector<double>> shape;
   {
     std::lock_guard lock(mutex_);
     const auto it = map_.find(key);
@@ -38,12 +41,20 @@ std::shared_ptr<const util::TimeSeries> TraceCache::get(Region region,
       return it->second;
     }
     ++misses_;
+    const auto s = shapes_.find(shape_key);
+    if (s != shapes_.end()) shape = s->second;
   }
   // Generate outside the lock: concurrent misses on distinct keys don't
   // serialize behind each other's OU draws. Deterministic generation makes
   // a raced duplicate harmless — try_emplace keeps the first insertion.
-  auto trace = std::make_shared<const util::TimeSeries>(
-      GridModel(region, seed).generate(start, span, step, kind));
+  GridModel model(region, seed);
+  if (shape == nullptr) {
+    auto fresh = std::make_shared<const std::vector<double>>(model.shape(start, span, step));
+    std::lock_guard lock(mutex_);
+    shape = shapes_.try_emplace(shape_key, std::move(fresh)).first->second;
+  }
+  auto trace =
+      std::make_shared<const util::TimeSeries>(model.generate(*shape, start, step, kind));
   std::lock_guard lock(mutex_);
   return map_.try_emplace(key, std::move(trace)).first->second;
 }
@@ -66,6 +77,7 @@ std::size_t TraceCache::misses() const {
 void TraceCache::clear() {
   std::lock_guard lock(mutex_);
   map_.clear();
+  shapes_.clear();
   hits_ = 0;
   misses_ = 0;
 }

@@ -11,11 +11,19 @@
 // Simulator::Config. Generation is deterministic, so the cache is
 // transparent: a hit is pointer-identical AND value-identical to a fresh
 // GridModel::generate with the same key.
+//
+// Below the traces sits one shape per (region, start, span, step): the
+// deterministic demand component at every sample, which every seed and
+// kind of a region shares (GridModel::shape). A trace miss adds only
+// the weather draw on top of its shape, so a sweep over a thousand seeds
+// evaluates the demand formula once per region, not once per trace.
+// Shapes are not traces: size(), hits() and misses() count traces only.
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "carbon/grid_model.hpp"
 #include "util/time_series.hpp"
@@ -53,8 +61,8 @@ class TraceCache {
   /// Lookup counters since construction / the last clear().
   [[nodiscard]] std::size_t hits() const;
   [[nodiscard]] std::size_t misses() const;
-  /// Drop every cached trace (outstanding shared pointers stay valid) and
-  /// reset the counters.
+  /// Drop every cached trace and shape (outstanding shared pointers stay
+  /// valid) and reset the counters.
   void clear();
 
   /// Process-wide cache shared by ScenarioRunner and the sweep engine.
@@ -67,6 +75,8 @@ class TraceCache {
 
   mutable std::mutex mutex_;
   std::unordered_map<Key, std::shared_ptr<const util::TimeSeries>, KeyHash> map_;
+  /// GridModel::shape per Key with kind and seed zeroed.
+  std::unordered_map<Key, std::shared_ptr<const std::vector<double>>, KeyHash> shapes_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
 };

@@ -59,6 +59,7 @@ bool BlockLedger::lease(int worker, double now_s, Lease& out) {
       std::size_t j = 0;
       while (j < e.probe_done.size() && e.probe_done[j] != 0) ++j;
       if (j == e.probe_done.size()) continue;  // fully pinned, finalizing
+      leave_pending(i);
       e.state = State::Leased;
       e.worker = worker;
       e.probe_active = j;
@@ -70,6 +71,7 @@ bool BlockLedger::lease(int worker, double now_s, Lease& out) {
       out.probe = true;
       return true;
     }
+    leave_pending(i);
     e.state = State::Leased;
     e.worker = worker;
     --pending_;
@@ -92,7 +94,7 @@ std::size_t BlockLedger::orphan_worker(int worker, double now_s) {
                  opts_.backoff_base_s * std::pow(2.0, e.orphanings));
     ++e.orphanings;
     unlease(i);
-    e.ready_at_s = now_s + backoff;
+    set_ready_at(i, now_s + backoff);
     ++orphaned;
     if (e.suspect && e.probe_active != kNoProbe) {
       // A probe death is evidence against ONE case, not the block.
@@ -142,6 +144,19 @@ void BlockLedger::unlease(std::size_t index) {
   --leased_;
   ++pending_;
   lease_from_ = std::min(lease_from_, index);
+  // The gate of an earlier orphaning still holds (a release keeps it).
+  if (e.ready_at_s != 0.0) backoff_.emplace(e.ready_at_s, index);
+}
+
+void BlockLedger::leave_pending(std::size_t index) {
+  const Entry& e = states_[index];
+  if (e.ready_at_s != 0.0) backoff_.erase({e.ready_at_s, index});
+}
+
+void BlockLedger::set_ready_at(std::size_t index, double ready_at_s) {
+  leave_pending(index);
+  states_[index].ready_at_s = ready_at_s;
+  if (ready_at_s != 0.0) backoff_.emplace(ready_at_s, index);
 }
 
 void BlockLedger::finalize_if_probed(std::size_t index) {
@@ -159,6 +174,7 @@ void BlockLedger::finalize_if_probed(std::size_t index) {
   rec.digest_after = sweep_block_digest(rec);
   GREENHPC_ASSERT(e.state == State::Pending,
                   "probe finalization from a non-pending entry");
+  leave_pending(index);
   e.digest = rec.digest_after;
   e.record = std::move(rec);
   e.state = State::Ready;
@@ -195,7 +211,7 @@ BlockLedger::Deliver BlockLedger::deliver(const SweepBlock& rec) {
     if (e.state == State::Leased && e.probe_active == j) {
       e.probe_active = kNoProbe;
       unlease(index);
-      e.ready_at_s = 0.0;  // the next probe needs no backoff: this one worked
+      set_ready_at(index, 0.0);  // the next probe needs no backoff: this one worked
     }
     finalize_if_probed(index);
     return Deliver::Accepted;
@@ -216,6 +232,7 @@ BlockLedger::Deliver BlockLedger::deliver(const SweepBlock& rec) {
   if (e.state == State::Leased) {
     --leased_;
   } else {
+    leave_pending(index);
     --pending_;
   }
   e.state = State::Ready;
@@ -239,11 +256,11 @@ bool BlockLedger::next_to_fold(SweepBlock& out) {
 }
 
 double BlockLedger::next_ready_s() const {
-  double best = std::numeric_limits<double>::infinity();
-  for (const Entry& e : states_) {
-    if (e.state == State::Pending) best = std::min(best, e.ready_at_s);
-  }
-  return best;
+  const double backoff = backoff_.empty()
+                             ? std::numeric_limits<double>::infinity()
+                             : backoff_.begin()->first;
+  // Pending blocks outside backoff_ are ready at 0.
+  return pending_ > backoff_.size() ? std::min(0.0, backoff) : backoff;
 }
 
 // ---------------------------------------------------------------------------
@@ -705,11 +722,33 @@ SweepResult SweepCoordinator::run(const SweepGrid& grid) {
     return true;
   };
 
+  // Set for the post-loop farewell drain: a line read there waited for
+  // the fold frontier to close, so its receipt lag is not an RTT.
+  bool draining = false;
+  /// Receipt lag of an obs line stamped `remote_now_ns` relative to the
+  /// anchor: how much later than the anchor's pipe latency it landed —
+  /// the round-trip proxy the fleet RTT histograms aggregate.
+  const auto sample_rtt = [&](WorkerConn& c, std::uint64_t remote_now_ns,
+                              std::uint64_t local_now) {
+    if (!c.obs_aligned || draining) return;
+    const std::int64_t mapped =
+        static_cast<std::int64_t>(remote_now_ns) + c.obs_offset_ns;
+    const double rtt_s = std::max(
+        0.0,
+        static_cast<double>(static_cast<std::int64_t>(local_now) - mapped) * 1e-9);
+    c.rtt->record(rtt_s);
+    fleet_rtt.record(rtt_s);
+    rtt_registry_hist.record(rtt_s);
+  };
+
   // Returns false when the worker must be declared dead (protocol
   // violation, unfoldable record). Throws only on config skew — a worker
   // computing a DIFFERENT grid is an operator error no reassignment can
   // fix, so it fails the sweep loudly.
   const auto handle_line = [&](WorkerConn& c, const std::string& line) -> bool {
+    // Receipt time, read before parsing, so an obs line's RTT sample
+    // leaves out its own parse (a 256-event trace batch is about 10 KB).
+    const std::uint64_t local_now = obs::Tracer::now_ns();
     Message m = parse_message(line);
     WorkerInfo& wi = stats_.workers[static_cast<std::size_t>(c.id)];
     switch (m.kind) {
@@ -779,7 +818,6 @@ SweepResult SweepCoordinator::run(const SweepGrid& grid) {
         return true;
       }
       case MsgKind::Stat: {
-        const std::uint64_t local_now = obs::Tracer::now_ns();
         if (!c.obs_aligned) {
           // First obs line = the clock anchor (sent right after hello,
           // when the pipe is empty, so the pairing latency is minimal).
@@ -787,18 +825,7 @@ SweepResult SweepCoordinator::run(const SweepGrid& grid) {
           c.obs_offset_ns = static_cast<std::int64_t>(local_now) -
                             static_cast<std::int64_t>(m.remote_now_ns);
         } else {
-          // Receipt lag relative to the anchor: how much later than the
-          // anchor's pipe latency this line landed — the round-trip
-          // proxy the fleet RTT histograms aggregate.
-          const std::int64_t mapped =
-              static_cast<std::int64_t>(m.remote_now_ns) + c.obs_offset_ns;
-          const double rtt_s = std::max(
-              0.0,
-              static_cast<double>(static_cast<std::int64_t>(local_now) - mapped) *
-                  1e-9);
-          c.rtt->record(rtt_s);
-          fleet_rtt.record(rtt_s);
-          rtt_registry_hist.record(rtt_s);
+          sample_rtt(c, m.remote_now_ns, local_now);
         }
         if (fleet != nullptr && c.lane >= 0) {
           fleet->align(c.lane, m.remote_now_ns, local_now);
@@ -831,18 +858,21 @@ SweepResult SweepCoordinator::run(const SweepGrid& grid) {
         return true;
       }
       case MsgKind::Trace: {
-        const std::uint64_t local_now = obs::Tracer::now_ns();
+        const std::size_t events = m.trace_events.size();
+        // Trace batches ship between blocks: with stats at heartbeat
+        // cadence they are most of a short run's RTT samples.
+        sample_rtt(c, m.remote_now_ns, local_now);
         if (fleet != nullptr && c.lane >= 0) {
           fleet->align(c.lane, m.remote_now_ns, local_now);
           fleet->add_dropped(c.lane, m.trace_dropped);
-          fleet->add_events(c.lane, m.trace_events);
+          fleet->add_events(c.lane, std::move(m.trace_events));
         }
         ++wi.trace_batches;
-        wi.trace_events += m.trace_events.size();
+        wi.trace_events += events;
         ++stats_.trace_batches;
-        stats_.trace_events += m.trace_events.size();
+        stats_.trace_events += events;
         c.fr.record(clock.now_s(), "trace",
-                    "events=" + std::to_string(m.trace_events.size()) +
+                    "events=" + std::to_string(events) +
                         " dropped=" + std::to_string(m.trace_dropped));
         c.misses = 0;
         c.liveness.extend(clock.now_s(), opts_.heartbeat_timeout_s);
@@ -1025,6 +1055,7 @@ SweepResult SweepCoordinator::run(const SweepGrid& grid) {
   // grace the process wait uses; late blocks are duplicates by now and
   // handle_line absorbs them.
   {
+    draining = true;
     const double drain_end = clock.now_s() + 2.0;
     for (WorkerConn& c : conns) {
       if (!c.alive) continue;
@@ -1053,8 +1084,13 @@ SweepResult SweepCoordinator::run(const SweepGrid& grid) {
   const double grace_end = clock.now_s() + 2.0;
   for (WorkerConn& c : conns) {
     if (!c.alive) continue;
+    // A worker closes its pipes just before it becomes reapable, so the
+    // reap polls on a doubling backoff from 50 µs: a fixed 10 ms nap
+    // cost most shutdowns a whole nap.
+    std::chrono::microseconds nap(50);
     while (c.proc.running() && clock.now_s() < grace_end) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      std::this_thread::sleep_for(nap);
+      nap = std::min(2 * nap, std::chrono::microseconds(10000));
     }
     if (c.proc.running()) {
       c.proc.kill_hard();

@@ -49,7 +49,9 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/sweep.hpp"
@@ -152,8 +154,10 @@ class BlockLedger {
   [[nodiscard]] std::size_t pending() const { return pending_; }
   [[nodiscard]] std::size_t leased() const { return leased_; }
   [[nodiscard]] std::size_t duplicates() const { return duplicates_; }
-  /// Earliest instant a pending block's backoff elapses (for the event
-  /// loop's poll timeout); +infinity when nothing is waiting on time.
+  /// Earliest `ready_at` over the pending blocks (for the event loop's
+  /// poll timeout): 0 while a pending block never backed off, +infinity
+  /// when nothing is pending. O(1): only blocks in backoff are kept
+  /// ordered, so the poll loop never scans the ledger.
   [[nodiscard]] double next_ready_s() const;
   [[nodiscard]] std::size_t block() const { return block_; }
   [[nodiscard]] std::size_t cases() const { return cases_; }
@@ -187,6 +191,11 @@ class BlockLedger {
   void finalize_if_probed(std::size_t index);
   /// Return a Leased block to Pending, moving lease_from_ down to it.
   void unlease(std::size_t index);
+  /// A Pending block leaves Pending (leased or ready): drop it from
+  /// backoff_.
+  void leave_pending(std::size_t index);
+  /// Set a Pending block's backoff gate, keeping backoff_ in step.
+  void set_ready_at(std::size_t index, double ready_at_s);
 
   std::size_t cases_ = 0;
   std::size_t block_ = 0;
@@ -203,6 +212,10 @@ class BlockLedger {
   std::size_t suspect_blocks_ = 0;
   std::size_t probes_launched_ = 0;
   std::size_t probe_quarantined_ = 0;
+  /// (ready_at_s, index) of every Pending block whose ready_at_s is not
+  /// 0, i.e. one that was orphaned (or released after an orphaning);
+  /// every other Pending block is ready at 0.
+  std::set<std::pair<double, std::size_t>> backoff_;
 };
 
 class SweepCoordinator {
@@ -296,7 +309,9 @@ class SweepCoordinator {
     std::size_t stat_batches = 0;
     std::size_t trace_batches = 0;
     std::size_t trace_events = 0;
-    double rtt_p50_s = 0.0;  ///< stat-line round-trip percentiles
+    /// Obs-line round-trip percentiles: heartbeat `stat` lines and
+    /// `trace` batches read inside the event loop (0 without a sample).
+    double rtt_p50_s = 0.0;
     double rtt_p99_s = 0.0;
     std::string postmortem_path;  ///< last flight-recorder dump, "" = none
   };
@@ -326,7 +341,7 @@ class SweepCoordinator {
     std::size_t stat_batches = 0;
     std::size_t trace_batches = 0;
     std::size_t trace_events = 0;
-    double rtt_p50_s = 0.0;  ///< fleet-wide heartbeat/stat RTT
+    double rtt_p50_s = 0.0;  ///< fleet-wide obs-line RTT (as per worker)
     double rtt_p99_s = 0.0;
     /// Block-simulation seconds percentiles, merged across every
     /// worker's shipped sweep.block_seconds histogram (0 when nothing

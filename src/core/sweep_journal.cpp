@@ -109,18 +109,18 @@ struct Header {
 Header read_header(const std::string& line, const std::string& path,
                    const std::string& version, std::uint64_t config_digest,
                    std::size_t cases) {
-  std::string content;
+  std::string_view content;
   GREENHPC_REQUIRE(wire::unseal(line, content),
                    "cannot resume: journal header is corrupt (checksum "
                    "mismatch): " + path);
-  const std::vector<std::string> head = wire::tokens_of(content);
+  const std::vector<std::string_view> head = wire::tokens_of(content);
   GREENHPC_REQUIRE(head.size() == 5 && head[0] == kMagic,
                    "cannot resume: not a sweep journal: " + path);
-  GREENHPC_REQUIRE(head[1] == version,
-                   "cannot resume: unsupported journal version '" + head[1] +
-                       "' (expected " + version + "): " + path);
   Header h;
   h.version = head[1];
+  GREENHPC_REQUIRE(h.version == version,
+                   "cannot resume: unsupported journal version '" + h.version +
+                       "' (expected " + version + "): " + path);
   GREENHPC_REQUIRE(wire::parse_hex64(head[2], h.config) &&
                        wire::parse_size(head[3], h.cases) &&
                        wire::parse_size(head[4], h.block) && h.block > 0,
@@ -273,7 +273,7 @@ SweepJournal SweepJournal::resume(const std::string& dir,
   // the corrupt one was supposed to establish.
   std::size_t valid_bytes = line.size() + 1;  // header + '\n'
   std::size_t line_no = 1;
-  std::string content;
+  std::string_view content;
   while (std::getline(in, line)) {
     ++line_no;
     SweepBlock rec;
@@ -333,7 +333,7 @@ SweepJournal::ShardLoad SweepJournal::load_shards(const std::string& dir,
 
     std::size_t valid_bytes = line.size() + 1;
     std::size_t line_no = 1;
-    std::string content;
+    std::string_view content;
     while (std::getline(in, line)) {
       ++line_no;
       SweepBlock rec;

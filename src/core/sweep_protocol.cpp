@@ -82,7 +82,7 @@ namespace {
 /// Parse the token run of a stat line after the verb; false on any
 /// structural defect (the caller downgrades to ObsRejected, not
 /// Malformed).
-bool parse_stat_tokens(const std::vector<std::string>& toks, Message& msg) {
+bool parse_stat_tokens(const std::vector<std::string_view>& toks, Message& msg) {
   std::size_t i = 1;
   std::size_t pid = 0;
   if (toks.size() < 3 || !wire::parse_size(toks[i], pid) ||
@@ -164,7 +164,7 @@ bool parse_stat_tokens(const std::vector<std::string>& toks, Message& msg) {
 }
 
 /// Same for a trace line after the verb.
-bool parse_trace_tokens(const std::vector<std::string>& toks, Message& msg) {
+bool parse_trace_tokens(const std::vector<std::string_view>& toks, Message& msg) {
   std::size_t i = 1;
   std::size_t pid = 0;
   std::size_t dropped = 0;
@@ -211,12 +211,14 @@ Message parse_message(const std::string& line) {
   // Classify observability-plane lines by their raw verb prefix BEFORE
   // the seal check: a truncated or bit-flipped stat/trace line must
   // still be ObsRejected (dropped, counted), never Malformed (fatal).
-  const bool obs_shaped =
-      line.rfind("stat ", 0) == 0 || line.rfind("trace ", 0) == 0;
-  if (obs_shaped) msg.kind = MsgKind::ObsRejected;
-  std::string content;
-  if (!wire::unseal(line, content)) return msg;
-  const std::vector<std::string> toks = wire::tokens_of(content);
+  const std::string_view view(line);
+  if (view.starts_with("stat ") || view.starts_with("trace ")) {
+    msg.kind = MsgKind::ObsRejected;
+  }
+  std::string_view content;
+  if (!wire::unseal(view, content)) return msg;
+  // Tokenized once; a block line's tokens go straight to the block parser.
+  const std::vector<std::string_view> toks = wire::tokens_of(content);
   if (toks.empty()) return msg;
 
   if (toks[0] == "hello") {
@@ -252,7 +254,7 @@ Message parse_message(const std::string& line) {
     return msg;
   }
   if (toks[0] == "block") {
-    if (!wire::parse_block(content, msg.block)) return msg;
+    if (!wire::parse_block_tokens(toks, msg.block)) return msg;
     msg.kind = MsgKind::Block;
     return msg;
   }

@@ -10,14 +10,21 @@
 // byte-identical, so "worker sent it" and "worker journaled it" can
 // never disagree about the payload.
 //
+// Parsing works on std::string_view: a line is split into tokens once,
+// without copying them, and every number is read with std::from_chars,
+// which accepts exactly the digits the encoders write (no sign, no "0x",
+// no leading space).
+//
 // Everything here is internal plumbing (namespace core::wire); public
 // entry points live on SweepJournal and in sweep_protocol.hpp.
 
+#include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/sweep.hpp"
@@ -31,24 +38,24 @@ inline std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-inline bool parse_hex64(const std::string& tok, std::uint64_t& out) {
-  if (tok.empty() || tok.size() > 16) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(tok.c_str(), &end, 16);
-  if (errno != 0 || end != tok.c_str() + tok.size()) return false;
-  out = static_cast<std::uint64_t>(v);
+/// Parse all of `tok` as an unsigned number in `base`; false on an empty
+/// token, a stray character or overflow (`out` is then untouched).
+template <typename T>
+inline bool parse_unsigned(std::string_view tok, T& out, int base) {
+  const char* end = tok.data() + tok.size();
+  T v = 0;
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v, base);
+  if (ec != std::errc() || ptr != end) return false;
+  out = v;
   return true;
 }
 
-inline bool parse_size(const std::string& tok, std::size_t& out) {
-  if (tok.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (errno != 0 || end != tok.c_str() + tok.size()) return false;
-  out = static_cast<std::size_t>(v);
-  return true;
+inline bool parse_hex64(std::string_view tok, std::uint64_t& out) {
+  return tok.size() <= 16 && parse_unsigned(tok, out, 16);
+}
+
+inline bool parse_size(std::string_view tok, std::size_t& out) {
+  return parse_unsigned(tok, out, 10);
 }
 
 inline std::uint64_t double_bits(double v) {
@@ -77,10 +84,11 @@ inline std::string encode_text(const std::string& s) {
   return out;
 }
 
-inline bool decode_text(const std::string& tok, std::string& out) {
+inline bool decode_text(std::string_view tok, std::string& out) {
   out.clear();
   if (tok == "-") return true;
   if (tok.size() % 2 != 0) return false;
+  out.reserve(tok.size() / 2);
   auto nibble = [](char c) -> int {
     if (c >= '0' && c <= '9') return c - '0';
     if (c >= 'a' && c <= 'f') return c - 'a' + 10;
@@ -103,21 +111,27 @@ inline std::string seal(const std::string& content) {
 }
 
 /// Split a sealed line into content and checksum; false on a malformed
-/// or checksum-failing line.
-inline bool unseal(const std::string& line, std::string& content) {
+/// or checksum-failing line. `content` views `line`.
+inline bool unseal(std::string_view line, std::string_view& content) {
   const std::size_t sep = line.rfind(" | ");
-  if (sep == std::string::npos) return false;
+  if (sep == std::string_view::npos) return false;
   content = line.substr(0, sep);
   std::uint64_t sum = 0;
   if (!parse_hex64(line.substr(sep + 3), sum)) return false;
   return sum == obs::fnv1a(content);
 }
 
-inline std::vector<std::string> tokens_of(const std::string& content) {
-  std::vector<std::string> toks;
-  std::istringstream ss(content);
-  std::string t;
-  while (ss >> t) toks.push_back(t);
+/// The whitespace-separated tokens of `content` (the C locale's space
+/// characters), as views into it.
+inline std::vector<std::string_view> tokens_of(std::string_view content) {
+  constexpr std::string_view kSpace = " \t\n\v\f\r";
+  std::vector<std::string_view> toks;
+  std::size_t i = content.find_first_not_of(kSpace);
+  while (i != std::string_view::npos) {
+    const std::size_t end = content.find_first_of(kSpace, i);
+    toks.push_back(content.substr(i, end == std::string_view::npos ? end : end - i));
+    i = content.find_first_not_of(kSpace, end);
+  }
   return toks;
 }
 
@@ -145,10 +159,10 @@ inline std::string serialize_block(const SweepBlock& rec) {
   return seal(content);
 }
 
-/// Parse the CONTENT of a block line (already unsealed); false on any
-/// structural problem.
-inline bool parse_block(const std::string& content, SweepBlock& rec) {
-  const std::vector<std::string> toks = tokens_of(content);
+/// Parse the tokens of a block line's content; false on any structural
+/// problem.
+inline bool parse_block_tokens(const std::vector<std::string_view>& toks,
+                               SweepBlock& rec) {
   if (toks.size() < 4 || toks[0] != "block") return false;
   std::size_t count = 0;
   if (!parse_size(toks[1], rec.start) || !parse_size(toks[2], count) ||
@@ -156,6 +170,8 @@ inline bool parse_block(const std::string& content, SweepBlock& rec) {
     return false;
   }
   rec.cases.clear();
+  // Every entry takes at least 3 tokens, so this bounds a forged count.
+  rec.cases.reserve(std::min(count, (toks.size() - 4) / 3));
   std::size_t i = 4;
   while (i < toks.size()) {
     SweepCaseOutcome entry;
@@ -189,6 +205,12 @@ inline bool parse_block(const std::string& content, SweepBlock& rec) {
     rec.cases.push_back(std::move(entry));
   }
   return rec.cases.size() == count;
+}
+
+/// Parse the CONTENT of a block line (already unsealed); false on any
+/// structural problem.
+inline bool parse_block(std::string_view content, SweepBlock& rec) {
+  return parse_block_tokens(tokens_of(content), rec);
 }
 
 }  // namespace greenhpc::core::wire

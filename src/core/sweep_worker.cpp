@@ -306,7 +306,6 @@ int SweepWorker::run(const SweepGrid& grid) {
     if (!out.write_line(report)) {
       break;  // coordinator died mid-run; the shard record survives
     }
-    if (opts_.ship_stats) ship_stat();
     if (fleet_events.size() + kFleetEventsPerBlock > kTraceBatchEvents ||
         clock.now_s() - trace_flushed_s >= opts_.heartbeat_interval_s) {
       ship_trace_batch();
@@ -314,6 +313,8 @@ int SweepWorker::run(const SweepGrid& grid) {
   }
   // Last snapshot out the door (best effort — the coordinator may
   // already be gone): the final protocol exchange a postmortem shows.
+  // The registry is cumulative, so this one line carries every block's
+  // counters and block-seconds samples to the coordinator's rollup.
   if (ship_obs) ship_stat();
   ship_trace_batch();
   stop_heartbeat();

@@ -19,7 +19,8 @@
 // Observability shipping: unless disabled, the worker batches its
 // process-local obs::Registry snapshot onto `stat` lines (one right
 // after hello — the coordinator's clock anchor — then one per heartbeat
-// and one per completed block) and, when `ship_trace` is on, its
+// and one at farewell; the registry is cumulative, so the farewell line
+// alone carries the final rollup) and, when `ship_trace` is on, its
 // cat=="fleet" trace events onto `trace` lines in batches: between
 // blocks once a heartbeat interval has passed since the last batch or
 // one more block could take it past 256 events, and once at farewell. Both
@@ -52,7 +53,7 @@ class SweepWorker {
     /// Pool each assignment streams over; null = the process-global pool.
     util::ThreadPool* pool = nullptr;
     /// Ship obs::Registry snapshots on `stat` lines (anchor after hello,
-    /// then per heartbeat and per block). Off only for overhead
+    /// then per heartbeat and at farewell). Off only for overhead
     /// measurement — the lines are digest-neutral either way.
     bool ship_stats = true;
     /// Ship cat=="fleet" trace events on batched `trace` lines. The

@@ -1,6 +1,7 @@
 #include "hpcsim/workload.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
 
@@ -133,33 +134,81 @@ std::vector<JobSpec> WorkloadGenerator::generate() {
   return jobs;
 }
 
+namespace {
+
+/// SplitMix64 finalizer folded over each key field (as TraceCache's key
+/// hash does).
+std::uint64_t mix64(std::uint64_t h, std::uint64_t x) {
+  x ^= h;
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// Doubles enter by bit pattern, with -0.0 as 0.0: the key compares
+/// fields with ==, so equal keys must hash equal.
+std::uint64_t mix64(std::uint64_t h, double v) {
+  return mix64(h, std::bit_cast<std::uint64_t>(v == 0.0 ? 0.0 : v));
+}
+
+}  // namespace
+
+std::size_t WorkloadCache::KeyHash::operator()(const Key& k) const {
+  // Every WorkloadConfig field; one left out still compares exactly, it
+  // only spreads worse.
+  const WorkloadConfig& c = k.config;
+  std::uint64_t h = mix64(0, k.seed);
+  h = mix64(h, static_cast<std::uint64_t>(c.job_count));
+  h = mix64(h, c.span.seconds());
+  h = mix64(h, c.diurnal_amplitude);
+  h = mix64(h, c.arrival_quantum.seconds());
+  h = mix64(h, static_cast<std::uint64_t>(c.max_job_nodes));
+  h = mix64(h, c.runtime_weibull_shape);
+  h = mix64(h, c.runtime_mean.seconds());
+  h = mix64(h, c.runtime_min.seconds());
+  h = mix64(h, c.runtime_max.seconds());
+  h = mix64(h, c.walltime_factor_sigma);
+  h = mix64(h, c.over_allocation_mean);
+  h = mix64(h, c.malleable_fraction);
+  h = mix64(h, c.moldable_fraction);
+  h = mix64(h, c.checkpointable_fraction);
+  h = mix64(h, c.node_power_mean.watts());
+  h = mix64(h, c.node_power_sigma.watts());
+  h = mix64(h, c.node_power_limit.watts());
+  h = mix64(h, c.alpha_min);
+  h = mix64(h, c.alpha_max);
+  h = mix64(h, c.gamma_min);
+  h = mix64(h, c.gamma_max);
+  h = mix64(h, c.mpi_wait_mean);
+  h = mix64(h, c.powersave_adoption);
+  h = mix64(h, static_cast<std::uint64_t>(c.user_count));
+  return static_cast<std::size_t>(h);
+}
+
 std::shared_ptr<const std::vector<JobSpec>> WorkloadCache::get(
     const WorkloadConfig& config, std::uint64_t seed) {
+  Key key{config, seed};
   {
     std::lock_guard lock(mutex_);
-    for (const Entry& e : entries_) {
-      if (e.seed == seed && e.config == config) {
-        ++hits_;
-        return e.jobs;
-      }
+    const auto it = map_.find(key);
+    if (it != map_.end()) {
+      ++hits_;
+      return it->second;
     }
     ++misses_;
   }
   // Generate outside the lock; deterministic generation makes a raced
-  // duplicate harmless — the first inserted entry wins.
+  // duplicate harmless — try_emplace keeps the first insertion.
   auto jobs = std::make_shared<const std::vector<JobSpec>>(
       WorkloadGenerator(config, seed).generate());
   std::lock_guard lock(mutex_);
-  for (const Entry& e : entries_) {
-    if (e.seed == seed && e.config == config) return e.jobs;
-  }
-  entries_.push_back(Entry{config, seed, std::move(jobs)});
-  return entries_.back().jobs;
+  return map_.try_emplace(std::move(key), std::move(jobs)).first->second;
 }
 
 std::size_t WorkloadCache::size() const {
   std::lock_guard lock(mutex_);
-  return entries_.size();
+  return map_.size();
 }
 
 std::size_t WorkloadCache::hits() const {
@@ -174,7 +223,7 @@ std::size_t WorkloadCache::misses() const {
 
 void WorkloadCache::clear() {
   std::lock_guard lock(mutex_);
-  entries_.clear();
+  map_.clear();
   hits_ = 0;
   misses_ = 0;
 }

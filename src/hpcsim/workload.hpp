@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "hpcsim/job.hpp"
@@ -103,8 +104,9 @@ class WorkloadGenerator {
 /// (or region, or cluster shape with the same workload bounds) share one
 /// immutable job vector, which plugs straight into the zero-copy
 /// Simulator. Keys are full (config, seed) pairs compared field-exact, so
-/// a hit is guaranteed bit-identical to a fresh generate(); the entry list
-/// is scanned linearly (sweeps use a handful of distinct workloads).
+/// a hit is guaranteed bit-identical to a fresh generate(); they are hashed
+/// over every field, so a lookup costs the same with a thousand distinct
+/// workloads (one per seed replica) as with one.
 class WorkloadCache {
  public:
   /// The job list for (config, seed): generated on the first request,
@@ -126,14 +128,17 @@ class WorkloadCache {
   static WorkloadCache& global();
 
  private:
-  struct Entry {
+  struct Key {
     WorkloadConfig config;
     std::uint64_t seed = 0;
-    std::shared_ptr<const std::vector<JobSpec>> jobs;
+    [[nodiscard]] bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    [[nodiscard]] std::size_t operator()(const Key& k) const;
   };
 
   mutable std::mutex mutex_;
-  std::vector<Entry> entries_;
+  std::unordered_map<Key, std::shared_ptr<const std::vector<JobSpec>>, KeyHash> map_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
 };

@@ -1,26 +1,11 @@
 #include "obs/fleet.hpp"
 
 #include <cstring>
-#include <ostream>
+#include <iterator>
+
+#include "obs/chrome_json.hpp"
 
 namespace greenhpc::obs {
-
-namespace {
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
-         << "0123456789abcdef"[c & 0xf];
-    } else {
-      os << c;
-    }
-  }
-}
-
-}  // namespace
 
 int FleetTrace::add_lane(long pid, std::string label) {
   Lane lane;
@@ -50,14 +35,13 @@ std::uint64_t FleetTrace::map_ns(int lane, std::uint64_t remote_ts_ns) const {
   return mapped < 0 ? 0 : static_cast<std::uint64_t>(mapped);
 }
 
-void FleetTrace::add_events(int lane,
-                            const std::vector<RemoteTraceEvent>& events) {
+void FleetTrace::add_events(int lane, std::vector<RemoteTraceEvent> events) {
   Lane& l = lanes_.at(static_cast<std::size_t>(lane));
-  l.events.reserve(l.events.size() + events.size());
-  for (RemoteTraceEvent e : events) {
-    e.ts_ns = map_ns(lane, e.ts_ns);
-    l.events.push_back(std::move(e));
-  }
+  // insert() grows the lane geometrically; an exact reserve per batch
+  // would reallocate on every batch.
+  for (RemoteTraceEvent& e : events) e.ts_ns = map_ns(lane, e.ts_ns);
+  l.events.insert(l.events.end(), std::make_move_iterator(events.begin()),
+                  std::make_move_iterator(events.end()));
 }
 
 void FleetTrace::add_event(int lane, RemoteTraceEvent event) {
@@ -103,40 +87,17 @@ std::uint64_t FleetTrace::dropped(int lane) const {
 }
 
 void FleetTrace::write_chrome_json(std::ostream& os) const {
-  os << "{\"traceEvents\":[";
-  bool first = true;
+  detail::ChromeTraceWriter out(os);
   // Metadata first: one process_name record per lane makes every lane
   // visible in the viewer even before (or without) any events.
-  for (const Lane& l : lanes_) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << l.pid
-       << ",\"tid\":0,\"args\":{\"name\":\"";
-    json_escape(os, l.label);
-    os << "\"}}";
-  }
+  for (const Lane& l : lanes_) out.process_name(l.pid, l.label);
   for (const Lane& l : lanes_) {
     for (const RemoteTraceEvent& e : l.events) {
-      if (!first) os << ",";
-      first = false;
-      os << "{\"name\":\"";
-      json_escape(os, e.name);
-      os << "\",\"cat\":\"";
-      json_escape(os, e.cat.empty() ? std::string("greenhpc") : e.cat);
-      os << "\",\"ph\":\"" << e.phase << "\",\"pid\":" << l.pid
-         << ",\"tid\":" << e.tid
-         << ",\"ts\":" << static_cast<double>(e.ts_ns) * 1e-3;
-      if (e.phase == 'X') {
-        os << ",\"dur\":" << static_cast<double>(e.dur_ns) * 1e-3;
-      } else if (e.phase == 'i') {
-        os << ",\"s\":\"t\",\"args\":{\"value\":" << e.value << "}";
-      } else if (e.phase == 'C') {
-        os << ",\"args\":{\"value\":" << e.value << "}";
-      }
-      os << "}";
+      out.event(e.name, e.cat.empty() ? std::string_view("greenhpc") : e.cat, e.phase,
+                l.pid, e.tid, e.ts_ns, e.dur_ns, e.value);
     }
   }
-  os << "],\"displayTimeUnit\":\"ms\"}\n";
+  out.finish();
 }
 
 }  // namespace greenhpc::obs

@@ -62,7 +62,8 @@ class FleetTrace {
   /// Append a batch of remote events to `lane`, mapping timestamps
   /// through the lane's offset. Events recorded with 0 offset (a local
   /// lane, e.g. the coordinator's own control plane) pass unchanged.
-  void add_events(int lane, const std::vector<RemoteTraceEvent>& events);
+  /// Takes the batch by value: pass an rvalue to move the events in.
+  void add_events(int lane, std::vector<RemoteTraceEvent> events);
   /// Convenience for the coordinator's own lane: one event, local clock.
   void add_event(int lane, RemoteTraceEvent event);
   /// Accumulate the remote side's ring-drop report for `lane`.
@@ -79,7 +80,8 @@ class FleetTrace {
   [[nodiscard]] std::uint64_t dropped(int lane) const;
 
   /// Chrome trace_event JSON: process_name metadata per lane, then every
-  /// event under its lane's pid (ts/dur in µs, matching Tracer output).
+  /// event under its lane's pid (ts/dur in exact µs, matching Tracer
+  /// output; see obs/chrome_json.hpp).
   void write_chrome_json(std::ostream& os) const;
 
  private:

@@ -5,7 +5,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <ostream>
+
+#include "obs/chrome_json.hpp"
 
 namespace greenhpc::obs {
 
@@ -62,20 +63,6 @@ Ring& local_ring() {
 std::chrono::steady_clock::time_point epoch() {
   static const auto t0 = std::chrono::steady_clock::now();
   return t0;
-}
-
-void json_escape(std::ostream& os, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
-         << "0123456789abcdef"[c & 0xf];
-    } else {
-      os << c;
-    }
-  }
 }
 
 }  // namespace
@@ -176,31 +163,14 @@ std::vector<SpanStat> Tracer::aggregate_spans() {
 }
 
 void Tracer::write_chrome_json(std::ostream& os) {
-  os << "{\"traceEvents\":[";
-  bool first = true;
+  detail::ChromeTraceWriter out(os);
   for (const ThreadTrace& tt : snapshot()) {
     for (const TraceEvent& e : tt.events) {
-      if (!first) os << ",";
-      first = false;
-      // trace_event ts/dur are microseconds; keep sub-µs precision as a
-      // fractional component so short spans stay visible in Perfetto.
-      os << "{\"name\":\"";
-      json_escape(os, e.name);
-      os << "\",\"cat\":\"";
-      json_escape(os, e.cat != nullptr ? e.cat : "greenhpc");
-      os << "\",\"ph\":\"" << e.phase << "\",\"pid\":1,\"tid\":" << tt.tid
-         << ",\"ts\":" << static_cast<double>(e.ts_ns) * 1e-3;
-      if (e.phase == 'X') {
-        os << ",\"dur\":" << static_cast<double>(e.dur_ns) * 1e-3;
-      } else if (e.phase == 'i') {
-        os << ",\"s\":\"t\",\"args\":{\"value\":" << e.value << "}";
-      } else if (e.phase == 'C') {
-        os << ",\"args\":{\"value\":" << e.value << "}";
-      }
-      os << "}";
+      out.event(e.name, e.cat != nullptr ? e.cat : "greenhpc", e.phase, 1, tt.tid,
+                e.ts_ns, e.dur_ns, e.value);
     }
   }
-  os << "],\"displayTimeUnit\":\"ms\"}\n";
+  out.finish();
 }
 
 void Tracer::reset() {

@@ -70,6 +70,35 @@ TEST(TraceCache, CachedTraceMatchesFreshGenerateBitForBit) {
   EXPECT_EQ(trace_digest(*cached), trace_digest(fresh));
 }
 
+TEST(TraceCache, SharedShapeKeepsEveryTraceBitIdentical) {
+  // Traces of one region share a cached shape across seeds and kinds;
+  // each must still equal a fresh GridModel::generate, at a start off the
+  // epoch and over a span that is not a whole number of steps.
+  TraceCache cache;
+  const Duration start = hours(5.5);
+  const Duration span = days(1.0) + minutes(37.0);
+  const Duration step = minutes(15.0);
+  std::size_t traces = 0;
+  for (const Region region : all_regions()) {
+    for (const IntensityKind kind : {IntensityKind::Average, IntensityKind::Marginal}) {
+      for (const std::uint64_t seed : {1ull, 42ull, 2023ull}) {
+        const auto cached = cache.get(region, kind, seed, start, span, step);
+        ++traces;
+        const util::TimeSeries fresh =
+            GridModel(region, seed).generate(start, span, step, kind);
+        ASSERT_EQ(cached->size(), fresh.size());
+        EXPECT_EQ(cached->start().seconds(), fresh.start().seconds());
+        EXPECT_EQ(trace_digest(*cached), trace_digest(fresh))
+            << name(region) << " seed " << seed;
+      }
+    }
+  }
+  // Shapes are not traces: the counters see only the traces asked for.
+  EXPECT_EQ(cache.size(), traces);
+  EXPECT_EQ(cache.misses(), traces);
+  EXPECT_EQ(cache.hits(), 0u);
+}
+
 TEST(TraceCache, ClearDropsEntriesButKeepsOutstandingPointers) {
   TraceCache cache;
   const auto held = cache.get(Region::Sweden, IntensityKind::Average, 1, seconds(0.0),

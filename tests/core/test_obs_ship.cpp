@@ -252,6 +252,7 @@ class ShipHarness {
   [[nodiscard]] std::size_t stat_batches() const { return stat_batches_; }
   [[nodiscard]] std::size_t trace_batches() const { return trace_batches_; }
   [[nodiscard]] std::size_t max_trace_batch() const { return max_trace_batch_; }
+  [[nodiscard]] const Message& first_stat() const { return first_stat_; }
   [[nodiscard]] const Message& last_stat() const { return last_stat_; }
   [[nodiscard]] const std::vector<obs::RemoteTraceEvent>& fleet_events() const {
     return fleet_.events(lane_);
@@ -264,7 +265,7 @@ class ShipHarness {
       case MsgKind::Heartbeat:
         return true;
       case MsgKind::Stat:
-        ++stat_batches_;
+        if (stat_batches_++ == 0) first_stat_ = m;
         fleet_.align(lane_, m.remote_now_ns, obs::Tracer::now_ns());
         last_stat_ = std::move(m);
         return true;
@@ -286,46 +287,54 @@ class ShipHarness {
   std::size_t stat_batches_ = 0;
   std::size_t trace_batches_ = 0;
   std::size_t max_trace_batch_ = 0;
+  Message first_stat_;
   Message last_stat_;
   obs::FleetTrace fleet_;
   int lane_ = fleet_.add_lane(1, "worker");
   int rc_ = -1;
 };
 
-TEST(SweepObsShipWorker, ShipsAnchorStatAfterHelloThenPerBlockStats) {
-  const SweepGrid grid = small_grid();
+/// Samples in a stat line's sweep.block_seconds histogram (0 before the
+/// process ran its first block).
+std::uint64_t block_samples(const Message& stat) {
+  const obs::HistogramSnapshot* h = stat.stats.find_histogram("sweep.block_seconds");
+  return h != nullptr ? h->total() : 0;
+}
+
+TEST(SweepObsShipWorker, ShipsOnlyTheAnchorAndFarewellStatsBetweenHeartbeats) {
+  const SweepGrid grid = small_grid();  // 12 cases -> blocks 0/4/8
   SweepWorker::Options opts;
   opts.block = 4;
-  opts.heartbeat_interval_s = 10.0;  // keep heartbeat piggybacks out
+  opts.heartbeat_interval_s = 10.0;  // keep heartbeat stats out
   util::ThreadPool pool(2);
   opts.pool = &pool;
   ShipHarness h(std::move(opts), grid);
 
   const Message hello = h.next_control();
   ASSERT_EQ(hello.kind, MsgKind::Hello);
-  ASSERT_TRUE(h.send(encode_assign(0, 4)));
-  const Message rec = h.next_control();
-  ASSERT_EQ(rec.kind, MsgKind::Block);
-  EXPECT_EQ(sweep_block_digest(rec.block), rec.block.digest_after);
-
-  // The anchor stat (right after hello) plus the per-block stat have
-  // both passed by the time the block record is visible...
-  EXPECT_GE(h.stat_batches(), 1u);
+  for (const std::size_t start : {0u, 4u, 8u}) {
+    ASSERT_TRUE(h.send(encode_assign(start, 4)));
+    const Message rec = h.next_control();
+    ASSERT_EQ(rec.kind, MsgKind::Block);
+    EXPECT_EQ(rec.block.start, start);
+  }
+  // Blocks ship no stat line: only the anchor (right after hello) has
+  // passed by the time the third record is visible...
+  EXPECT_EQ(h.stat_batches(), 1u);
   ASSERT_TRUE(h.send(encode_shutdown()));
   EXPECT_EQ(h.join(), 0);
   h.drain();
-  // ...and with the farewell snapshot at least three shipped in total.
-  EXPECT_GE(h.stat_batches(), 3u);
-  // The last snapshot reflects the finished block: same pid as hello,
-  // a block-seconds sample, and a nonzero clock for lane alignment.
-  const Message& stat = h.last_stat();
-  ASSERT_EQ(stat.kind, MsgKind::Stat);
-  EXPECT_EQ(stat.pid, hello.pid);
-  EXPECT_GT(stat.remote_now_ns, 0u);
-  const obs::HistogramSnapshot* bh =
-      stat.stats.find_histogram("sweep.block_seconds");
-  ASSERT_NE(bh, nullptr);
-  EXPECT_GE(bh->total(), 1u);
+  // ...and the farewell snapshot is the only other one.
+  EXPECT_EQ(h.stat_batches(), 2u);
+  const Message& anchor = h.first_stat();
+  const Message& farewell = h.last_stat();
+  ASSERT_EQ(farewell.kind, MsgKind::Stat);
+  EXPECT_EQ(farewell.pid, hello.pid);
+  EXPECT_GT(farewell.remote_now_ns, anchor.remote_now_ns);
+  // The registry is cumulative, so the farewell alone carries every
+  // block's latency sample (the registry is process-wide, hence the
+  // difference to the anchor).
+  EXPECT_EQ(block_samples(farewell) - block_samples(anchor), 3u);
 }
 
 TEST(SweepObsShipWorker, NoShipStatsKeepsTheWireFreeOfObsLines) {

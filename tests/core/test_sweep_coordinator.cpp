@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,6 +76,19 @@ SweepBlock make_rec(std::size_t cases_total, std::size_t block, std::size_t star
     rec.cases[i].metrics.total_carbon_t = static_cast<double>(start + i) * 0.5;
     rec.cases[i].metrics.utilization = 0.75;
   }
+  rec.digest_after = sweep_block_digest(rec);
+  return rec;
+}
+
+/// A 1-case probe record for flat case `flat` (the shape a worker reports
+/// back for a probe assignment).
+SweepBlock make_probe_rec(std::size_t flat, bool ok = true) {
+  SweepBlock rec;
+  rec.start = flat;
+  rec.cases.resize(1);
+  rec.cases[0].ok = ok;
+  rec.cases[0].metrics.total_carbon_t = static_cast<double>(flat) * 0.5;
+  rec.cases[0].metrics.utilization = 0.75;
   rec.digest_after = sweep_block_digest(rec);
   return rec;
 }
@@ -250,17 +268,257 @@ TEST(BlockLedger, NextReadyTracksPendingBackoffsOnly) {
   EXPECT_LT(ledger.next_ready_s(), std::numeric_limits<double>::infinity());
 }
 
-/// A 1-case probe record for flat case `flat` (the shape a worker reports
-/// back for a probe assignment).
-SweepBlock make_probe_rec(std::size_t flat, bool ok = true) {
-  SweepBlock rec;
-  rec.start = flat;
-  rec.cases.resize(1);
-  rec.cases[0].ok = ok;
-  rec.cases[0].metrics.total_carbon_t = static_cast<double>(flat) * 0.5;
-  rec.cases[0].metrics.utilization = 0.75;
-  rec.digest_after = sweep_block_digest(rec);
-  return rec;
+/// The ledger's contract restated the plain way: one record per block,
+/// next_ready_s() by a scan over every pending block. The randomized test
+/// below drives this and a BlockLedger through the same operations.
+class LedgerModel {
+ public:
+  enum class State { Pending, Leased, Ready, Folded };
+  struct Block {
+    State state = State::Pending;
+    int worker = -1;
+    int orphanings = 0;
+    double ready_at = 0.0;
+    bool suspect = false;
+    std::size_t probe = SIZE_MAX;  ///< in-block offset of the probe in flight
+    std::vector<bool> pinned;
+    std::vector<int> deaths;
+  };
+
+  LedgerModel(std::size_t cases, std::size_t block, BlockLedger::Options opts)
+      : cases_(cases), block_(block), opts_(opts),
+        blocks_((cases + block - 1) / block) {}
+
+  [[nodiscard]] std::size_t size_of(std::size_t i) const {
+    return std::min(block_, cases_ - i * block_);
+  }
+  [[nodiscard]] std::vector<Block>& blocks() { return blocks_; }
+
+  [[nodiscard]] double next_ready() const {
+    double best = std::numeric_limits<double>::infinity();
+    for (const Block& b : blocks_) {
+      if (b.state == State::Pending) best = std::min(best, b.ready_at);
+    }
+    return best;
+  }
+  [[nodiscard]] std::size_t count(State s) const {
+    return static_cast<std::size_t>(std::count_if(
+        blocks_.begin(), blocks_.end(), [&](const Block& b) { return b.state == s; }));
+  }
+
+  bool lease(int worker, double now, BlockLedger::Lease& out) {
+    for (std::size_t i = 0; i < blocks_.size(); ++i) {
+      Block& b = blocks_[i];
+      if (b.state != State::Pending || now < b.ready_at) continue;
+      std::size_t j = 0;
+      if (b.suspect) {
+        while (j < b.pinned.size() && b.pinned[j]) ++j;
+        if (j == b.pinned.size()) continue;
+        b.probe = j;
+      }
+      b.state = State::Leased;
+      b.worker = worker;
+      out = {i * block_ + j, b.suspect ? 1 : size_of(i), b.suspect};
+      return true;
+    }
+    return false;
+  }
+
+  std::size_t orphan(int worker, double now) {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < blocks_.size(); ++i) {
+      Block& b = blocks_[i];
+      if (b.state != State::Leased || b.worker != worker) continue;
+      ++n;
+      b.ready_at = now + std::min(opts_.backoff_cap_s,
+                                  opts_.backoff_base_s * std::pow(2.0, b.orphanings));
+      ++b.orphanings;
+      b.state = State::Pending;
+      b.worker = -1;
+      if (b.suspect && b.probe != SIZE_MAX) {
+        const std::size_t j = b.probe;
+        b.probe = SIZE_MAX;
+        if (++b.deaths[j] >= opts_.probe_case_deaths) {
+          b.pinned[j] = true;  // quarantined
+          finalize(b);
+        }
+      } else if (!b.suspect && b.orphanings >= opts_.suspect_after) {
+        b.suspect = true;
+        b.pinned.assign(size_of(i), false);
+        b.deaths.assign(size_of(i), 0);
+      }
+    }
+    return n;
+  }
+
+  bool release(int worker, std::size_t start) {
+    Block& b = blocks_[start / block_];
+    if (b.state != State::Leased || b.worker != worker) return false;
+    b.state = State::Pending;  // the gate of the last orphaning stays
+    b.worker = -1;
+    b.probe = SIZE_MAX;
+    return true;
+  }
+
+  BlockLedger::Deliver deliver_full(std::size_t i) {
+    Block& b = blocks_[i];
+    if (b.state == State::Ready || b.state == State::Folded) {
+      return BlockLedger::Deliver::Duplicate;
+    }
+    b.state = State::Ready;
+    b.worker = -1;
+    b.probe = SIZE_MAX;
+    return BlockLedger::Deliver::Accepted;
+  }
+
+  BlockLedger::Deliver deliver_probe(std::size_t i, std::size_t j) {
+    Block& b = blocks_[i];
+    if (b.state == State::Ready || b.state == State::Folded || b.pinned[j]) {
+      return BlockLedger::Deliver::Duplicate;
+    }
+    b.pinned[j] = true;
+    if (b.state == State::Leased && b.probe == j) {
+      b.state = State::Pending;
+      b.worker = -1;
+      b.probe = SIZE_MAX;
+      b.ready_at = 0.0;
+    }
+    finalize(b);
+    return BlockLedger::Deliver::Accepted;
+  }
+
+  void fold() {
+    while (next_fold_ < blocks_.size() && blocks_[next_fold_].state == State::Ready) {
+      blocks_[next_fold_++].state = State::Folded;
+    }
+  }
+
+ private:
+  static void finalize(Block& b) {
+    if (std::all_of(b.pinned.begin(), b.pinned.end(), [](bool p) { return p; })) {
+      b.state = State::Ready;
+    }
+  }
+
+  std::size_t cases_;
+  std::size_t block_;
+  BlockLedger::Options opts_;
+  std::vector<Block> blocks_;
+  std::size_t next_fold_ = 0;
+};
+
+TEST(BlockLedger, NextReadyMatchesAScanUnderRandomOperations) {
+  BlockLedger::Options opts;
+  opts.backoff_base_s = 0.25;
+  opts.backoff_cap_s = 2.0;
+  opts.suspect_after = 2;
+  opts.probe_case_deaths = 2;
+  constexpr std::size_t kCases = 47;  // 16 blocks of 3, the last one of 2
+  constexpr std::size_t kBlock = 3;
+  constexpr int kWorkers = 4;
+  std::mt19937_64 rng(20231112);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  using State = LedgerModel::State;
+
+  std::size_t ops = 0;
+  std::size_t orphaned = 0;
+  std::size_t probes = 0;
+  std::size_t rounds = 0;
+  while (ops < 12000) {
+    BlockLedger ledger(kCases, kBlock, opts);
+    LedgerModel model(kCases, kBlock, opts);
+    double now = 0.0;
+    ++rounds;
+    while (!ledger.all_folded()) {
+      ++ops;
+      now += 0.1 * static_cast<double>(pick(4));
+      const int worker = static_cast<int>(pick(kWorkers));
+      std::vector<LedgerModel::Block>& blocks = model.blocks();
+      const std::size_t op = pick(100);
+      if (op < 40) {
+        BlockLedger::Lease got;
+        BlockLedger::Lease want;
+        const bool leased = ledger.lease(worker, now, got);
+        ASSERT_EQ(leased, model.lease(worker, now, want)) << "op " << ops;
+        if (leased) {
+          EXPECT_EQ(got.start, want.start);
+          EXPECT_EQ(got.count, want.count);
+          EXPECT_EQ(got.probe, want.probe);
+          probes += got.probe ? 1 : 0;
+        }
+      } else if (op < 55) {
+        const std::size_t n = ledger.orphan_worker(worker, now);
+        ASSERT_EQ(n, model.orphan(worker, now)) << "op " << ops;
+        orphaned += n;
+      } else if (op < 65) {
+        const std::size_t start = pick(kCases);
+        ASSERT_EQ(ledger.release(worker, start), model.release(worker, start));
+      } else if (op < 85) {
+        // A probe result for a suspect block: mostly the case in flight,
+        // sometimes a late or out-of-turn one.
+        std::vector<std::size_t> suspects;
+        for (std::size_t i = 0; i < blocks.size(); ++i) {
+          if (blocks[i].suspect) suspects.push_back(i);
+        }
+        if (suspects.empty()) continue;
+        const std::size_t i = suspects[pick(suspects.size())];
+        const std::size_t j = blocks[i].probe != SIZE_MAX && pick(4) != 0
+                                  ? blocks[i].probe
+                                  : pick(blocks[i].pinned.size());
+        const BlockLedger::Deliver want = model.deliver_probe(i, j);
+        ASSERT_EQ(ledger.deliver(make_probe_rec(i * kBlock + j)), want);
+      } else {
+        // A whole-block record, preferring blocks that are running.
+        std::size_t i = pick(blocks.size());
+        for (std::size_t k = 0; k < blocks.size(); ++k) {
+          if (blocks[(i + k) % blocks.size()].state == State::Leased) {
+            i = (i + k) % blocks.size();
+            break;
+          }
+        }
+        const BlockLedger::Deliver want = model.deliver_full(i);
+        ASSERT_EQ(ledger.deliver(make_rec(kCases, kBlock, i * kBlock)), want);
+      }
+      SweepBlock out;
+      while (ledger.next_to_fold(out)) {
+      }
+      model.fold();
+      ASSERT_EQ(ledger.next_ready_s(), model.next_ready()) << "op " << ops;
+      ASSERT_EQ(ledger.pending(), model.count(State::Pending)) << "op " << ops;
+      ASSERT_EQ(ledger.leased(), model.count(State::Leased)) << "op " << ops;
+    }
+  }
+  // Every path the backoff set tracks was taken.
+  EXPECT_GT(rounds, 1u);
+  EXPECT_GT(orphaned, 100u);
+  EXPECT_GT(probes, 100u);
+}
+
+TEST(BlockLedger, NextReadyStaysCheapAtAHundredThousandBlocks) {
+  // The coordinator asks next_ready_s() once per poll-loop iteration, so
+  // a scan over the ledger makes a sweep quadratic in its block count
+  // (this loop took tens of seconds that way).
+  constexpr std::size_t kBlocks = 100000;
+  BlockLedger ledger(kBlocks, 1);
+  BlockLedger::Lease ls;
+  SweepBlock out;
+  const double inf = std::numeric_limits<double>::infinity();
+  std::size_t wrong = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  while (ledger.lease(0, 0.0, ls)) {
+    ASSERT_EQ(ledger.deliver(make_rec(kBlocks, 1, ls.start)),
+              BlockLedger::Deliver::Accepted);
+    ASSERT_TRUE(ledger.next_to_fold(out));
+    // Nothing ever backed off: ready now while anything is pending.
+    wrong += ledger.next_ready_s() != (ledger.pending() > 0 ? 0.0 : inf) ? 1 : 0;
+  }
+  const double elapsed_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_TRUE(ledger.all_folded());
+  EXPECT_EQ(wrong, 0u);
+  EXPECT_LT(elapsed_s, 5.0);
 }
 
 TEST(BlockLedger, SuspectBlockIsProbedAndThePoisonedCaseQuarantined) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <string>
 
+#include "core/sweep_journal.hpp"
 #include "core/sweep_wire.hpp"
 
 namespace greenhpc::core {
@@ -37,7 +38,7 @@ SweepBlock sample_block() {
 
 TEST(SweepWire, SealAndUnsealRejectCorruption) {
   const std::string line = wire::seal("hello world 42");
-  std::string content;
+  std::string_view content;
   ASSERT_TRUE(wire::unseal(line, content));
   EXPECT_EQ(content, "hello world 42");
 
@@ -84,7 +85,7 @@ TEST(SweepWire, TextEncodingRoundTripsArbitraryBytes) {
 TEST(SweepWire, BlockRoundTripIsExact) {
   const SweepBlock rec = sample_block();
   const std::string line = wire::serialize_block(rec);
-  std::string content;
+  std::string_view content;
   ASSERT_TRUE(wire::unseal(line, content));
   SweepBlock back;
   ASSERT_TRUE(wire::parse_block(content, back));
@@ -169,10 +170,128 @@ TEST(SweepProtocol, AnyDefectIsMalformedNeverAThrow) {
   // sealing would fail the count check).
   SweepBlock rec = sample_block();
   rec.cases.pop_back();  // count now disagrees with the recorded 3
-  std::string content;
-  ASSERT_TRUE(wire::unseal(wire::serialize_block(sample_block()), content));
-  const std::string torn = wire::seal(content.substr(0, content.size() - 20));
+  const std::string whole = wire::serialize_block(sample_block());
+  std::string_view content;
+  ASSERT_TRUE(wire::unseal(whole, content));
+  const std::string torn =
+      wire::seal(std::string(content.substr(0, content.size() - 20)));
   EXPECT_EQ(parse_message(torn).kind, MsgKind::Malformed);
+}
+
+/// The content of a sealed line, as a string (the seal already checked).
+std::string content_of(const std::string& line) {
+  std::string_view content;
+  EXPECT_TRUE(wire::unseal(line, content)) << line;
+  return std::string(content);
+}
+
+TEST(SweepProtocol, EncodersWriteTheDocumentedBytes) {
+  EXPECT_EQ(content_of(encode_hello(7, 0xff, 96, 8)), "hello 7 00000000000000ff 96 8");
+  EXPECT_EQ(content_of(encode_heartbeat(7)), "hb 7");
+  EXPECT_EQ(content_of(encode_assign(24, 8)), "assign 24 8");
+  EXPECT_EQ(content_of(encode_shutdown()), "shutdown");
+  SweepBlock rec;
+  rec.start = 4;
+  rec.cases.resize(2);
+  rec.cases[0].ok = true;
+  rec.cases[0].metrics.completed = 1.0;
+  rec.cases[1].ok = false;
+  rec.cases[1].attempts = 2;
+  rec.cases[1].error = "x y";
+  rec.digest_after = 0xabc;
+  EXPECT_EQ(content_of(encode_block(rec)),
+            "block 4 2 0000000000000abc c 0000000000000000 0000000000000000 "
+            "0000000000000000 0000000000000000 0000000000000000 0000000000000000 "
+            "3ff0000000000000 f 2 782079");
+  EXPECT_EQ(encode_block(rec), SweepJournal::serialize_block_line(rec));
+  obs::StatSnapshot snap;
+  snap.counters = {{"a", 3}};
+  snap.gauges = {{"b", 0.5}};
+  obs::HistogramSnapshot h;
+  h.name = "h";
+  h.bounds = {1.0};
+  h.counts = {2, 0};
+  h.sum = 0.25;
+  snap.histograms = {h};
+  EXPECT_EQ(content_of(encode_stat(9, 16, snap)),
+            "stat 9 0000000000000010 c 1 61 0000000000000003 g 1 62 3fe0000000000000 "
+            "h 1 68 3fd0000000000000 1 3ff0000000000000 2 0");
+  obs::RemoteTraceEvent e;
+  e.name = "n";
+  e.cat = "fleet";
+  e.tid = 1;
+  e.phase = 'X';
+  e.ts_ns = 2;
+  e.dur_ns = 3;
+  EXPECT_EQ(content_of(encode_trace(9, 16, 0, {e})),
+            "trace 9 0000000000000010 0 1 6e 666c656574 1 X 0000000000000002 "
+            "0000000000000003 0000000000000000");
+}
+
+TEST(SweepProtocol, LineCorpusParsesAsTheGrammarSays) {
+  struct Case {
+    const char* content;
+    MsgKind kind;
+  };
+  const Case corpus[] = {
+      // Tokens split on any run of whitespace, as they always have.
+      {"assign\t24  8", MsgKind::Assign},
+      {"  hb 7 ", MsgKind::Heartbeat},
+      {"shutdown\r", MsgKind::Shutdown},
+      {"hello 1 00000000000000FF 2 3", MsgKind::Hello},
+      {"block 0 1 0000000000000000 f 2 -", MsgKind::Block},
+      {"stat 1 0 c 0 g 0 h 0", MsgKind::Stat},
+      {"trace 1 0 0 0", MsgKind::Trace},
+      // Control-plane defects are fatal.
+      {"", MsgKind::Malformed},
+      {" \t ", MsgKind::Malformed},
+      {"frobnicate 1", MsgKind::Malformed},
+      {"hb", MsgKind::Malformed},
+      {"hb 1 2", MsgKind::Malformed},
+      {"hb x", MsgKind::Malformed},
+      {"hello 1 2 3", MsgKind::Malformed},
+      {"hello 1 0 10 0", MsgKind::Malformed},
+      {"hello 1 00000000000000000 10 2", MsgKind::Malformed},  // 17 hex digits
+      {"assign 5", MsgKind::Malformed},
+      {"assign 5 0", MsgKind::Malformed},
+      {"assign 5 99999999999999999999", MsgKind::Malformed},  // overflows 64 bits
+      {"shutdown now", MsgKind::Malformed},
+      {"block 0 1 0 x", MsgKind::Malformed},
+      {"block 0 1 0 f 2 abc", MsgKind::Malformed},  // odd-length text
+      {"block 0 2 0 c 1 2 3 4 5 6 7", MsgKind::Malformed},
+      {"statx 1 0 c 0 g 0 h 0", MsgKind::Malformed},
+      // A number is digits only: no sign and no 0x, which no encoder writes.
+      {"assign +5 8", MsgKind::Malformed},
+      {"assign -1 8", MsgKind::Malformed},
+      {"hello 1 0x1f 10 2", MsgKind::Malformed},
+      // Observability-plane defects are dropped, never fatal.
+      {"stat 1", MsgKind::ObsRejected},
+      {"stat 1 0 c 1", MsgKind::ObsRejected},
+      {"stat 1 0 c 0 g 0 h 0 extra", MsgKind::ObsRejected},
+      {"stat 1 0 c 0 g 0 h 1 68 0 1", MsgKind::ObsRejected},
+      {"stat 1 +10 c 0 g 0 h 0", MsgKind::ObsRejected},
+      {"trace 1 0 0 2", MsgKind::ObsRejected},
+      {"trace 1 0 0 1 6e 66 0 Q 0 0 0", MsgKind::ObsRejected},
+      {"trace -1 0 0 0", MsgKind::ObsRejected},
+  };
+  for (const Case& c : corpus) {
+    EXPECT_EQ(parse_message(wire::seal(c.content)).kind, c.kind) << '"' << c.content << '"';
+  }
+  const Message hello = parse_message(wire::seal("hello 1 00000000000000FF 2 3"));
+  EXPECT_EQ(hello.config_digest, 0xffu);
+  const Message assign = parse_message(wire::seal("assign\t24  8"));
+  EXPECT_EQ(assign.start, 24u);
+  EXPECT_EQ(assign.count, 8u);
+  const Message block = parse_message(wire::seal("block 0 1 0000000000000000 f 2 -"));
+  ASSERT_EQ(block.block.cases.size(), 1u);
+  EXPECT_FALSE(block.block.cases[0].ok);
+  EXPECT_EQ(block.block.cases[0].attempts, 2);
+  EXPECT_EQ(block.block.cases[0].error, "");
+
+  // The checksum is digits only too: a space inside it breaks the seal.
+  std::string line = encode_assign(24, 8);
+  line[line.size() - 16] = ' ';
+  EXPECT_EQ(parse_message(line).kind, MsgKind::Malformed);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <thread>
+#include <vector>
+
 #include "util/error.hpp"
 #include "util/stats.hpp"
 
@@ -146,6 +150,98 @@ TEST(Workload, ConfigValidation) {
   cfg = base_config();
   cfg.malleable_fraction = 1.5;
   EXPECT_THROW(WorkloadGenerator(cfg, 1), greenhpc::InvalidArgument);
+}
+
+TEST(WorkloadCache, CountsHitsAndMissesAcrossOneFieldChanges) {
+  // Every WorkloadConfig field, and the seed, is part of the key: a
+  // config that differs in exactly one of them is a miss, and asking
+  // again is a hit on its own entry.
+  const std::vector<std::function<void(WorkloadConfig&)>> one_field = {
+      [](WorkloadConfig& c) { c.job_count += 1; },
+      [](WorkloadConfig& c) { c.span = c.span + seconds(1.0); },
+      [](WorkloadConfig& c) { c.diurnal_amplitude += 0.1; },
+      [](WorkloadConfig& c) { c.arrival_quantum = hours(1.0); },
+      [](WorkloadConfig& c) { c.max_job_nodes += 1; },
+      [](WorkloadConfig& c) { c.runtime_weibull_shape += 0.1; },
+      [](WorkloadConfig& c) { c.runtime_mean = c.runtime_mean + minutes(1.0); },
+      [](WorkloadConfig& c) { c.runtime_min = c.runtime_min + minutes(1.0); },
+      [](WorkloadConfig& c) { c.runtime_max = c.runtime_max + minutes(1.0); },
+      [](WorkloadConfig& c) { c.walltime_factor_sigma += 0.1; },
+      [](WorkloadConfig& c) { c.over_allocation_mean += 0.1; },
+      [](WorkloadConfig& c) { c.malleable_fraction += 0.1; },
+      [](WorkloadConfig& c) { c.moldable_fraction += 0.1; },
+      [](WorkloadConfig& c) { c.checkpointable_fraction += 0.1; },
+      [](WorkloadConfig& c) { c.node_power_mean = c.node_power_mean + watts(1.0); },
+      [](WorkloadConfig& c) { c.node_power_sigma = c.node_power_sigma + watts(1.0); },
+      [](WorkloadConfig& c) { c.node_power_limit = c.node_power_limit + watts(1.0); },
+      [](WorkloadConfig& c) { c.alpha_min += 0.01; },
+      [](WorkloadConfig& c) { c.alpha_max += 0.01; },
+      [](WorkloadConfig& c) { c.gamma_min += 0.01; },
+      [](WorkloadConfig& c) { c.gamma_max += 0.01; },
+      [](WorkloadConfig& c) { c.mpi_wait_mean += 0.01; },
+      [](WorkloadConfig& c) { c.powersave_adoption += 0.1; },
+      [](WorkloadConfig& c) { c.user_count += 1; },
+  };
+  WorkloadConfig base = base_config();
+  base.job_count = 20;
+  WorkloadCache cache;
+  const auto first = cache.get(base, 7);
+  EXPECT_NE(cache.get(base, 8).get(), first.get());  // the seed
+  std::vector<const std::vector<JobSpec>*> variants;
+  for (const auto& change : one_field) {
+    WorkloadConfig cfg = base;
+    change(cfg);
+    variants.push_back(cache.get(cfg, 7).get());
+    EXPECT_NE(variants.back(), first.get());
+  }
+  const std::size_t distinct = 2 + one_field.size();
+  EXPECT_EQ(cache.size(), distinct);
+  EXPECT_EQ(cache.misses(), distinct);
+  EXPECT_EQ(cache.hits(), 0u);
+
+  for (std::size_t i = 0; i < one_field.size(); ++i) {
+    WorkloadConfig cfg = base;
+    one_field[i](cfg);
+    EXPECT_EQ(cache.get(cfg, 7).get(), variants[i]) << "field " << i;
+  }
+  EXPECT_EQ(cache.get(base, 7).get(), first.get());
+  // -0.0 == 0.0, so the key compares them equal and must hash them equal.
+  WorkloadConfig negative_zero = base;
+  negative_zero.malleable_fraction = -0.0;
+  EXPECT_EQ(cache.get(negative_zero, 7).get(), first.get());
+  EXPECT_EQ(cache.size(), distinct);
+  EXPECT_EQ(cache.misses(), distinct);
+  EXPECT_EQ(cache.hits(), one_field.size() + 2);
+
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.hits() + cache.misses(), 0u);
+}
+
+TEST(WorkloadCache, ConcurrentLookupsConvergeOnOnePointer) {
+  WorkloadConfig cfg = base_config();
+  cfg.job_count = 20;
+  WorkloadCache cache;
+  constexpr int kThreads = 4;
+  constexpr int kSeeds = 6;
+  std::vector<std::vector<const std::vector<JobSpec>*>> seen(
+      kThreads, std::vector<const std::vector<JobSpec>*>(kSeeds, nullptr));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int k = 0; k < kSeeds; ++k) {
+        seen[static_cast<std::size_t>(t)][static_cast<std::size_t>(k)] =
+            cache.get(cfg, static_cast<std::uint64_t>(k)).get();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(t)], seen[0]) << "thread " << t;
+  }
+  EXPECT_EQ(cache.size(), static_cast<std::size_t>(kSeeds));
+  EXPECT_EQ(cache.hits() + cache.misses(),
+            static_cast<std::size_t>(kThreads) * kSeeds);
 }
 
 }  // namespace

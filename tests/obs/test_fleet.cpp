@@ -1,9 +1,11 @@
 #include "obs/fleet.hpp"
+#include "obs/chrome_json.hpp"
 #include "obs/flight_recorder.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdint>
 #include <random>
 #include <sstream>
@@ -128,6 +130,87 @@ TEST(FleetTrace, ChromeJsonNamesEveryLaneEvenWhenEmpty) {
   // ts/dur are microseconds in Chrome trace JSON: 1000ns -> 1us.
   EXPECT_NE(json.find("\"name\":\"coord.run\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+}
+
+std::string micros(std::uint64_t ns) {
+  char buf[24];
+  return std::string(buf, detail::format_micros(buf, ns));
+}
+
+TEST(ChromeJson, MicrosecondsAreExactDecimalsOfTheNanoseconds) {
+  EXPECT_EQ(micros(0), "0");
+  EXPECT_EQ(micros(1), "0.001");
+  EXPECT_EQ(micros(10), "0.01");
+  EXPECT_EQ(micros(1000), "1");
+  EXPECT_EQ(micros(1500), "1.5");
+  EXPECT_EQ(micros(1234567891), "1234567.891");
+  EXPECT_EQ(micros(UINT64_MAX), "18446744073709551.615");
+}
+
+/// Nanoseconds of the first `"key":<µs>` in `json`, read back from its
+/// decimal text without floating point.
+std::uint64_t field_ns(const std::string& json, const std::string& key) {
+  const std::size_t at = json.find("\"" + key + "\":");
+  EXPECT_NE(at, std::string::npos) << key;
+  std::size_t i = at + key.size() + 3;
+  std::uint64_t ns = 0;
+  while (std::isdigit(static_cast<unsigned char>(json[i])) != 0) {
+    ns = ns * 10 + static_cast<std::uint64_t>(json[i++] - '0');
+  }
+  ns *= 1000;
+  if (json[i] == '.') {
+    std::uint64_t scale = 100;
+    while (std::isdigit(static_cast<unsigned char>(json[++i])) != 0) {
+      ns += static_cast<std::uint64_t>(json[i] - '0') * scale;
+      scale /= 10;
+    }
+  }
+  return ns;
+}
+
+TEST(FleetTrace, ChromeJsonKeepsTheNanosecondHoursIntoARun) {
+  // Three hours after the epoch a double printed at six significant
+  // digits rounds to 10 ms; the trace must keep the exact nanosecond.
+  const std::uint64_t ts = 3ull * 3600 * 1000000000 + 123456789;
+  FleetTrace ft;
+  const int lane = ft.add_lane(5, "worker \"quoted\"\n");
+  ft.add_event(lane, ev("tab\there\\", ts, 1001));
+  std::ostringstream os;
+  ft.write_chrome_json(os);
+  const std::string json = os.str();
+  EXPECT_EQ(field_ns(json, "ts"), ts);
+  EXPECT_EQ(field_ns(json, "dur"), 1001u);
+  EXPECT_NE(json.find("\"ts\":10800123456.789,"), std::string::npos);
+  EXPECT_NE(json.find("worker \\\"quoted\\\"\\u000a"), std::string::npos);
+  EXPECT_NE(json.find("tab\\u0009here\\\\"), std::string::npos);
+}
+
+TEST(FleetTrace, ChromeJsonLargerThanTheWriteBufferIsWhole) {
+  // Far more than the writer's 64 KiB buffer: every event must arrive,
+  // in order, and the document must close.
+  FleetTrace ft;
+  const int lane = ft.add_lane(3, "worker");
+  constexpr std::uint64_t kEvents = 5000;
+  std::vector<RemoteTraceEvent> batch;
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
+    batch.push_back(ev("worker.block." + std::to_string(i), 1000 * i + 7, 3));
+  }
+  ft.add_events(lane, std::move(batch));
+  std::ostringstream os;
+  ft.write_chrome_json(os);
+  const std::string json = os.str();
+  ASSERT_GT(json.size(), 4 * 64 * 1024u);
+  std::size_t found = 0;
+  std::size_t at = 0;
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
+    const std::string want = "\"worker.block." + std::to_string(i) + "\"";
+    at = json.find(want, at);
+    if (at == std::string::npos) break;
+    ++found;
+  }
+  EXPECT_EQ(found, kEvents);
+  const std::string end = "}],\"displayTimeUnit\":\"ms\"}\n";
+  EXPECT_EQ(json.substr(json.size() - end.size()), end);
 }
 
 TEST(FlightRecorder, RecordsInOrderBelowCapacity) {
