@@ -24,15 +24,27 @@ std::size_t TraceCache::KeyHash::operator()(const Key& k) const {
   return static_cast<std::size_t>(h);
 }
 
+std::shared_ptr<const std::vector<double>> TraceCache::shape_for(const Key& key,
+                                                                 const GridModel& model) {
+  const Key shape_key{key.region, IntensityKind::Average, 0, key.start_s, key.span_s,
+                      key.step_s};
+  {
+    std::lock_guard lock(mutex_);
+    const auto s = shapes_.find(shape_key);
+    if (s != shapes_.end()) return s->second;
+  }
+  auto fresh = std::make_shared<const std::vector<double>>(model.shape(
+      seconds(key.start_s), seconds(key.span_s), seconds(key.step_s)));
+  std::lock_guard lock(mutex_);
+  return shapes_.try_emplace(shape_key, std::move(fresh)).first->second;
+}
+
 std::shared_ptr<const util::TimeSeries> TraceCache::get(Region region,
                                                         IntensityKind kind,
                                                         std::uint64_t seed,
                                                         Duration start, Duration span,
                                                         Duration step) {
   const Key key{region, kind, seed, start.seconds(), span.seconds(), step.seconds()};
-  const Key shape_key{region, IntensityKind::Average, 0, key.start_s, key.span_s,
-                      key.step_s};
-  std::shared_ptr<const std::vector<double>> shape;
   {
     std::lock_guard lock(mutex_);
     const auto it = map_.find(key);
@@ -41,22 +53,29 @@ std::shared_ptr<const util::TimeSeries> TraceCache::get(Region region,
       return it->second;
     }
     ++misses_;
-    const auto s = shapes_.find(shape_key);
-    if (s != shapes_.end()) shape = s->second;
   }
   // Generate outside the lock: concurrent misses on distinct keys don't
   // serialize behind each other's OU draws. Deterministic generation makes
   // a raced duplicate harmless — try_emplace keeps the first insertion.
   GridModel model(region, seed);
-  if (shape == nullptr) {
-    auto fresh = std::make_shared<const std::vector<double>>(model.shape(start, span, step));
-    std::lock_guard lock(mutex_);
-    shape = shapes_.try_emplace(shape_key, std::move(fresh)).first->second;
-  }
-  auto trace =
-      std::make_shared<const util::TimeSeries>(model.generate(*shape, start, step, kind));
+  auto trace = std::make_shared<const util::TimeSeries>(
+      model.generate(*shape_for(key, model), start, step, kind));
   std::lock_guard lock(mutex_);
   return map_.try_emplace(key, std::move(trace)).first->second;
+}
+
+std::shared_ptr<const util::TimeSeries> TraceCache::get_uncached(
+    Region region, IntensityKind kind, std::uint64_t seed, Duration start, Duration span,
+    Duration step) {
+  const Key key{region, kind, seed, start.seconds(), span.seconds(), step.seconds()};
+  {
+    std::lock_guard lock(mutex_);
+    const auto it = map_.find(key);
+    if (it != map_.end()) return it->second;
+  }
+  GridModel model(region, seed);
+  return std::make_shared<const util::TimeSeries>(
+      model.generate(*shape_for(key, model), start, step, kind));
 }
 
 std::size_t TraceCache::size() const {

@@ -56,6 +56,16 @@ class TraceCache {
       Region region, IntensityKind kind, std::uint64_t seed, Duration start,
       Duration span, Duration step);
 
+  /// The trace get() returns for the same arguments, without storing it:
+  /// a held trace is shared, any other is generated on the cached shape
+  /// (stored like get() stores it) and owned by the caller alone. For a
+  /// trace needed once — the sweep's carbon-blind pricing builds one per
+  /// priced case — so the cache does not grow by it. Leaves size(),
+  /// hits() and misses() unchanged. Thread-safe.
+  [[nodiscard]] std::shared_ptr<const util::TimeSeries> get_uncached(
+      Region region, IntensityKind kind, std::uint64_t seed, Duration start,
+      Duration span, Duration step);
+
   /// Number of distinct traces currently held.
   [[nodiscard]] std::size_t size() const;
   /// Lookup counters since construction / the last clear().
@@ -72,6 +82,11 @@ class TraceCache {
   struct KeyHash {
     [[nodiscard]] std::size_t operator()(const Key& k) const;
   };
+
+  /// The shape of `key`'s region, span and step: cached, or computed
+  /// with `model` and stored (the first insertion wins a race).
+  std::shared_ptr<const std::vector<double>> shape_for(const Key& key,
+                                                       const GridModel& model);
 
   mutable std::mutex mutex_;
   std::unordered_map<Key, std::shared_ptr<const util::TimeSeries>, KeyHash> map_;

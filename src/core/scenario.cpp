@@ -17,9 +17,13 @@ ScenarioRunner::ScenarioRunner(ScenarioConfig config)
       jobs_(hpcsim::WorkloadCache::global().get(cfg_.workload, cfg_.seed)) {
   GREENHPC_REQUIRE(cfg_.trace_span >= cfg_.workload.span,
                    "trace must cover the workload span");
+  green_threshold_ = green_threshold_of(*trace_);
+}
+
+double ScenarioRunner::green_threshold_of(const util::TimeSeries& trace) {
   // 0.40 matches the carbon-aware scheduler's default green gate, so the
   // green-energy-share metric and the policies classify ticks identically.
-  green_threshold_ = carbon::green_threshold(*trace_, 0.40);
+  return carbon::green_threshold(trace, 0.40);
 }
 
 PolicyOutcome ScenarioRunner::run(const std::string& label, const SchedulerFactory& sched,

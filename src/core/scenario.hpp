@@ -73,6 +73,9 @@ class ScenarioRunner {
   /// Green threshold (40th percentile of the trace, matching the default
   /// carbon-aware scheduler gate) used for the green-energy-share metric.
   [[nodiscard]] double green_threshold() const { return green_threshold_; }
+  /// The green threshold of any intensity trace, as green_threshold()
+  /// computes it for the scenario's own.
+  [[nodiscard]] static double green_threshold_of(const util::TimeSeries& trace);
 
   /// Run one policy combination on the shared inputs.
   [[nodiscard]] PolicyOutcome run(const std::string& label, const SchedulerFactory& sched,

@@ -3,11 +3,17 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
+#include <optional>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 
+#include "carbon/trace_cache.hpp"
 #include "core/sweep_journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"  // obs::fnv1a
@@ -50,6 +56,18 @@ std::vector<int> resolve_nodes(const SweepGrid& grid) {
 std::vector<int> resolve_jobs(const SweepGrid& grid) {
   return grid.job_counts.empty() ? std::vector<int>{grid.base.workload.job_count}
                                  : grid.job_counts;
+}
+
+SweepCaseMetrics metrics_of(const PolicyOutcome& out) {
+  SweepCaseMetrics m;
+  m.total_carbon_t = out.total_carbon_t;
+  m.total_energy_mwh = out.total_energy_mwh;
+  m.mean_wait_h = out.mean_wait_h;
+  m.mean_bounded_slowdown = out.mean_bounded_slowdown;
+  m.utilization = out.utilization;
+  m.green_energy_share = out.green_energy_share;
+  m.completed = static_cast<double>(out.completed);
+  return m;
 }
 
 }  // namespace
@@ -162,8 +180,92 @@ struct SweepCaseRunner::Coords {
   int replica;
 };
 
+/// The schedule groups of one pricing scope. A group is claimed by its
+/// first case to arrive; members arriving meanwhile wait. The leader
+/// then publishes the priced outcomes of its in-scope members, each
+/// taken and erased by its own case; none when its run was not
+/// carbon-blind, so every later arrival simulates. A leader that throws
+/// erases the group, so the next arrival leads as if it had never been
+/// claimed. Pending outcomes cost one (flat, metrics) pair, 64 B, each.
+class SweepCaseRunner::GroupMemo {
+ public:
+  enum class Claim { Lead, Priced, Simulate };
+  using Entry = std::pair<std::size_t, SweepCaseMetrics>;
+
+  /// `scope`: the cases this memo may price, sorted by start; empty =
+  /// the whole grid.
+  explicit GroupMemo(std::vector<SweepRange> scope) : scope_(std::move(scope)) {}
+
+  /// Whether `flat` lies in the last range starting at or before it.
+  /// Ranges never overlap in practice; if they did, a member this misses
+  /// would only simulate instead of being priced.
+  [[nodiscard]] bool in_scope(std::size_t flat) const {
+    if (scope_.empty()) return true;
+    const auto after = std::upper_bound(
+        scope_.begin(), scope_.end(), flat,
+        [](std::size_t f, const SweepRange& r) { return f < r.start; });
+    return after != scope_.begin() && flat - std::prev(after)->start < std::prev(after)->count;
+  }
+
+  /// Lead an unclaimed group, wait out a running leader, then take the
+  /// case's priced outcome into `out` if there is one.
+  [[nodiscard]] Claim claim(std::size_t group, std::size_t flat, SweepCaseMetrics& out) {
+    std::unique_lock lock(mutex_);
+    cv_.wait(lock, [&] {
+      const auto it = groups_.find(group);
+      return it == groups_.end() || !it->second.running;
+    });
+    const auto [it, fresh] = groups_.try_emplace(group);
+    if (fresh) return Claim::Lead;
+    std::vector<Entry>& priced = it->second.priced;
+    for (Entry& e : priced) {
+      if (e.first != flat) continue;
+      out = e.second;
+      e = priced.back();
+      priced.pop_back();
+      if (priced.empty()) priced = {};  // free the storage
+      return Claim::Priced;
+    }
+    return Claim::Simulate;
+  }
+
+  /// The leader's run is done: `priced` holds its members' outcomes
+  /// (empty when the run was not carbon-blind or no member is in scope).
+  void publish(std::size_t group, std::vector<Entry> priced) {
+    {
+      std::lock_guard lock(mutex_);
+      Group& g = groups_[group];
+      g.running = false;
+      g.priced = std::move(priced);
+    }
+    cv_.notify_all();
+  }
+
+  /// The leader threw: unclaim the group.
+  void release(std::size_t group) {
+    {
+      std::lock_guard lock(mutex_);
+      groups_.erase(group);
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  struct Group {
+    bool running = true;  ///< claimed, its leader not yet done
+    std::vector<Entry> priced;
+  };
+
+  const std::vector<SweepRange> scope_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::unordered_map<std::size_t, Group> groups_;
+};
+
 SweepCaseRunner::SweepCaseRunner(const SweepGrid& grid)
     : SweepCaseRunner(grid, Options()) {}
+
+SweepCaseRunner::~SweepCaseRunner() = default;
 
 SweepCaseRunner::SweepCaseRunner(const SweepGrid& grid, Options opts)
     : grid_(&grid), opts_(opts) {
@@ -181,6 +283,9 @@ SweepCaseRunner::SweepCaseRunner(const SweepGrid& grid, Options opts)
   n_cells_ = regions_.size() * kinds_.size() * nodes_.size() * jobs_.size() *
              grid.policies.size();
   n_cases_ = n_cells_ * replicas_;
+  group_size_ = regions_.size() * kinds_.size();
+  group_span_ = n_cases_ / group_size_;
+  if (group_size_ > 1) memo_ = std::make_unique<GroupMemo>(std::vector<SweepRange>{});
 }
 
 SweepCaseRunner::Coords SweepCaseRunner::decode(std::size_t flat) const {
@@ -256,19 +361,87 @@ void SweepCaseRunner::fold(SweepResult& result, std::size_t flat,
   sweep_digest_metrics(result.digest, m);
 }
 
+ScenarioConfig SweepCaseRunner::scenario(std::size_t flat) const {
+  const Coords c = decode(flat);
+  ScenarioConfig cfg = grid_->base;
+  cfg.region = regions_[c.region_idx];
+  cfg.intensity_kind = kinds_[c.kind_idx];
+  cfg.cluster.nodes = nodes_[c.nodes_idx];
+  cfg.workload.job_count = jobs_[c.jobs_idx];
+  // Jobs must fit the swept cluster; clamping (rather than scaling)
+  // keeps the workload key shared across node counts above the bound.
+  cfg.workload.max_job_nodes = std::min(cfg.workload.max_job_nodes, cfg.cluster.nodes);
+  cfg.seed = SweepEngine::replica_seed(grid_->base.seed, c.replica);
+  return cfg;
+}
+
+PolicyOutcome SweepCaseRunner::simulate(std::size_t flat) const {
+  // Construction resolves through the shared-asset caches: the trace
+  // and job list are generated once per distinct key and shared.
+  const ScenarioRunner runner(scenario(flat));
+  const auto& policy = grid_->policies[decode(flat).policy_idx];
+  return runner.run(policy.label, policy.scheduler, policy.power);
+}
+
+SweepCaseMetrics SweepCaseRunner::price(const PolicyOutcome& run, std::size_t flat) const {
+  // The member's trace is needed once: built on the cached shape, not
+  // stored (a priced case never simulates, so caching it only holds
+  // memory).
+  const ScenarioConfig cfg = scenario(flat);
+  const auto trace = carbon::TraceCache::global().get_uncached(
+      cfg.region, cfg.intensity_kind, cfg.seed, seconds(0.0), cfg.trace_span, cfg.trace_step);
+  const hpcsim::CarbonPricing priced = hpcsim::price_carbon(run.result, *trace);
+  // Every other metric reads only the schedule, which is the same.
+  SweepCaseMetrics m = metrics_of(run);
+  m.total_carbon_t = priced.total_carbon.tonnes();
+  m.green_energy_share = run.result.green_energy_share(
+      ScenarioRunner::green_threshold_of(*trace), priced.carbon_intensity);
+  return m;
+}
+
+SweepCaseMetrics SweepCaseRunner::lead(GroupMemo& memo, std::size_t group,
+                                       std::size_t flat) const {
+  PolicyOutcome run;
+  std::vector<GroupMemo::Entry> priced;
+  try {
+    run = simulate(flat);
+    if (run.result.carbon_blind) {
+      for (std::size_t m = 0; m < group_size_; ++m) {
+        const std::size_t member = group + m * group_span_;
+        if (member != flat && memo.in_scope(member)) {
+          priced.emplace_back(member, price(run, member));
+        }
+      }
+    }
+  } catch (...) {
+    memo.release(group);
+    throw;
+  }
+  static obs::Counter& priced_counter =
+      obs::Registry::global().counter("sweep.cases_priced");
+  priced_counter.add(priced.size());
+  memo.publish(group, std::move(priced));
+  return metrics_of(run);
+}
+
 SweepCaseOutcome SweepCaseRunner::run_case(std::size_t flat) const {
+  return run_case(flat, memo_.get());
+}
+
+SweepCaseOutcome SweepCaseRunner::run_case(std::size_t flat, GroupMemo* memo) const {
   static obs::Counter& retries_counter =
       obs::Registry::global().counter("sweep.case_retries");
   static obs::Counter& quarantined_counter =
       obs::Registry::global().counter("sweep.cases_quarantined");
 
-  const auto simulate = [&] {
+  const auto run_once = [&] {
     // Chaos hook: a poisoned flat case. In a worker process (lethal) a
     // Kill action crashes the worker exactly where a real poison case
     // would — mid-simulation, before any journaling. In the coordinator
     // (never lethal) the same spec degrades to a thrown failure, which
     // the retry/quarantine loop below contains: chaos must not be able
-    // to crash the in-process degradation path.
+    // to crash the in-process degradation path. Checked before the memo,
+    // so a priced case is poisoned like a simulated one.
     util::FaultHit poison;
     if (util::FaultInjector::global().match_value("case.poison", flat, poison)) {
       if (poison.action == util::FaultAction::Kill &&
@@ -278,33 +451,19 @@ SweepCaseOutcome SweepCaseRunner::run_case(std::size_t flat) const {
       throw util::InjectedFailure("injected poison case " +
                                   std::to_string(flat));
     }
-    const Coords c = decode(flat);
-    ScenarioConfig cfg = grid_->base;
-    cfg.region = regions_[c.region_idx];
-    cfg.intensity_kind = kinds_[c.kind_idx];
-    cfg.cluster.nodes = nodes_[c.nodes_idx];
-    cfg.workload.job_count = jobs_[c.jobs_idx];
-    // Jobs must fit the swept cluster; clamping (rather than scaling)
-    // keeps the workload key shared across node counts above the bound.
-    cfg.workload.max_job_nodes =
-        std::min(cfg.workload.max_job_nodes, cfg.cluster.nodes);
-    cfg.seed = SweepEngine::replica_seed(grid_->base.seed, c.replica);
-
-    // Construction resolves through the shared-asset caches: the trace
-    // and job list are generated once per distinct key and shared.
-    const ScenarioRunner runner(cfg);
-    const auto& policy = grid_->policies[c.policy_idx];
-    const PolicyOutcome out = runner.run(policy.label, policy.scheduler, policy.power);
-
-    SweepCaseMetrics m;
-    m.total_carbon_t = out.total_carbon_t;
-    m.total_energy_mwh = out.total_energy_mwh;
-    m.mean_wait_h = out.mean_wait_h;
-    m.mean_bounded_slowdown = out.mean_bounded_slowdown;
-    m.utilization = out.utilization;
-    m.green_energy_share = out.green_energy_share;
-    m.completed = static_cast<double>(out.completed);
-    return m;
+    if (memo != nullptr) {
+      const std::size_t group = flat % group_span_;
+      SweepCaseMetrics m;
+      switch (memo->claim(group, flat, m)) {
+        case GroupMemo::Claim::Lead:
+          return lead(*memo, group, flat);
+        case GroupMemo::Claim::Priced:
+          return m;
+        case GroupMemo::Claim::Simulate:
+          break;
+      }
+    }
+    return metrics_of(simulate(flat));
   };
 
   // Failure isolation: one case = one simulation attempt + a capped
@@ -315,7 +474,7 @@ SweepCaseOutcome SweepCaseRunner::run_case(std::size_t flat) const {
   for (int attempt = 0;; ++attempt) {
     entry.attempts = attempt + 1;
     try {
-      entry.metrics = simulate();
+      entry.metrics = run_once();
       entry.ok = true;
       return entry;
     } catch (const std::exception& e) {
@@ -369,6 +528,15 @@ void SweepCaseRunner::run_ranges(util::ThreadPool& pool,
     return ranges[r].start + (k + ranges[r].count - ends[r]);
   };
 
+  // This call's pricing scope: its ranges, sorted by start.
+  std::optional<GroupMemo> memo;
+  if (memo_ != nullptr) {
+    std::vector<SweepRange> scope = ranges;
+    std::sort(scope.begin(), scope.end(),
+              [](const SweepRange& a, const SweepRange& b) { return a.start < b.start; });
+    memo.emplace(std::move(scope));
+  }
+
   // Outcomes reach the commit side through a ring of `window` slots; no
   // case is claimed `window` or more past the commit frontier, so a slot
   // is refilled only after its previous case was taken into its block.
@@ -386,7 +554,7 @@ void SweepCaseRunner::run_ranges(util::ThreadPool& pool,
   const auto simulate = [&](std::size_t k) {
     Slot& slot = ring[k % window];
     slot.claimed = Clock::now();
-    slot.outcome = run_case(flat_of(k));
+    slot.outcome = run_case(flat_of(k), memo ? &*memo : nullptr);
   };
   const auto take = [&](std::size_t k) {
     Slot& slot = ring[k % window];

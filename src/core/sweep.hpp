@@ -190,6 +190,19 @@ struct SweepResult {
 /// retry/quarantine -> SweepCaseOutcome -> committed block, plus the
 /// serial fold into a SweepResult. One implementation is the
 /// digest-identity argument: there is no second path that could diverge.
+///
+/// Carbon-blind pricing: cases that differ only in region and intensity
+/// kind (the two outermost axes) share cluster size, job list, policy and
+/// seed — a *schedule group*; flat case f belongs to group
+/// f % (case_count() / (regions x kinds)). The first case of a group to
+/// run simulates. When the simulator observed that no decision read the
+/// intensity (hpcsim::SimulationResult::carbon_blind), the schedule is
+/// the same under every trace, and that case prices the group's other
+/// members (hpcsim::price_carbon) instead of simulating them; their
+/// outcomes are bit-identical to simulated ones. Members arriving while
+/// the first case still runs wait for it, so each group is simulated
+/// once per scope whatever the thread timing. Counted by obs
+/// `sweep.cases_priced`. See DESIGN.md, "Carbon-blind pricing".
 class SweepCaseRunner {
  public:
   struct Options {
@@ -211,6 +224,9 @@ class SweepCaseRunner {
   /// `grid` must outlive the runner (held by reference).
   SweepCaseRunner(const SweepGrid& grid, Options opts);
   explicit SweepCaseRunner(const SweepGrid& grid);
+  ~SweepCaseRunner();
+  SweepCaseRunner(const SweepCaseRunner&) = delete;
+  SweepCaseRunner& operator=(const SweepCaseRunner&) = delete;
 
   [[nodiscard]] std::size_t case_count() const { return n_cases_; }
   [[nodiscard]] std::size_t cell_count() const { return n_cells_; }
@@ -218,7 +234,9 @@ class SweepCaseRunner {
 
   /// Simulate one flat case with the retry/quarantine policy. Never
   /// throws on case failure — a case that exhausts its budget returns
-  /// ok == false. Thread-safe: cases are independent.
+  /// ok == false. Thread-safe. Prices over the whole grid: a carbon-blind
+  /// group's first case prices every other member, and the runner keeps
+  /// those outcomes until their cases are asked for.
   [[nodiscard]] SweepCaseOutcome run_case(std::size_t flat) const;
 
   /// The one simulate-and-commit loop: simulates `ranges` (non-empty,
@@ -229,8 +247,10 @@ class SweepCaseRunner {
   /// = max(2 x largest range, 8 x team) or more past the commit frontier.
   /// A throwing commit stops the loop: no later range is committed, and
   /// the exception propagates once the cases in flight have finished.
-  /// Records `sweep.cases` and, per range, `sweep.block_seconds` from the
-  /// claim of its first case until its commit returns.
+  /// Prices only group members inside `ranges`, through a memo that lives
+  /// for the call. Records `sweep.cases` and, per range,
+  /// `sweep.block_seconds` from the claim of its first case until its
+  /// commit returns.
   void run_ranges(util::ThreadPool& pool, const std::vector<SweepRange>& ranges,
                   const std::function<void(SweepBlock&)>& commit) const;
 
@@ -250,7 +270,20 @@ class SweepCaseRunner {
 
  private:
   struct Coords;
+  class GroupMemo;
   [[nodiscard]] Coords decode(std::size_t flat) const;
+  /// The resolved scenario of a flat case.
+  [[nodiscard]] ScenarioConfig scenario(std::size_t flat) const;
+  /// One simulation of a flat case, no retry.
+  [[nodiscard]] PolicyOutcome simulate(std::size_t flat) const;
+  /// run_case pricing through `memo` (null: simulate every case).
+  [[nodiscard]] SweepCaseOutcome run_case(std::size_t flat, GroupMemo* memo) const;
+  /// Simulate the first case of `group` and publish the priced outcomes
+  /// of its other in-scope members; releases the group if it throws.
+  [[nodiscard]] SweepCaseMetrics lead(GroupMemo& memo, std::size_t group,
+                                      std::size_t flat) const;
+  /// The outcome of member `flat` priced from its group's carbon-blind run.
+  [[nodiscard]] SweepCaseMetrics price(const PolicyOutcome& run, std::size_t flat) const;
 
   const SweepGrid* grid_;
   Options opts_;
@@ -261,6 +294,12 @@ class SweepCaseRunner {
   std::size_t replicas_ = 1;
   std::size_t n_cells_ = 0;
   std::size_t n_cases_ = 0;
+  /// Members per schedule group (regions x kinds) and cases per
+  /// region-and-kind slice: group g holds g + m * group_span_.
+  std::size_t group_size_ = 1;
+  std::size_t group_span_ = 0;
+  /// The bare run_case's whole-grid memo; null when groups have one member.
+  std::unique_ptr<GroupMemo> memo_;
 };
 
 class SweepEngine {

@@ -604,6 +604,7 @@ SweepResult SweepCoordinator::run(const SweepGrid& grid) {
     if (c.rtt != nullptr) {
       wi.rtt_p50_s = c.rtt->percentile(0.5);
       wi.rtt_p99_s = c.rtt->percentile(0.99);
+      wi.rtt_samples = c.rtt->count();
     }
     std::fprintf(stderr,
                  "greenhpc: sweep worker %d (pid %ld) dead: %s; %zu block(s) "
@@ -1110,6 +1111,7 @@ SweepResult SweepCoordinator::run(const SweepGrid& grid) {
     if (!wi.died) {
       wi.rtt_p50_s = c.rtt->percentile(0.5);
       wi.rtt_p99_s = c.rtt->percentile(0.99);
+      wi.rtt_samples = c.rtt->count();
     }
     if (c.block_hist.counts.empty()) continue;
     if (merged_block_hist.counts.empty()) {
@@ -1127,6 +1129,7 @@ SweepResult SweepCoordinator::run(const SweepGrid& grid) {
   }
   stats_.rtt_p50_s = fleet_rtt.percentile(0.5);
   stats_.rtt_p99_s = fleet_rtt.percentile(0.99);
+  stats_.rtt_samples = fleet_rtt.count();
 
   if (!ledger.all_folded()) {
     // Graceful degradation: every worker is gone, work remains. Slower

@@ -313,6 +313,7 @@ class SweepCoordinator {
     /// `trace` batches read inside the event loop (0 without a sample).
     double rtt_p50_s = 0.0;
     double rtt_p99_s = 0.0;
+    std::size_t rtt_samples = 0;  ///< samples behind the percentiles
     std::string postmortem_path;  ///< last flight-recorder dump, "" = none
   };
   struct Stats {
@@ -343,6 +344,10 @@ class SweepCoordinator {
     std::size_t trace_events = 0;
     double rtt_p50_s = 0.0;  ///< fleet-wide obs-line RTT (as per worker)
     double rtt_p99_s = 0.0;
+    /// Samples behind the fleet-wide percentiles. 0 means none were
+    /// taken (e.g. a stats-only run shorter than one heartbeat interval)
+    /// and the percentiles read 0 without measuring anything.
+    std::size_t rtt_samples = 0;
     /// Block-simulation seconds percentiles, merged across every
     /// worker's shipped sweep.block_seconds histogram (0 when nothing
     /// shipped — e.g. --no-obs-ship).

@@ -76,15 +76,20 @@ double SimulationResult::checkpoint_overhead_share() const {
 }
 
 double SimulationResult::green_energy_share(double threshold_g_per_kwh) const {
-  if (system_power.empty() || carbon_intensity.empty()) return 0.0;
+  return green_energy_share(threshold_g_per_kwh, carbon_intensity);
+}
+
+double SimulationResult::green_energy_share(double threshold_g_per_kwh,
+                                            const util::StepSeries& intensity) const {
+  if (system_power.empty() || intensity.empty()) return 0.0;
   double green = 0.0;
   double total = 0.0;
   // Walk both run lists over their common ticks. Where both runs hold,
   // every tick adds the same draw, so the per-tick additions are made in
   // tick order exactly as over flat samples.
   const auto power = system_power.runs();
-  const auto ci = carbon_intensity.runs();
-  std::size_t ticks_left = std::min(system_power.size(), carbon_intensity.size());
+  const auto ci = intensity.runs();
+  std::size_t ticks_left = std::min(system_power.size(), intensity.size());
   std::size_t p = 0;
   std::size_t c = 0;
   std::size_t p_left = power[0].count;
@@ -105,6 +110,41 @@ double SimulationResult::green_energy_share(double threshold_g_per_kwh) const {
     if (c_left == 0 && ++c < ci.size()) c_left = ci[c].count;
   }
   return total > 0.0 ? green / total : 0.0;
+}
+
+CarbonPricing price_carbon(const SimulationResult& result, const util::TimeSeries& trace) {
+  GREENHPC_REQUIRE(result.carbon_blind,
+                   "price_carbon needs a carbon-blind run: its schedule may "
+                   "depend on the intensity");
+  GREENHPC_REQUIRE(!trace.empty(), "price_carbon needs a non-empty trace");
+  const Duration tick = result.tick_energy.step();
+  CarbonPricing out{.total_carbon = {},
+                    .carbon_intensity = util::StepSeries(result.tick_energy.start(), tick)};
+  util::TimeSeries::Cursor cursor;
+  Duration now = result.tick_energy.start();
+  Duration seg_end = now;
+  double ci = 0.0;
+  for (const util::StepSeries::Run& run : result.tick_energy.runs()) {
+    const double carbon_per_ci = run.value / 3.6e6;
+    std::size_t left = run.count;
+    while (left > 0) {
+      if (now >= seg_end) {
+        ci = trace.sample_at_clamped(now, cursor);
+        seg_end = trace.segment_end(now);
+      }
+      // The ticks of this run inside the current segment: one addition
+      // each, in tick order, exactly as the simulator made them.
+      std::size_t m = 0;
+      do {
+        out.total_carbon += grams_co2(carbon_per_ci * ci);
+        now += tick;
+        ++m;
+      } while (m < left && now < seg_end);
+      out.carbon_intensity.append_fill(m, ci);
+      left -= m;
+    }
+  }
+  return out;
 }
 
 }  // namespace greenhpc::hpcsim

@@ -37,10 +37,13 @@ struct JobRecord {
 struct SimulationResult {
   std::vector<JobRecord> jobs;
   // Per-tick outputs, run-length on the tick grid (expand() for samples).
-  util::StepSeries system_power;     ///< total draw per tick (W)
+  util::StepSeries system_power;     ///< total draw per tick (W): tick_energy / tick
   util::StepSeries power_budget;     ///< budget in force per tick (W)
   util::StepSeries carbon_intensity; ///< intensity per tick (g/kWh)
   util::StepSeries busy_nodes;       ///< allocated nodes per tick
+  /// Energy each tick added to total_energy (J): the addend price_carbon
+  /// needs, which system_power times the tick does not give back exactly.
+  util::StepSeries tick_energy;
 
   Duration makespan;                 ///< last finish time
   Power idle_floor;                  ///< draw with every node idle (cluster constant)
@@ -73,6 +76,15 @@ struct SimulationResult {
   /// show for them, the quantity checkpointing exists to bound.
   Carbon wasted_carbon;
 
+  /// True when no decision of the run could have read the carbon
+  /// intensity: the scheduling policy never called one of the view's
+  /// intensity accessors nor info() (which carries per-job carbon), no
+  /// power-budget policy ran and no feed was configured. Observed by the
+  /// simulator, not declared by the policy, so it holds through any
+  /// decorator. The schedule of such a run is the same under every
+  /// trace, and price_carbon reprices it exactly.
+  bool carbon_blind = false;
+
   /// Node-seconds allocated / (nodes * makespan).
   [[nodiscard]] double utilization(const ClusterConfig& cluster) const;
   /// Mean wait over completed jobs, hours.
@@ -88,6 +100,11 @@ struct SimulationResult {
   /// Subtracting the idle floor keeps the metric sensitive to scheduling
   /// decisions even on lightly loaded systems.
   [[nodiscard]] double green_energy_share(double threshold_g_per_kwh) const;
+  /// The same share with the per-tick intensity taken from `intensity`
+  /// (same tick grid) instead of carbon_intensity — e.g. a series
+  /// price_carbon produced for another trace.
+  [[nodiscard]] double green_energy_share(double threshold_g_per_kwh,
+                                          const util::StepSeries& intensity) const;
   /// Delivered node-seconds of the busy-node series (allocation time).
   [[nodiscard]] double busy_node_seconds() const;
   /// Goodput: node-seconds of *retained completed work* (nodes_used x
@@ -100,5 +117,24 @@ struct SimulationResult {
   /// Node-hours of progress destroyed by failures.
   [[nodiscard]] double lost_node_hours() const { return lost_node_seconds / 3600.0; }
 };
+
+/// The carbon accounting of a carbon-blind run under another trace.
+struct CarbonPricing {
+  Carbon total_carbon;               ///< as SimulationResult::total_carbon
+  util::StepSeries carbon_intensity; ///< as SimulationResult::carbon_intensity
+};
+
+/// The total_carbon and per-tick carbon_intensity the simulator would
+/// have produced had `result`'s run used `trace` as its intensity trace:
+/// bit for bit, because the schedule of a carbon-blind run does not
+/// depend on the trace and the simulator adds exactly one
+/// grams_co2(E_t / 3.6e6 * ci_t) per tick, in tick order. Walks the
+/// tick_energy runs against the trace's segments as the simulator does:
+/// one sample per segment, one addition per tick, `now += tick`. Does
+/// not recompute idle_carbon, wasted_carbon or per-job carbon. Throws
+/// InvalidArgument for a result that is not carbon_blind or an empty
+/// trace.
+[[nodiscard]] CarbonPricing price_carbon(const SimulationResult& result,
+                                         const util::TimeSeries& trace);
 
 }  // namespace greenhpc::hpcsim

@@ -23,19 +23,6 @@ obs::Counter& sim_counter(const char* name) {
 /// memory; such workloads fall back to the hash map.
 constexpr std::size_t kDenseSlack = 4;
 constexpr std::size_t kDenseFloor = 1024;
-
-/// End of the trace segment covering t: sample_at_clamped returns one
-/// value for every time in [t, end). Before the trace the clamped first
-/// sample runs to the end of segment 0; past the trace the clamped last
-/// sample never changes (+inf).
-Duration trace_segment_end(const util::TimeSeries& trace, Duration t) {
-  if (t < trace.start()) return trace.start() + trace.step();
-  if (t < trace.end()) {
-    return trace.start() + seconds(static_cast<double>(trace.index_at(t) + 1) *
-                                   trace.step().seconds());
-  }
-  return quiescent_forever();
-}
 }  // namespace
 
 Simulator::Simulator(Config config, util::Shared<std::vector<JobSpec>> jobs)
@@ -48,6 +35,7 @@ Simulator::Simulator(Config config, util::Shared<std::vector<JobSpec>> jobs)
               .power_budget = util::StepSeries(seconds(0.0), cfg_.cluster.tick),
               .carbon_intensity = util::StepSeries(seconds(0.0), cfg_.cluster.tick),
               .busy_nodes = util::StepSeries(seconds(0.0), cfg_.cluster.tick),
+              .tick_energy = util::StepSeries(seconds(0.0), cfg_.cluster.tick),
               .makespan = seconds(0.0),
               .idle_floor = cfg_.cluster.idle_power(),
               .total_energy = {},
@@ -199,12 +187,14 @@ double Simulator::scale_factor(std::size_t i) const {
 }
 
 double Simulator::carbon_intensity_at(Duration t) const {
+  intensity_read_ = true;
   return cfg_.carbon_intensity->sample_at_clamped(t);
 }
 
 Duration Simulator::intensity_constant_until() const {
+  intensity_read_ = true;
   if (cfg_.feed != nullptr) return now_;
-  return trace_segment_end(*cfg_.carbon_intensity, now_);
+  return cfg_.carbon_intensity->segment_end(now_);
 }
 
 const JobSpec& Simulator::spec(JobId id) const { return *slot(id).spec; }
@@ -212,6 +202,8 @@ const JobSpec& Simulator::spec(JobId id) const { return *slot(id).spec; }
 const JobRuntimeInfo& Simulator::info(JobId id) const {
   // The SoA core owns the hot fields; mirror them into the cold struct so
   // the legacy per-job accessor stays coherent for policies and tests.
+  // The record carries the job's carbon so far, an intensity read.
+  intensity_read_ = true;
   const std::size_t i = slot_index(id);
   JobRuntimeInfo& inf = slots_[i].info;
   inf.progress = core_.progress[i];
@@ -608,7 +600,7 @@ void Simulator::integrate_tick() {
   result_.total_energy += joules(tick_energy_j);
   result_.total_carbon += grams_co2(tick_energy_j / 3.6e6 * ci_true_);
 
-  result_.system_power.push_back(tick_energy_j / tick_s);
+  result_.tick_energy.push_back(tick_energy_j);
   result_.power_budget.push_back(budget_now_.watts());
   // Accounting series records the ground truth; policies' observed/held
   // signal is exposed through intensity_history() and telemetry below.
@@ -662,7 +654,7 @@ void Simulator::fast_forward_idle(Duration stop) {
     while (now_ < stop) {
       ci_true_ = trace.sample_at_clamped(now_, ci_cursor_);
       ci_now_ = ci_true_;
-      const Duration seg_end = std::min(stop, trace_segment_end(trace, now_));
+      const Duration seg_end = std::min(stop, trace.segment_end(now_));
       const double idle_carbon_g = idle_energy_j / 3.6e6 * ci_true_;
       const double tick_carbon_g = tick_energy_j / 3.6e6 * ci_true_;
       std::size_t m = 0;
@@ -675,7 +667,7 @@ void Simulator::fast_forward_idle(Duration stop) {
         ++m;
       } while (now_ < seg_end);
       if (idle_over_budget) result_.budget_violations += static_cast<int>(m);
-      result_.system_power.append_fill(m, system_power_w);
+      result_.tick_energy.append_fill(m, tick_energy_j);
       result_.power_budget.append_fill(m, budget_w);
       result_.carbon_intensity.append_fill(m, ci_true_);
       result_.busy_nodes.append_fill(m, 0.0);
@@ -693,7 +685,7 @@ void Simulator::fast_forward_idle(Duration stop) {
     result_.idle_carbon += grams_co2(idle_energy_j / 3.6e6 * ci_true_);
     result_.total_energy += joules(tick_energy_j);
     result_.total_carbon += grams_co2(tick_energy_j / 3.6e6 * ci_true_);
-    result_.system_power.push_back(system_power_w);
+    result_.tick_energy.push_back(tick_energy_j);
     result_.power_budget.push_back(budget_w);
     result_.carbon_intensity.push_back(ci_true_);
     result_.busy_nodes.push_back(0.0);
@@ -904,7 +896,7 @@ void Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
         ci_true_ = trace.sample_at_clamped(now_, ci_cursor_);
         ci_now_ = ci_true_;
         staleness_ = seconds(0.0);
-        seg_end = trace_segment_end(trace, now_);
+        seg_end = trace.segment_end(now_);
       }
     } else {
       observe_intensity();
@@ -969,7 +961,7 @@ void Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
         }
         if (violation) result_.budget_violations += static_cast<int>(t);
         const auto m = static_cast<std::size_t>(t);
-        result_.system_power.append_fill(m, system_power_w);
+        result_.tick_energy.append_fill(m, tick_energy_j);
         result_.power_budget.append_fill(m, budget_w);
         result_.carbon_intensity.append_fill(m, ci);
         result_.busy_nodes.append_fill(m, busy_nodes_total);
@@ -990,7 +982,7 @@ void Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
     result_.idle_carbon += grams_co2(idle_carbon_per_ci * ci);
     result_.total_energy += joules(tick_energy_j);
     result_.total_carbon += grams_co2(total_carbon_per_ci * ci);
-    result_.system_power.push_back(system_power_w);
+    result_.tick_energy.push_back(tick_energy_j);
     result_.power_budget.push_back(budget_w);
     result_.carbon_intensity.push_back(ci);
     result_.busy_nodes.push_back(busy_nodes_total);
@@ -1175,7 +1167,7 @@ void Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
   result_.total_energy += joules(ev_energy_j);
   result_.total_carbon += grams_co2(ev_energy_j / 3.6e6 * ci);
   if (violation) ++result_.budget_violations;
-  result_.system_power.push_back(ev_energy_j / tick_s);
+  result_.tick_energy.push_back(ev_energy_j);
   result_.power_budget.push_back(budget_w);
   result_.carbon_intensity.push_back(ci);
   result_.busy_nodes.push_back(ev_busy_nodes);
@@ -1424,6 +1416,14 @@ SimulationResult Simulator::run(SchedulingPolicy& sched, PowerBudgetPolicy* powe
     rec.carbon = grams_co2(core_.carbon_g[i]);
     result_.jobs.push_back(std::move(rec));
   }
+  // system_power is each tick's energy over the tick: derived once per
+  // run instead of appended beside tick_energy at every tick. Every site
+  // computed it as exactly this division, so the bits and runs match.
+  const double tick_s = tick.seconds();
+  for (const util::StepSeries::Run& r : result_.tick_energy.runs()) {
+    result_.system_power.append_fill(r.count, r.value / tick_s);
+  }
+  result_.carbon_blind = !intensity_read_ && power == nullptr && cfg_.feed == nullptr;
   return std::move(result_);
 }
 

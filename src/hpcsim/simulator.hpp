@@ -110,12 +110,20 @@ class Simulator final : public SimulationView {
   [[nodiscard]] const ClusterConfig& cluster() const override { return cfg_.cluster; }
   [[nodiscard]] int free_nodes() const override { return free_nodes_; }
   [[nodiscard]] int nodes_down() const override { return nodes_down_; }
-  [[nodiscard]] double carbon_intensity_now() const override { return ci_now_; }
+  // The intensity accessors (and info()) record that the policy read the
+  // intensity: SimulationResult::carbon_blind. The engine itself reads
+  // the members, never these.
+  [[nodiscard]] double carbon_intensity_now() const override {
+    intensity_read_ = true;
+    return ci_now_;
+  }
   [[nodiscard]] Duration carbon_signal_staleness() const override {
+    intensity_read_ = true;
     return staleness_;
   }
   [[nodiscard]] double carbon_intensity_at(Duration t) const override;
   [[nodiscard]] const util::TimeSeries& intensity_history() const override {
+    intensity_read_ = true;
     return ci_history_;
   }
   /// End of the current trace segment with no feed (+inf past the trace
@@ -294,6 +302,10 @@ class Simulator final : public SimulationView {
   /// simulation logic — digest-neutral by construction.
   std::uint32_t pending_completions_ = 0;
   std::uint32_t pending_kills_ = 0;
+
+  /// Set by every intensity accessor and info(): the run is not
+  /// carbon-blind (see SimulationResult::carbon_blind).
+  mutable bool intensity_read_ = false;
 
   SimulationResult result_;
   bool ran_ = false;

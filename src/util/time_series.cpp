@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace greenhpc::util {
 
@@ -31,6 +32,15 @@ std::size_t TimeSeries::index_at(Duration t) const {
 }
 
 double TimeSeries::sample_at(Duration t) const { return values_[index_at(t)]; }
+
+Duration TimeSeries::segment_end(Duration t) const {
+  GREENHPC_REQUIRE(!values_.empty(), "segment_end on empty series");
+  if (t < start_) return start_ + step_;
+  if (t < end()) {
+    return start_ + seconds(static_cast<double>(index_at(t) + 1) * step_.seconds());
+  }
+  return seconds(std::numeric_limits<double>::infinity());
+}
 
 double TimeSeries::sample_at_clamped(Duration t) const {
   GREENHPC_REQUIRE(!values_.empty(), "sample_at_clamped on empty series");

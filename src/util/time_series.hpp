@@ -75,6 +75,12 @@ class TimeSeries {
   [[nodiscard]] double sample_at_clamped(Duration t, Cursor& cursor) const;
   /// Index of the sample covering absolute time t (requires t in range).
   [[nodiscard]] std::size_t index_at(Duration t) const;
+  /// End of the segment covering t under clamped lookup:
+  /// sample_at_clamped returns one value at every time in [t, end).
+  /// Before the series the clamped first sample runs to the end of
+  /// sample 0; past the series the clamped last sample never changes
+  /// (+inf). Requires a non-empty series.
+  [[nodiscard]] Duration segment_end(Duration t) const;
 
   /// Integral of the series over [t0, t1] treating samples as piecewise-
   /// constant. Result is in value-units * seconds (so a Power series

@@ -26,6 +26,40 @@ std::uint64_t trace_digest(const util::TimeSeries& ts) {
   return h;
 }
 
+TEST(TraceCache, UncachedTraceEqualsGetAndLeavesTheCacheUnchanged) {
+  TraceCache cache;
+  TraceCache reference;
+  // Held: one trace of the region, so its shape is cached too.
+  (void)cache.get(Region::Poland, IntensityKind::Average, 3, seconds(0.0), days(2.0),
+                  minutes(15.0));
+  const std::size_t size = cache.size();
+  const std::size_t hits = cache.hits();
+  const std::size_t misses = cache.misses();
+  for (const IntensityKind kind : {IntensityKind::Average, IntensityKind::Marginal}) {
+    for (const std::uint64_t seed : {std::uint64_t{3}, std::uint64_t{4}}) {
+      for (const Region region : {Region::Poland, Region::Norway}) {
+        const auto uncached =
+            cache.get_uncached(region, kind, seed, seconds(0.0), days(2.0), minutes(15.0));
+        const auto got =
+            reference.get(region, kind, seed, seconds(0.0), days(2.0), minutes(15.0));
+        EXPECT_EQ(trace_digest(*uncached), trace_digest(*got))
+            << traits(region).code << " seed " << seed;
+        EXPECT_EQ(uncached->size(), got->size());
+      }
+    }
+  }
+  EXPECT_EQ(cache.size(), size);
+  EXPECT_EQ(cache.hits(), hits);
+  EXPECT_EQ(cache.misses(), misses);
+  // A held trace is shared, not regenerated.
+  const auto held = cache.get(Region::Poland, IntensityKind::Average, 3, seconds(0.0),
+                              days(2.0), minutes(15.0));
+  EXPECT_EQ(cache.get_uncached(Region::Poland, IntensityKind::Average, 3, seconds(0.0),
+                               days(2.0), minutes(15.0))
+                .get(),
+            held.get());
+}
+
 TEST(TraceCache, HitIsPointerIdentical) {
   TraceCache cache;
   const auto a = cache.get(Region::Germany, IntensityKind::Average, 7, seconds(0.0),

@@ -15,9 +15,11 @@
 #include <thread>
 #include <vector>
 
+#include "carbon/forecast.hpp"
 #include "core/sweep_journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sched/carbon_aware.hpp"
 #include "sched/easy_backfill.hpp"
 #include "sched/fcfs.hpp"
 #include "util/error.hpp"
@@ -506,6 +508,232 @@ TEST(ScenarioRunner, RunnersDifferingOnlyInPolicyShareAssets) {
   const ScenarioRunner c(other);
   EXPECT_NE(a.trace_ptr().get(), c.trace_ptr().get());
   EXPECT_NE(a.jobs_ptr().get(), c.jobs_ptr().get());
+}
+
+// --- Carbon-blind pricing ----------------------------------------------------
+
+SweepPolicy carbon_easy_policy() {
+  return {"carbon-easy", [] {
+            return std::make_unique<sched::CarbonAwareEasyScheduler>(
+                sched::CarbonAwareEasyScheduler::Config{},
+                std::make_shared<carbon::PersistenceForecaster>());
+          }};
+}
+
+/// 2 regions x 2 kinds x {fcfs, easy, carbon-easy} x 2 replicas: 24 cases
+/// in region-and-kind slices of 6, so schedule group g holds cases g,
+/// g + 6, g + 12 and g + 18. Groups 0-3 (fcfs, easy) are carbon-blind,
+/// groups 4 and 5 (carbon-easy) are not: a full run prices 4 x 3 cases.
+SweepGrid pricing_grid() {
+  SweepGrid grid;
+  grid.base = small_base();
+  grid.regions = {carbon::Region::Germany, carbon::Region::France};
+  grid.intensity_kinds = {carbon::IntensityKind::Average, carbon::IntensityKind::Marginal};
+  grid.seed_replicas = 2;
+  grid.policies.push_back({"fcfs", [] { return std::make_unique<sched::FcfsScheduler>(); }});
+  grid.policies.push_back(
+      {"easy", [] { return std::make_unique<sched::EasyBackfillScheduler>(); }});
+  grid.policies.push_back(carbon_easy_policy());
+  return grid;
+}
+
+/// Case `flat` of `grid` simulated in a grid of its region and kind only,
+/// where no schedule group has a second member and nothing is priced.
+SweepCaseOutcome unpriced(const SweepGrid& grid, std::size_t flat) {
+  const std::size_t kinds = grid.intensity_kinds.size();
+  const std::size_t span = grid.case_count() / (grid.regions.size() * kinds);
+  SweepGrid one = grid;
+  one.regions = {grid.regions[flat / span / kinds]};
+  one.intensity_kinds = {grid.intensity_kinds[flat / span % kinds]};
+  const SweepCaseRunner runner(one, no_retries());
+  return runner.run_case(flat % span);
+}
+
+std::vector<SweepCaseOutcome> unpriced_all(const SweepGrid& grid) {
+  std::vector<SweepCaseOutcome> out;
+  for (std::size_t f = 0; f < grid.case_count(); ++f) out.push_back(unpriced(grid, f));
+  return out;
+}
+
+const std::vector<SweepRange> kPricingBlocks = {{0, 5}, {5, 5}, {10, 5}, {15, 5}, {20, 4}};
+
+obs::Counter& priced_counter() {
+  return obs::Registry::global().counter("sweep.cases_priced");
+}
+
+TEST(SweepPricing, OutcomesAreBitIdenticalToUnpricedRunsOnAnyPool) {
+  const SweepGrid grid = pricing_grid();
+  const std::vector<SweepCaseOutcome> want = unpriced_all(grid);
+  obs::Counter& priced = priced_counter();
+  for (const std::size_t threads : {1, 2, 8}) {
+    const SweepCaseRunner runner(grid, no_retries());
+    util::ThreadPool pool(threads);
+    const std::uint64_t before = priced.value();
+    std::size_t checked = 0;
+    runner.run_ranges(pool, kPricingBlocks, [&](SweepBlock& b) {
+      for (std::size_t i = 0; i < b.cases.size(); ++i) {
+        EXPECT_TRUE(same_outcome(b.cases[i], want[b.start + i]))
+            << threads << " workers, case " << b.start + i;
+        ++checked;
+      }
+    });
+    EXPECT_EQ(checked, 24u) << threads << " workers";
+    EXPECT_EQ(priced.value() - before, 12u) << threads << " workers";
+  }
+  // A bare run_case prices over the whole grid, as the ranges did.
+  const SweepCaseRunner runner(grid, no_retries());
+  const std::uint64_t before = priced.value();
+  for (std::size_t f = 0; f < grid.case_count(); ++f) {
+    EXPECT_TRUE(same_outcome(runner.run_case(f), want[f])) << "bare run_case " << f;
+  }
+  EXPECT_EQ(priced.value() - before, 12u);
+}
+
+TEST(SweepPricing, ResumeFromLeadersWithoutTheirMembersKeepsTheDigest) {
+  const SweepGrid grid = pricing_grid();
+  const std::size_t n_cases = grid.case_count();
+  const std::uint64_t clean = SweepEngine().run(grid).digest;
+  const std::string dir = ::testing::TempDir() + "greenhpc_sweep_pricing_resume";
+  obs::Counter& priced = priced_counter();
+  struct Abort {};
+  for (const std::size_t threads : {1, 2, 8}) {
+    std::filesystem::remove_all(dir);
+    util::ThreadPool pool(threads);
+    {
+      // Blocks of 6 are the region-and-kind slices: the journaled first
+      // block holds the first case of every group and none of its members.
+      SweepJournal journal = SweepJournal::create(dir, grid.config_digest(), n_cases, 6);
+      SweepEngine::Options opts;
+      opts.pool = &pool;
+      opts.journal = &journal;
+      opts.progress = [](std::size_t, std::size_t) { throw Abort{}; };
+      EXPECT_THROW((void)SweepEngine(std::move(opts)).run(grid), Abort);
+    }
+    SweepJournal journal = SweepJournal::resume(dir, grid.config_digest(), n_cases);
+    ASSERT_EQ(journal.completed().size(), 1u) << threads << " workers";
+    SweepEngine::Options opts;
+    opts.pool = &pool;
+    opts.journal = &journal;
+    const std::uint64_t before = priced.value();
+    const SweepResult resumed = SweepEngine(std::move(opts)).run(grid);
+    EXPECT_EQ(resumed.digest, clean) << threads << " workers";
+    EXPECT_EQ(resumed.replayed_cases, 6u) << threads << " workers";
+    // Each blind group's first remaining member leads and prices the two others.
+    EXPECT_EQ(priced.value() - before, 8u) << threads << " workers";
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SweepPricing, PoisonedFirstCaseIsQuarantinedAloneAndItsMembersKeepTheirOutcomes) {
+  const SweepGrid grid = pricing_grid();
+  const std::vector<SweepCaseOutcome> want = unpriced_all(grid);
+  util::FaultInjector::global().arm({{"case.poison", 0, 1, util::FaultAction::Fail, 0}});
+  struct Disarm {
+    ~Disarm() { util::FaultInjector::global().disarm(); }
+  } disarm;
+  for (const std::size_t threads : {1, 2, 8}) {
+    const SweepCaseRunner runner(grid, no_retries());
+    util::ThreadPool pool(threads);
+    runner.run_ranges(pool, kPricingBlocks, [&](SweepBlock& b) {
+      for (std::size_t i = 0; i < b.cases.size(); ++i) {
+        const std::size_t f = b.start + i;
+        if (f == 0) {
+          EXPECT_FALSE(b.cases[i].ok) << threads << " workers";
+        } else {
+          EXPECT_TRUE(same_outcome(b.cases[i], want[f])) << threads << " workers, case " << f;
+        }
+      }
+    });
+  }
+}
+
+TEST(SweepPricing, ALeaderThatThrowsOnceSucceedsOnItsRetry) {
+  // The fcfs factory throws on its first call, which is always a group's
+  // first case: a blind group's members never build a policy. Without the
+  // leader releasing its group, the retry (or a waiting member) would
+  // wait for it forever.
+  const std::vector<SweepCaseOutcome> want = unpriced_all(pricing_grid());
+  for (const std::size_t threads : {1, 2, 8}) {
+    SweepGrid grid = pricing_grid();
+    auto calls = std::make_shared<std::atomic<int>>(0);
+    grid.policies[0].scheduler = [calls]() -> std::unique_ptr<hpcsim::SchedulingPolicy> {
+      if (calls->fetch_add(1) == 0) throw std::runtime_error("flaky first call");
+      return std::make_unique<sched::FcfsScheduler>();
+    };
+    SweepCaseRunner::Options opts = no_retries();
+    opts.case_retries = 1;
+    const SweepCaseRunner runner(grid, opts);
+    util::ThreadPool pool(threads);
+    int attempts = 0;
+    runner.run_ranges(pool, kPricingBlocks, [&](SweepBlock& b) {
+      for (std::size_t i = 0; i < b.cases.size(); ++i) {
+        const SweepCaseOutcome& got = b.cases[i];
+        ASSERT_TRUE(got.ok) << threads << " workers, case " << b.start + i;
+        EXPECT_EQ(std::memcmp(&got.metrics, &want[b.start + i].metrics, sizeof(SweepCaseMetrics)),
+                  0)
+            << threads << " workers, case " << b.start + i;
+        attempts += got.attempts;
+      }
+    });
+    EXPECT_EQ(attempts, 25) << threads << " workers: one case retried once";
+  }
+}
+
+TEST(SweepPricing, ALeasePricesOnlyTheMembersItHolds) {
+  const SweepGrid grid = pricing_grid();
+  const SweepCaseRunner runner(grid, no_retries());
+  util::ThreadPool pool(2);
+  obs::Counter& priced = priced_counter();
+  const auto priced_in = [&](const std::vector<SweepRange>& ranges) {
+    const std::uint64_t before = priced.value();
+    runner.run_ranges(pool, ranges, [](SweepBlock&) {});
+    return priced.value() - before;
+  };
+  // Cases 0 and 6 are two members of fcfs group 0: one simulates, one is
+  // priced; the group's members 12 and 18 lie outside the lease.
+  EXPECT_EQ(priced_in({{0, 7}}), 1u);
+  // So are 0 and 18, in two ranges of one call.
+  EXPECT_EQ(priced_in({{18, 1}, {0, 1}}), 1u);
+  // Two consecutive replicas of one cell share no group.
+  EXPECT_EQ(priced_in({{0, 2}}), 0u);
+  // Carbon-easy's groups (4 and 5) never price, even whole.
+  EXPECT_EQ(priced_in({{4, 2}, {10, 2}, {16, 2}, {22, 2}}), 0u);
+}
+
+TEST(SweepEngine, TinyLedgerGridPricesThreeCasesInFour) {
+  // The tiny ledger grid's axes (2 regions x 2 kinds x fcfs, easy x 1000
+  // replicas) and in-process layout (2-case blocks, 2 threads): every
+  // schedule group is carbon-blind, so one case in four simulates.
+  SweepGrid grid;
+  grid.base = small_base();
+  grid.regions = {carbon::Region::Germany, carbon::Region::France};
+  grid.intensity_kinds = {carbon::IntensityKind::Average, carbon::IntensityKind::Marginal};
+  grid.seed_replicas = 1000;
+  grid.policies.push_back({"fcfs", [] { return std::make_unique<sched::FcfsScheduler>(); }});
+  grid.policies.push_back(
+      {"easy", [] { return std::make_unique<sched::EasyBackfillScheduler>(); }});
+  obs::Counter& priced = priced_counter();
+  obs::Counter& simulated = obs::Registry::global().counter("scenario.cases");
+  util::ThreadPool pool(2);
+  SweepEngine::Options opts;
+  opts.pool = &pool;
+  opts.block = 2;
+  std::uint64_t priced0 = priced.value();
+  std::uint64_t simulated0 = simulated.value();
+  const SweepResult result = SweepEngine(opts).run(grid);
+  EXPECT_EQ(result.cases, 8000u);
+  EXPECT_TRUE(result.failed_cases.empty());
+  EXPECT_EQ(priced.value() - priced0, 6000u);
+  EXPECT_EQ(simulated.value() - simulated0, 2000u);
+
+  // A carbon-easy-only grid prices nothing.
+  SweepGrid aware = pricing_grid();
+  aware.policies = {carbon_easy_policy()};
+  priced0 = priced.value();
+  simulated0 = simulated.value();
+  (void)SweepEngine(opts).run(aware);
+  EXPECT_EQ(priced.value() - priced0, 0u);
+  EXPECT_EQ(simulated.value() - simulated0, aware.case_count());
 }
 
 }  // namespace

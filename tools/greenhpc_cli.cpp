@@ -678,12 +678,16 @@ int cmd_sweep(const Args& args, obs::RunReport& report) {
                  st.degraded_in_process ? " — degraded to in-process" : "");
     if (st.stat_batches > 0 || st.trace_batches > 0 ||
         st.obs_lines_rejected > 0) {
+      // No sample is no measurement: print n/a, not a zero-latency pipe.
+      char rtt[64] = "rtt n/a";
+      if (st.rtt_samples > 0) {
+        std::snprintf(rtt, sizeof(rtt), "rtt p50 %.2f ms p99 %.2f ms",
+                      1e3 * st.rtt_p50_s, 1e3 * st.rtt_p99_s);
+      }
       std::fprintf(stderr,
                    "fleet: %zu stat batch(es), %zu trace event(s) in %zu "
-                   "batch(es), rtt p50 %.2f ms p99 %.2f ms, %zu obs line(s) "
-                   "rejected, %zu postmortem(s)\n",
-                   st.stat_batches, st.trace_events, st.trace_batches,
-                   1e3 * st.rtt_p50_s, 1e3 * st.rtt_p99_s,
+                   "batch(es), %s, %zu obs line(s) rejected, %zu postmortem(s)\n",
+                   st.stat_batches, st.trace_events, st.trace_batches, rtt,
                    st.obs_lines_rejected, st.postmortems_written);
     }
     if (!st.fleet_trace_path.empty()) {
@@ -705,8 +709,11 @@ int cmd_sweep(const Args& args, obs::RunReport& report) {
     report.add("stat_batches", static_cast<double>(st.stat_batches));
     report.add("trace_batches", static_cast<double>(st.trace_batches));
     report.add("trace_events", static_cast<double>(st.trace_events));
-    report.add("heartbeat_rtt_p50_s", st.rtt_p50_s);
-    report.add("heartbeat_rtt_p99_s", st.rtt_p99_s);
+    report.add("heartbeat_rtt_samples", static_cast<double>(st.rtt_samples));
+    if (st.rtt_samples > 0) {
+      report.add("heartbeat_rtt_p50_s", st.rtt_p50_s);
+      report.add("heartbeat_rtt_p99_s", st.rtt_p99_s);
+    }
     report.add("max_lease_age_s", st.max_lease_age_s);
     report.add("postmortems_written",
                static_cast<double>(st.postmortems_written));
@@ -733,8 +740,10 @@ int cmd_sweep(const Args& args, obs::RunReport& report) {
                  static_cast<double>(w.cases_quarantined));
       report.add(p + "_stat_batches", static_cast<double>(w.stat_batches));
       report.add(p + "_trace_events", static_cast<double>(w.trace_events));
-      report.add(p + "_rtt_p50_s", w.rtt_p50_s);
-      report.add(p + "_rtt_p99_s", w.rtt_p99_s);
+      if (w.rtt_samples > 0) {
+        report.add(p + "_rtt_p50_s", w.rtt_p50_s);
+        report.add(p + "_rtt_p99_s", w.rtt_p99_s);
+      }
       if (!w.postmortem_path.empty()) {
         report.add_label(p + "_postmortem", w.postmortem_path);
       }
