@@ -384,9 +384,11 @@ PolicyOutcome SweepCaseRunner::simulate(std::size_t flat) const {
 }
 
 SweepCaseMetrics SweepCaseRunner::price(const PolicyOutcome& run, std::size_t flat) const {
-  // The member's trace is needed once: built on the cached shape, not
-  // stored (a priced case never simulates, so caching it only holds
-  // memory).
+  // The member's trace is built on the cached shape and not stored. It is
+  // rebuilt for every schedule group that shares the member's seed (on
+  // the tiny ledger grid, 6000 builds for 3000 distinct keys); caching
+  // it would trade that repeated generation for resident memory, since
+  // a priced case never simulates.
   const ScenarioConfig cfg = scenario(flat);
   const auto trace = carbon::TraceCache::global().get_uncached(
       cfg.region, cfg.intensity_kind, cfg.seed, seconds(0.0), cfg.trace_span, cfg.trace_step);

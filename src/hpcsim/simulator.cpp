@@ -488,50 +488,89 @@ void Simulator::observe_intensity() {
   staleness_ = now_ - last_fresh_;
 }
 
+Simulator::PowerCap Simulator::power_cap() const {
+  // Uniform cap on the busy (job) share when over budget.
+  const double idle_w = cfg_.cluster.node_idle.watts();
+  const double budget_w = budget_now_.watts();
+  double busy_full_w = 0.0;
+  double baseline_w = idle_w * static_cast<double>(free_nodes_);
+  for (const std::size_t i : running_slots_) {
+    const int busy = busy_nodes_of(i);
+    busy_full_w += static_cast<double>(busy) * core_.eff_power_w[i];
+    baseline_w += static_cast<double>(core_.alloc_nodes[i] - busy) * idle_w;
+  }
+  PowerCap pc;
+  pc.demand_w = baseline_w + busy_full_w;
+  if (busy_full_w > 0.0 && pc.demand_w > budget_w) {
+    pc.cap = (budget_w - baseline_w) / busy_full_w;
+    if (pc.cap < cfg_.cluster.min_cap_fraction) {
+      pc.cap = cfg_.cluster.min_cap_fraction;
+      pc.violation = true;
+    }
+    pc.cap = std::min(pc.cap, 1.0);
+  } else if (busy_full_w == 0.0 && baseline_w > budget_w) {
+    pc.violation = true;  // idle floor alone exceeds the budget
+  }
+  return pc;
+}
+
+Simulator::JobRate Simulator::job_rate(std::size_t i, double cap) const {
+  const int busy = busy_nodes_of(i);
+  const int extra = core_.alloc_nodes[i] - busy;
+  const double speed = cap_speed(i, cap) * scale_factor(i);
+  return {speed / core_.runtime_s[i],
+          static_cast<double>(busy) * core_.eff_power_w[i] * cap +
+              static_cast<double>(extra) * cfg_.cluster.node_idle.watts()};
+}
+
+void Simulator::commit_tick(double energy_j, double idle_j, double busy_nodes, double ci,
+                            bool violation) {
+  if (violation) ++result_.budget_violations;
+  result_.idle_energy += joules(idle_j);
+  result_.idle_carbon += grams_co2(idle_j / 3.6e6 * ci);
+  result_.total_energy += joules(energy_j);
+  result_.total_carbon += grams_co2(energy_j / 3.6e6 * ci);
+
+  result_.tick_energy.push_back(energy_j);
+  result_.power_budget.push_back(budget_now_.watts());
+  // Accounting series records the ground truth; policies' observed/held
+  // signal is exposed through intensity_history() and telemetry below.
+  result_.carbon_intensity.push_back(ci);
+  result_.busy_nodes.push_back(busy_nodes);
+  if (cfg_.telemetry != nullptr) {
+    telemetry::SensorStore& t = *cfg_.telemetry;
+    t.record("system.power", now_, energy_j / cfg_.cluster.tick.seconds());
+    t.record("system.budget", now_, budget_now_.watts());
+    t.record("system.ci", now_, ci);
+    t.record("system.busy_nodes", now_, busy_nodes);
+    if (cfg_.faults.enabled()) {
+      t.record("system.nodes_down", now_, static_cast<double>(nodes_down_));
+    }
+    if (cfg_.feed != nullptr) {
+      t.record("system.ci_observed", now_, ci_now_);
+      t.record("system.ci_staleness", now_, staleness_.seconds());
+    }
+  }
+  ci_history_.push_back(ci_now_);
+  now_ += cfg_.cluster.tick;
+}
+
 void Simulator::integrate_tick() {
   const double tick_s = cfg_.cluster.tick.seconds();
   const double idle_w = cfg_.cluster.node_idle.watts();
-
-  // Uniform cap on the busy (job) share when over budget.
-  double busy_full_w = 0.0;
-  double baseline_w = idle_w * static_cast<double>(free_nodes_);
-  const std::size_t nrun = running_slots_.size();
-  for (std::size_t j = 0; j < nrun; ++j) {
-    const std::size_t i = running_slots_[j];
-    const int busy = busy_nodes_of(i);
-    const int extra = core_.alloc_nodes[i] - busy;
-    busy_full_w += static_cast<double>(busy) * core_.eff_power_w[i];
-    baseline_w += static_cast<double>(extra) * idle_w;
-  }
-  double cap = 1.0;
-  if (busy_full_w > 0.0 && baseline_w + busy_full_w > budget_now_.watts()) {
-    cap = (budget_now_.watts() - baseline_w) / busy_full_w;
-    if (cap < cfg_.cluster.min_cap_fraction) {
-      cap = cfg_.cluster.min_cap_fraction;
-      ++result_.budget_violations;
-    }
-    cap = std::min(cap, 1.0);
-  } else if (busy_full_w == 0.0 && baseline_w > budget_now_.watts()) {
-    ++result_.budget_violations;  // idle floor alone exceeds the budget
-  }
-  last_cap_ = cap;
+  const PowerCap pc = power_cap();
+  last_cap_ = pc.cap;
 
   // Integrate each running job; handle mid-tick completion analytically.
   double tick_energy_j = 0.0;
   double busy_nodes_total = 0.0;
   bool any_finished = false;
-  for (std::size_t j = 0; j < nrun; ++j) {
-    const std::size_t i = running_slots_[j];
+  for (const std::size_t i : running_slots_) {
     JobSlot& s = slots_[i];
-    const int busy = busy_nodes_of(i);
-    const int extra = core_.alloc_nodes[i] - busy;
-    const double speed = cap_speed(i, cap) * scale_factor(i);
-    const double rate = speed / core_.runtime_s[i];  // progress per second
-    const double draw_w = static_cast<double>(busy) * core_.eff_power_w[i] * cap +
-                          static_cast<double>(extra) * idle_w;
+    const JobRate jr = job_rate(i, pc.cap);
     double dt = tick_s;
-    if (rate > 0.0 && core_.progress[i] + rate * tick_s >= 1.0) {
-      dt = (1.0 - core_.progress[i]) / rate;
+    if (jr.rate > 0.0 && core_.progress[i] + jr.rate * tick_s >= 1.0) {
+      dt = (1.0 - core_.progress[i]) / jr.rate;
       core_.progress[i] = 1.0;
       s.info.phase = JobPhase::Done;
       s.info.finish = now_ + seconds(dt);
@@ -550,10 +589,10 @@ void Simulator::integrate_tick() {
           ++pending_kills_;  // batched: flushed once per span / tick
         }
       }
-      core_.progress[i] += rate * dt;
+      core_.progress[i] += jr.rate * dt;
     }
     core_.wall_used_s[i] += dt;
-    const double job_energy_j = draw_w * dt;
+    const double job_energy_j = jr.draw_w * dt;
     core_.energy_j[i] += job_energy_j;
     core_.carbon_g[i] += job_energy_j / 3.6e6 * ci_true_;
     tick_energy_j += job_energy_j;
@@ -595,119 +634,7 @@ void Simulator::integrate_tick() {
   // finishing jobs are approximated by end-of-tick free count.
   const double idle_energy_j = idle_w * static_cast<double>(free_nodes_) * tick_s;
   tick_energy_j += idle_energy_j;
-  result_.idle_energy += joules(idle_energy_j);
-  result_.idle_carbon += grams_co2(idle_energy_j / 3.6e6 * ci_true_);
-  result_.total_energy += joules(tick_energy_j);
-  result_.total_carbon += grams_co2(tick_energy_j / 3.6e6 * ci_true_);
-
-  result_.tick_energy.push_back(tick_energy_j);
-  result_.power_budget.push_back(budget_now_.watts());
-  // Accounting series records the ground truth; policies' observed/held
-  // signal is exposed through intensity_history() and telemetry below.
-  result_.carbon_intensity.push_back(ci_true_);
-  result_.busy_nodes.push_back(busy_nodes_total);
-  if (cfg_.telemetry != nullptr) {
-    cfg_.telemetry->record("system.power", now_, tick_energy_j / tick_s);
-    cfg_.telemetry->record("system.budget", now_, budget_now_.watts());
-    cfg_.telemetry->record("system.ci", now_, ci_true_);
-    cfg_.telemetry->record("system.busy_nodes", now_, busy_nodes_total);
-    if (cfg_.faults.enabled()) {
-      cfg_.telemetry->record("system.nodes_down", now_,
-                             static_cast<double>(nodes_down_));
-    }
-    if (cfg_.feed != nullptr) {
-      cfg_.telemetry->record("system.ci_observed", now_, ci_now_);
-      cfg_.telemetry->record("system.ci_staleness", now_, staleness_.seconds());
-    }
-  }
-}
-
-void Simulator::fast_forward_idle(Duration stop) {
-  GREENHPC_TRACE_SPAN("sim.fast_forward");
-  static obs::Counter& ff_ticks = sim_counter("sim.fast_forward_ticks");
-  // Preconditions (checked by the caller): no job in any phase list, no
-  // pending repairs, no power policy. Until `stop` (next arrival, next
-  // fault event, or max_time) every tick is a pure idle-floor tick, so
-  // this replays exactly the arithmetic integrate_tick performs on an
-  // empty system — same accumulation order, same per-tick series
-  // samples, same history and telemetry — while skipping the scheduler
-  // call (nothing to schedule), the arrival scan and the fault machinery.
-  const Duration tick = cfg_.cluster.tick;
-  const double tick_s = tick.seconds();
-  const double idle_w = cfg_.cluster.node_idle.watts();
-  const double budget_w = budget_now_.watts();
-  const bool idle_over_budget = idle_w * static_cast<double>(free_nodes_) > budget_w;
-  const double idle_energy_j = idle_w * static_cast<double>(free_nodes_) * tick_s;
-  const double tick_energy_j = 0.0 + idle_energy_j;  // integrate_tick's sum from 0.0
-  const double system_power_w = tick_energy_j / tick_s;
-  last_cap_ = 1.0;
-  std::size_t n = 0;
-
-  if (cfg_.feed == nullptr && cfg_.telemetry == nullptr) {
-    // Run-length path, under run_span's chunkable condition: with no feed
-    // the observed intensity is the trace, constant per trace segment, and
-    // with no telemetry nothing records the per-tick timestamp. One sample
-    // and one append per series per segment; the accumulators still take
-    // one addition per tick, in tick order, so their bits are unchanged.
-    const util::TimeSeries& trace = *cfg_.carbon_intensity;
-    staleness_ = seconds(0.0);
-    while (now_ < stop) {
-      ci_true_ = trace.sample_at_clamped(now_, ci_cursor_);
-      ci_now_ = ci_true_;
-      const Duration seg_end = std::min(stop, trace.segment_end(now_));
-      const double idle_carbon_g = idle_energy_j / 3.6e6 * ci_true_;
-      const double tick_carbon_g = tick_energy_j / 3.6e6 * ci_true_;
-      std::size_t m = 0;
-      do {
-        result_.idle_energy += joules(idle_energy_j);
-        result_.idle_carbon += grams_co2(idle_carbon_g);
-        result_.total_energy += joules(tick_energy_j);
-        result_.total_carbon += grams_co2(tick_carbon_g);
-        now_ += tick;
-        ++m;
-      } while (now_ < seg_end);
-      if (idle_over_budget) result_.budget_violations += static_cast<int>(m);
-      result_.tick_energy.append_fill(m, tick_energy_j);
-      result_.power_budget.append_fill(m, budget_w);
-      result_.carbon_intensity.append_fill(m, ci_true_);
-      result_.busy_nodes.append_fill(m, 0.0);
-      ci_history_.append_fill(m, ci_now_);
-      n += m;
-    }
-    ff_ticks.add(n);
-    return;
-  }
-
-  while (now_ < stop) {
-    observe_intensity();
-    if (idle_over_budget) ++result_.budget_violations;
-    result_.idle_energy += joules(idle_energy_j);
-    result_.idle_carbon += grams_co2(idle_energy_j / 3.6e6 * ci_true_);
-    result_.total_energy += joules(tick_energy_j);
-    result_.total_carbon += grams_co2(tick_energy_j / 3.6e6 * ci_true_);
-    result_.tick_energy.push_back(tick_energy_j);
-    result_.power_budget.push_back(budget_w);
-    result_.carbon_intensity.push_back(ci_true_);
-    result_.busy_nodes.push_back(0.0);
-    if (cfg_.telemetry != nullptr) {
-      cfg_.telemetry->record("system.power", now_, system_power_w);
-      cfg_.telemetry->record("system.budget", now_, budget_w);
-      cfg_.telemetry->record("system.ci", now_, ci_true_);
-      cfg_.telemetry->record("system.busy_nodes", now_, 0.0);
-      if (cfg_.faults.enabled()) {
-        cfg_.telemetry->record("system.nodes_down", now_,
-                               static_cast<double>(nodes_down_));
-      }
-      if (cfg_.feed != nullptr) {
-        cfg_.telemetry->record("system.ci_observed", now_, ci_now_);
-        cfg_.telemetry->record("system.ci_staleness", now_, staleness_.seconds());
-      }
-    }
-    ci_history_.push_back(ci_now_);
-    now_ += tick;
-    ++n;
-  }
-  ff_ticks.add(n);
+  commit_tick(tick_energy_j, idle_energy_j, busy_nodes_total, ci_true_, pc.violation);
 }
 
 void Simulator::flush_job_counters() {
@@ -723,17 +650,22 @@ void Simulator::flush_job_counters() {
   }
 }
 
-void Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
-                         Duration span_end, bool ride_arrivals) {
-  GREENHPC_TRACE_SPAN("sim.span");
-  static obs::Counter& span_ticks = sim_counter("sim.span_ticks");
-  static obs::Counter& spans_counter = sim_counter("sim.spans");
+Duration Simulator::span_window(Duration horizon, Duration hard_end,
+                                bool ride_arrivals) const {
+  Duration end = std::min(horizon, hard_end);
+  if (!ride_arrivals && next_arrival_ < arrival_order_.size()) {
+    end = std::min(end, slots_[arrival_order_[next_arrival_]].spec->submit);
+  }
+  return end;
+}
+
+std::size_t Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
+                                Duration span_end, bool ride_arrivals) {
   static obs::Counter& span_event_ticks = sim_counter("sim.span_completion_ticks");
   const Duration tick = cfg_.cluster.tick;
   const double tick_s = tick.seconds();
   const double idle_w = cfg_.cluster.node_idle.watts();
   const bool enforce_wt = cfg_.cluster.enforce_walltime;
-  const bool telemetry = cfg_.telemetry != nullptr;
 
   // With no feed the observed intensity IS the ground-truth trace, which
   // is piecewise-constant per trace segment — hoist the sample and reload
@@ -745,11 +677,10 @@ void Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
   Duration seg_end = now_;
   // Check-free chunks need a constant observed intensity and no per-tick
   // telemetry records (those carry the per-tick timestamp).
-  const bool chunkable = hoist_ci && !telemetry;
+  const bool chunkable = hoist_ci && cfg_.telemetry == nullptr;
 
   std::size_t n = 0;
   std::size_t event_ticks = 0;
-  const double budget_w = budget_now_.watts();
 
   // Sub-span state: hoisted by the full pass below, or patched
   // incrementally after an in-span completion when the cap provably did
@@ -760,9 +691,6 @@ void Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
   double tick_energy_j = 0.0;
   double busy_nodes_total = 0.0;
   double idle_energy_j = 0.0;
-  double idle_carbon_per_ci = 0.0;
-  double total_carbon_per_ci = 0.0;
-  double system_power_w = 0.0;
   bool full_hoist = true;
   bool cap_stable = false;
 
@@ -790,31 +718,13 @@ void Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
   if (full_hoist) {
   k = running_slots_.size();
 
-  // Per-sub-span constants, computed with integrate_tick's exact
-  // operations on the frozen discrete state. Same operands, same order:
-  // the values integrate_tick would recompute tick after tick are
-  // hoisted, not approximated.
-  double busy_full_w = 0.0;
-  double baseline_w = idle_w * static_cast<double>(free_nodes_);
-  for (std::size_t j = 0; j < k; ++j) {
-    const std::size_t i = running_slots_[j];
-    const int busy = busy_nodes_of(i);
-    const int extra = core_.alloc_nodes[i] - busy;
-    busy_full_w += static_cast<double>(busy) * core_.eff_power_w[i];
-    baseline_w += static_cast<double>(extra) * idle_w;
-  }
-  cap = 1.0;
-  violation = false;
-  if (busy_full_w > 0.0 && baseline_w + busy_full_w > budget_now_.watts()) {
-    cap = (budget_now_.watts() - baseline_w) / busy_full_w;
-    if (cap < cfg_.cluster.min_cap_fraction) {
-      cap = cfg_.cluster.min_cap_fraction;
-      violation = true;
-    }
-    cap = std::min(cap, 1.0);
-  } else if (busy_full_w == 0.0 && baseline_w > budget_now_.watts()) {
-    violation = true;  // idle floor alone exceeds the budget
-  }
+  // Per-sub-span constants, computed by integrate_tick's own power_cap()
+  // and job_rate() on the frozen discrete state: the values
+  // integrate_tick would recompute tick after tick are hoisted, not
+  // approximated.
+  const PowerCap pc = power_cap();
+  cap = pc.cap;
+  violation = pc.violation;
   last_cap_ = cap;
   // A node release flips its draw between the job term and the idle
   // floor, moving total demand by at most idle_w per node — nodes *
@@ -823,7 +733,7 @@ void Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
   // proves the cap stays 1.0 and uncapped through any sequence of
   // in-span releases, so the per-event cap recompute can be skipped.
   cap_stable = cap == 1.0 && !violation &&
-               budget_now_.watts() - (baseline_w + busy_full_w) >
+               budget_now_.watts() - pc.demand_w >
                    static_cast<double>(cfg_.cluster.nodes) * idle_w + 1.0;
 
   // Gather the running set into the compacted scratch columns: per-tick
@@ -835,17 +745,12 @@ void Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
   busy_nodes_total = 0.0;
   for (std::size_t j = 0; j < k; ++j) {
     const std::size_t i = running_slots_[j];
-    const int busy = busy_nodes_of(i);
-    const int extra = core_.alloc_nodes[i] - busy;
-    const double speed = cap_speed(i, cap) * scale_factor(i);
-    const double rate = speed / core_.runtime_s[i];
-    const double draw_w = static_cast<double>(busy) * core_.eff_power_w[i] * cap +
-                          static_cast<double>(extra) * idle_w;
-    const double job_energy_j = draw_w * tick_s;
+    const JobRate jr = job_rate(i, cap);
+    const double job_energy_j = jr.draw_w * tick_s;
     core_.sp_slot[j] = static_cast<std::int32_t>(i);
     core_.sp_ej[j] = job_energy_j;
     core_.sp_dj[j] = job_energy_j / 3.6e6;
-    core_.sp_rp[j] = rate * tick_s;
+    core_.sp_rp[j] = jr.rate * tick_s;
     core_.sp_prog[j] = core_.progress[i];
     core_.sp_wall[j] = core_.wall_used_s[i];
     core_.sp_wl[j] = core_.walltime_s[i];
@@ -856,9 +761,6 @@ void Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
   }
   idle_energy_j = idle_w * static_cast<double>(free_nodes_) * tick_s;
   tick_energy_j += idle_energy_j;
-  idle_carbon_per_ci = idle_energy_j / 3.6e6;
-  total_carbon_per_ci = tick_energy_j / 3.6e6;
-  system_power_w = tick_energy_j / tick_s;
   }
   full_hoist = true;
 
@@ -942,7 +844,9 @@ void Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
       // Engage for any t >= 1: the limit computation is already paid by
       // this point, and a chunked tick is strictly cheaper than the
       // checked fall-through below (which would recompute the limit on
-      // the very next tick).
+      // the very next tick). The chunk is commit_tick's run-length form:
+      // one addition per accumulator per tick, in tick order, and one
+      // append_fill per series.
       if (t >= 1) {
         for (long s = 0; s < t; ++s) {
           for (std::size_t j = 0; j < k; ++j) {
@@ -952,17 +856,19 @@ void Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
             core_.sp_cb[j] += core_.sp_dj[j] * ci;
           }
         }
+        const double idle_carbon_g = idle_energy_j / 3.6e6 * ci;
+        const double tick_carbon_g = tick_energy_j / 3.6e6 * ci;
         for (long s = 0; s < t; ++s) {
           result_.idle_energy += joules(idle_energy_j);
-          result_.idle_carbon += grams_co2(idle_carbon_per_ci * ci);
+          result_.idle_carbon += grams_co2(idle_carbon_g);
           result_.total_energy += joules(tick_energy_j);
-          result_.total_carbon += grams_co2(total_carbon_per_ci * ci);
+          result_.total_carbon += grams_co2(tick_carbon_g);
           now_ += tick;
         }
         if (violation) result_.budget_violations += static_cast<int>(t);
         const auto m = static_cast<std::size_t>(t);
         result_.tick_energy.append_fill(m, tick_energy_j);
-        result_.power_budget.append_fill(m, budget_w);
+        result_.power_budget.append_fill(m, budget_now_.watts());
         result_.carbon_intensity.append_fill(m, ci);
         result_.busy_nodes.append_fill(m, busy_nodes_total);
         ci_history_.append_fill(m, ci_now_);
@@ -977,31 +883,7 @@ void Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
       core_.sp_en[j] += core_.sp_ej[j];
       core_.sp_cb[j] += core_.sp_dj[j] * ci;
     }
-    if (violation) ++result_.budget_violations;
-    result_.idle_energy += joules(idle_energy_j);
-    result_.idle_carbon += grams_co2(idle_carbon_per_ci * ci);
-    result_.total_energy += joules(tick_energy_j);
-    result_.total_carbon += grams_co2(total_carbon_per_ci * ci);
-    result_.tick_energy.push_back(tick_energy_j);
-    result_.power_budget.push_back(budget_w);
-    result_.carbon_intensity.push_back(ci);
-    result_.busy_nodes.push_back(busy_nodes_total);
-    if (telemetry) {
-      cfg_.telemetry->record("system.power", now_, system_power_w);
-      cfg_.telemetry->record("system.budget", now_, budget_w);
-      cfg_.telemetry->record("system.ci", now_, ci);
-      cfg_.telemetry->record("system.busy_nodes", now_, busy_nodes_total);
-      if (cfg_.faults.enabled()) {
-        cfg_.telemetry->record("system.nodes_down", now_,
-                               static_cast<double>(nodes_down_));
-      }
-      if (cfg_.feed != nullptr) {
-        cfg_.telemetry->record("system.ci_observed", now_, ci_now_);
-        cfg_.telemetry->record("system.ci_staleness", now_, staleness_.seconds());
-      }
-    }
-    ci_history_.push_back(ci_now_);
-    now_ += tick;
+    commit_tick(tick_energy_j, idle_energy_j, busy_nodes_total, ci, violation);
     ++n;
   }
   if (!event) {
@@ -1056,91 +938,40 @@ void Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
   for (std::size_t j = 0; j < k; ++j) {
     const auto i = static_cast<std::size_t>(core_.sp_slot[j]);
     JobSlot& s = slots_[i];
-    bool done = false;
-    if (core_.sp_rp[j] > 0.0 && core_.sp_prog[j] + core_.sp_rp[j] >= 1.0) {
-      // Analytic mid-tick completion: dt, energy and carbon from the
-      // recomputed rate and draw (same inputs and expressions as
-      // integrate_tick's, so bit-identical values).
-      const int busy = busy_nodes_of(i);
-      const int extra = core_.alloc_nodes[i] - busy;
-      const double speed = cap_speed(i, cap) * scale_factor(i);
-      const double rate = speed / core_.runtime_s[i];
-      const double draw_w = static_cast<double>(busy) * core_.eff_power_w[i] * cap +
-                            static_cast<double>(extra) * idle_w;
-      const double dt = (1.0 - core_.sp_prog[j]) / rate;
-      core_.progress[i] = 1.0;
+    const bool completes =
+        core_.sp_rp[j] > 0.0 && core_.sp_prog[j] + core_.sp_rp[j] >= 1.0;
+    double dt = tick_s;
+    bool killed = false;
+    if (!completes && enforce_wt) {
+      const double remaining_wall = core_.sp_wl[j] - core_.sp_wall[j];
+      if (remaining_wall <= tick_s) {
+        dt = std::max(0.0, remaining_wall);
+        killed = true;
+      }
+    }
+    if (completes || killed) {
+      // Analytic mid-tick completion or walltime clamp (the clock only
+      // runs while the job executes): dt, energy and carbon from the
+      // recomputed rate and draw — integrate_tick's job_rate(), so
+      // bit-identical values.
+      const JobRate jr = job_rate(i, cap);
+      if (completes) {
+        dt = (1.0 - core_.sp_prog[j]) / jr.rate;
+        core_.progress[i] = 1.0;
+      } else {
+        s.info.killed = true;
+        ++result_.walltime_kills;
+        ++pending_kills_;  // batched: flushed once per span / tick
+        core_.progress[i] = core_.sp_prog[j] + jr.rate * dt;
+      }
       s.info.phase = JobPhase::Done;
       s.info.finish = now_ + seconds(dt);
       core_.wall_used_s[i] = core_.sp_wall[j] + dt;
-      const double job_energy_j = draw_w * dt;
+      const double job_energy_j = jr.draw_w * dt;
       core_.energy_j[i] = core_.sp_en[j] + job_energy_j;
       core_.carbon_g[i] = core_.sp_cb[j] + job_energy_j / 3.6e6 * ci;
       ev_energy_j += job_energy_j;
       ev_busy_nodes += static_cast<double>(core_.alloc_nodes[i]) * (dt / tick_s);
-      done = true;
-    } else {
-      bool killed = false;
-      double dt = tick_s;
-      if (enforce_wt) {
-        const double remaining_wall = core_.sp_wl[j] - core_.sp_wall[j];
-        if (remaining_wall <= tick_s) {
-          dt = std::max(0.0, remaining_wall);
-          killed = true;
-        }
-      }
-      if (killed) {
-        // Walltime clamp: the clock only runs while the job executes.
-        const int busy = busy_nodes_of(i);
-        const int extra = core_.alloc_nodes[i] - busy;
-        const double speed = cap_speed(i, cap) * scale_factor(i);
-        const double rate = speed / core_.runtime_s[i];
-        const double draw_w = static_cast<double>(busy) * core_.eff_power_w[i] * cap +
-                              static_cast<double>(extra) * idle_w;
-        s.info.phase = JobPhase::Done;
-        s.info.killed = true;
-        s.info.finish = now_ + seconds(dt);
-        ++result_.walltime_kills;
-        ++pending_kills_;  // batched: flushed once per span / tick
-        core_.progress[i] = core_.sp_prog[j] + rate * dt;
-        core_.wall_used_s[i] = core_.sp_wall[j] + dt;
-        const double job_energy_j = draw_w * dt;
-        core_.energy_j[i] = core_.sp_en[j] + job_energy_j;
-        core_.carbon_g[i] = core_.sp_cb[j] + job_energy_j / 3.6e6 * ci;
-        ev_energy_j += job_energy_j;
-        ev_busy_nodes += static_cast<double>(core_.alloc_nodes[i]) * (dt / tick_s);
-        done = true;
-      } else {
-        // Survivor: the flat-tick update (bit-identical to the one
-        // integrate_tick would recompute), kept scratch-resident — the
-        // columns catch up at the next scatter point; compaction keeps
-        // the relative order.
-        const double prog = core_.sp_prog[j] + core_.sp_rp[j];
-        const double wall = core_.sp_wall[j] + tick_s;
-        const double en = core_.sp_en[j] + core_.sp_ej[j];
-        const double cb = core_.sp_cb[j] + core_.sp_dj[j] * ci;
-        const double bn = static_cast<double>(core_.alloc_nodes[i]) * (tick_s / tick_s);
-        ev_energy_j += core_.sp_ej[j];
-        ev_busy_nodes += bn;
-        next_energy_j += core_.sp_ej[j];
-        next_busy_nodes += bn;
-        core_.sp_prog[w] = prog;
-        core_.sp_wall[w] = wall;
-        core_.sp_en[w] = en;
-        core_.sp_cb[w] = cb;
-        if (w != j) {
-          core_.sp_slot[w] = core_.sp_slot[j];
-          core_.sp_ej[w] = core_.sp_ej[j];
-          core_.sp_dj[w] = core_.sp_dj[j];
-          core_.sp_rp[w] = core_.sp_rp[j];
-          core_.sp_wl[w] = core_.sp_wl[j];
-          s.list_pos = static_cast<std::int32_t>(w);
-          running_[w] = running_[j];
-          running_slots_[w] = i;
-        }
-        ++w;
-      }
-    }
-    if (done) {
       any_finished = true;
       free_nodes_ += core_.alloc_nodes[i];
       core_.alloc_nodes[i] = 0;
@@ -1151,6 +982,35 @@ void Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
         ++result_.completed_jobs;
         ++pending_completions_;  // batched: flushed once per span / tick
       }
+    } else {
+      // Survivor: the flat-tick update (bit-identical to the one
+      // integrate_tick would recompute), kept scratch-resident — the
+      // columns catch up at the next scatter point; compaction keeps
+      // the relative order.
+      const double prog = core_.sp_prog[j] + core_.sp_rp[j];
+      const double wall = core_.sp_wall[j] + tick_s;
+      const double en = core_.sp_en[j] + core_.sp_ej[j];
+      const double cb = core_.sp_cb[j] + core_.sp_dj[j] * ci;
+      const double bn = static_cast<double>(core_.alloc_nodes[i]) * (tick_s / tick_s);
+      ev_energy_j += core_.sp_ej[j];
+      ev_busy_nodes += bn;
+      next_energy_j += core_.sp_ej[j];
+      next_busy_nodes += bn;
+      core_.sp_prog[w] = prog;
+      core_.sp_wall[w] = wall;
+      core_.sp_en[w] = en;
+      core_.sp_cb[w] = cb;
+      if (w != j) {
+        core_.sp_slot[w] = core_.sp_slot[j];
+        core_.sp_ej[w] = core_.sp_ej[j];
+        core_.sp_dj[w] = core_.sp_dj[j];
+        core_.sp_rp[w] = core_.sp_rp[j];
+        core_.sp_wl[w] = core_.sp_wl[j];
+        s.list_pos = static_cast<std::int32_t>(w);
+        running_[w] = running_[j];
+        running_slots_[w] = i;
+      }
+      ++w;
     }
   }
   if (any_finished) ++epoch_;
@@ -1162,32 +1022,8 @@ void Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
   // integrate_tick does.
   const double ev_idle_j = idle_w * static_cast<double>(free_nodes_) * tick_s;
   ev_energy_j += ev_idle_j;
-  result_.idle_energy += joules(ev_idle_j);
-  result_.idle_carbon += grams_co2(ev_idle_j / 3.6e6 * ci);
-  result_.total_energy += joules(ev_energy_j);
-  result_.total_carbon += grams_co2(ev_energy_j / 3.6e6 * ci);
-  if (violation) ++result_.budget_violations;
-  result_.tick_energy.push_back(ev_energy_j);
-  result_.power_budget.push_back(budget_w);
-  result_.carbon_intensity.push_back(ci);
-  result_.busy_nodes.push_back(ev_busy_nodes);
-  if (telemetry) {
-    cfg_.telemetry->record("system.power", now_, ev_energy_j / tick_s);
-    cfg_.telemetry->record("system.budget", now_, budget_w);
-    cfg_.telemetry->record("system.ci", now_, ci);
-    cfg_.telemetry->record("system.busy_nodes", now_, ev_busy_nodes);
-    if (cfg_.faults.enabled()) {
-      cfg_.telemetry->record("system.nodes_down", now_,
-                             static_cast<double>(nodes_down_));
-    }
-    if (cfg_.feed != nullptr) {
-      cfg_.telemetry->record("system.ci_observed", now_, ci_now_);
-      cfg_.telemetry->record("system.ci_staleness", now_, staleness_.seconds());
-    }
+  commit_tick(ev_energy_j, ev_idle_j, ev_busy_nodes, ci, violation);
   }
-  }
-  ci_history_.push_back(ci_now_);
-  now_ += tick;
   ++n;
   ++event_ticks;
 
@@ -1211,10 +1047,7 @@ void Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
   // re-bound the window by the next submission.
   if (ride_arrivals && !sched.quiescent_over_arrivals(*this)) {
     ride_arrivals = false;
-    if (next_arrival_ < arrival_order_.size()) {
-      span_end = std::min(span_end,
-                          slots_[arrival_order_[next_arrival_]].spec->submit);
-    }
+    span_end = span_window(span_end, hard_end, ride_arrivals);
   }
   if (now_ >= span_end) {
     // Original window exhausted at the event: sync the columns — the
@@ -1225,72 +1058,39 @@ void Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
     scatter(k);
     const Duration horizon = sched.quiescent_until(*this);
     if (horizon <= now_) break;
-    const bool all_arrived = next_arrival_ == arrival_order_.size();
-    ride_arrivals = !all_arrived && sched.quiescent_over_arrivals(*this);
-    span_end = std::min(horizon, hard_end);
-    if (!all_arrived && !ride_arrivals) {
-      span_end = std::min(span_end,
-                          slots_[arrival_order_[next_arrival_]].spec->submit);
-    }
+    ride_arrivals = next_arrival_ < arrival_order_.size() &&
+                    sched.quiescent_over_arrivals(*this);
+    span_end = span_window(horizon, hard_end, ride_arrivals);
     if (span_end <= now_) break;
   }
 
   // Incremental re-hoist: recompute the cap over the compacted running
-  // set (same expressions as the full hoist). When it lands on exactly
-  // the old cap — the common case without a power budget, where both
-  // are 1.0 — every per-job scratch constant is provably unchanged
-  // (same cap, same per-job state), so the whole-tick totals come
-  // straight from the event pass's fused accumulators and the full
-  // gather is skipped. A moved cap falls back to the full hoist at the
-  // top of the loop. When the full hoist proved the cap stable across
-  // releases (cap_stable), even the recompute is skipped.
-  {
-    double ncap = 1.0;
-    bool nviol = false;
-    if (!cap_stable) {
-      double busy_full_w = 0.0;
-      double baseline_w = idle_w * static_cast<double>(free_nodes_);
-      for (std::size_t j = 0; j < k; ++j) {
-        const std::size_t i = running_slots_[j];
-        const int busy = busy_nodes_of(i);
-        const int extra = core_.alloc_nodes[i] - busy;
-        busy_full_w += static_cast<double>(busy) * core_.eff_power_w[i];
-        baseline_w += static_cast<double>(extra) * idle_w;
-      }
-      if (busy_full_w > 0.0 && baseline_w + busy_full_w > budget_now_.watts()) {
-        ncap = (budget_now_.watts() - baseline_w) / busy_full_w;
-        if (ncap < cfg_.cluster.min_cap_fraction) {
-          ncap = cfg_.cluster.min_cap_fraction;
-          nviol = true;
-        }
-        ncap = std::min(ncap, 1.0);
-      } else if (busy_full_w == 0.0 && baseline_w > budget_now_.watts()) {
-        nviol = true;
-      }
-    }
-    if (ncap == cap) {
-      last_cap_ = ncap;
-      violation = nviol;
-      tick_energy_j = next_energy_j;
-      busy_nodes_total = next_busy_nodes;
-      idle_energy_j = idle_w * static_cast<double>(free_nodes_) * tick_s;
-      tick_energy_j += idle_energy_j;
-      idle_carbon_per_ci = idle_energy_j / 3.6e6;
-      total_carbon_per_ci = tick_energy_j / 3.6e6;
-      system_power_w = tick_energy_j / tick_s;
-      full_hoist = false;
-    } else {
-      // Cap moved: the loop re-runs the full hoist, whose gather reads
-      // the columns — bring the survivors' columns up to date first
-      // (idempotent if the window-extension path already did).
-      scatter(k);
-    }
+  // set (power_cap(), as the full hoist). When it lands on exactly the
+  // old cap — the common case without a power budget, where both are
+  // 1.0 — every per-job scratch constant is provably unchanged (same
+  // cap, same per-job state), so the whole-tick totals come straight
+  // from the event pass's fused accumulators and the full gather is
+  // skipped. A moved cap falls back to the full hoist at the top of the
+  // loop. When the full hoist proved the cap stable across releases
+  // (cap_stable), even the recompute is skipped.
+  const PowerCap pc = cap_stable ? PowerCap{} : power_cap();
+  if (pc.cap == cap) {
+    violation = pc.violation;
+    tick_energy_j = next_energy_j;
+    busy_nodes_total = next_busy_nodes;
+    idle_energy_j = idle_w * static_cast<double>(free_nodes_) * tick_s;
+    tick_energy_j += idle_energy_j;
+    full_hoist = false;
+  } else {
+    // Cap moved: the loop re-runs the full hoist, whose gather reads
+    // the columns — bring the survivors' columns up to date first
+    // (idempotent if the window-extension path already did).
+    scatter(k);
   }
   }  // for (;;) — next sub-span continues over the compacted running set
-  span_ticks.add(n);
-  spans_counter.add();
   if (event_ticks > 0) span_event_ticks.add(event_ticks);
   flush_job_counters();
+  return n;
 }
 
 SimulationResult Simulator::run(SchedulingPolicy& sched, PowerBudgetPolicy* power) {
@@ -1298,7 +1098,9 @@ SimulationResult Simulator::run(SchedulingPolicy& sched, PowerBudgetPolicy* powe
   ran_ = true;
   GREENHPC_TRACE_SPAN("sim.run");
   static obs::Counter& ticks_counter = sim_counter("sim.ticks");
-  const Duration tick = cfg_.cluster.tick;
+  static obs::Counter& span_ticks = sim_counter("sim.span_ticks");
+  static obs::Counter& spans_counter = sim_counter("sim.spans");
+  static obs::Counter& ff_ticks = sim_counter("sim.fast_forward_ticks");
   const bool fast_paths = !cfg_.reference_mode;
   while (now_ < cfg_.max_time) {
     // 1. arrivals
@@ -1317,59 +1119,52 @@ SimulationResult Simulator::run(SchedulingPolicy& sched, PowerBudgetPolicy* powe
       break;
     }
 
-    if (fast_paths && power == nullptr) {
-      // Idle fast-forward: with no job anywhere and nothing due before
-      // the next arrival or failure event, ticks cannot differ from the
-      // pure idle-floor tick; burn through them without the policy
-      // machinery. (Gated on power == nullptr: a budget policy must keep
-      // observing every tick, both for its own state and for the budget
-      // series.)
-      if (pending_.empty() && running_.empty() && suspended_.empty() &&
-          requeued_.empty() && repairs_.empty() && !all_arrived) {
-        Duration stop = std::min(cfg_.max_time,
-                                 slots_[arrival_order_[next_arrival_]].spec->submit);
-        if (next_failure_ < cfg_.faults.events.size()) {
-          stop = std::min(stop, cfg_.faults.events[next_failure_].time);
-        }
-        if (now_ < stop) {
-          budget_now_ = cfg_.cluster.max_power();
-          fast_forward_idle(stop);
-          continue;  // re-run arrivals/faults at the first non-idle tick
-        }
+    // Span batch kernel (gated on power == nullptr: a budget policy must
+    // keep observing every tick, both for its own state and for the
+    // budget series). Fault events, repairs and requeue releases bound
+    // every span hard — nothing the kernel does can create or move one
+    // of those.
+    const bool idle = pending_.empty() && running_.empty() && suspended_.empty() &&
+                      requeued_.empty() && repairs_.empty();
+    if (fast_paths && power == nullptr && (idle || epoch_ == epoch_before_sched_)) {
+      Duration hard_end = cfg_.max_time;
+      if (next_failure_ < cfg_.faults.events.size()) {
+        hard_end = std::min(hard_end, cfg_.faults.events[next_failure_].time);
       }
-      // Span batch kernel: the scheduler saw exactly this discrete state
-      // last tick and did nothing (epoch check), and attests it stays
+      for (const Duration r : repairs_) hard_end = std::min(hard_end, r);
+      for (const JobId id : requeued_) {
+        hard_end = std::min(hard_end, slots_[slot_index(id)].info.requeue_ready);
+      }
+      if (idle) {
+        // Idle span: with no job anywhere, every tick up to the next
+        // arrival or failure event is the pure idle-floor tick. A
+        // zero-job span has no event tick and never calls the policy
+        // (there is nothing to schedule); the loop re-runs arrivals and
+        // faults at the first non-idle tick.
+        budget_now_ = cfg_.cluster.max_power();
+        GREENHPC_TRACE_SPAN("sim.fast_forward");
+        ff_ticks.add(run_span(sched, hard_end, span_window(hard_end, hard_end, false),
+                              /*ride_arrivals=*/false));
+        continue;
+      }
+      // Busy span: the scheduler saw exactly this discrete state last
+      // tick and did nothing (epoch check), and attests it stays
       // quiescent up to a horizon. Integrate to the horizon or the next
       // discrete event in one flat kernel; completions and walltime
-      // kills are resolved inside (with release-reaction fencing), while
-      // fault events, repairs and requeue releases bound the span hard —
-      // nothing the kernel does can create or move one of those.
-      else if (epoch_ == epoch_before_sched_) {
-        const Duration horizon = sched.quiescent_until(*this);
-        if (horizon > now_) {
-          // With a stronger attestation the span rides over arrivals:
-          // they stop bounding span_end and the kernel pushes them onto
-          // the pending queue at their exact ticks instead.
-          const bool ride =
-              !all_arrived && sched.quiescent_over_arrivals(*this);
-          Duration hard_end = cfg_.max_time;
-          if (next_failure_ < cfg_.faults.events.size()) {
-            hard_end = std::min(hard_end, cfg_.faults.events[next_failure_].time);
-          }
-          for (const Duration r : repairs_) hard_end = std::min(hard_end, r);
-          for (const JobId id : requeued_) {
-            hard_end = std::min(hard_end, slots_[slot_index(id)].info.requeue_ready);
-          }
-          Duration span_end = std::min(horizon, hard_end);
-          if (!all_arrived && !ride) {
-            span_end = std::min(
-                span_end, slots_[arrival_order_[next_arrival_]].spec->submit);
-          }
-          if (span_end > now_) {
-            budget_now_ = cfg_.cluster.max_power();
-            run_span(sched, hard_end, span_end, ride);
-            continue;
-          }
+      // kills are resolved inside (with release-reaction fencing).
+      const Duration horizon = sched.quiescent_until(*this);
+      if (horizon > now_) {
+        // With a stronger attestation the span rides over arrivals:
+        // they stop bounding span_end and the kernel pushes them onto
+        // the pending queue at their exact ticks instead.
+        const bool ride = !all_arrived && sched.quiescent_over_arrivals(*this);
+        const Duration span_end = span_window(horizon, hard_end, ride);
+        if (span_end > now_) {
+          budget_now_ = cfg_.cluster.max_power();
+          GREENHPC_TRACE_SPAN("sim.span");
+          span_ticks.add(run_span(sched, hard_end, span_end, ride));
+          spans_counter.add();
+          continue;
         }
       }
     }
@@ -1387,14 +1182,12 @@ SimulationResult Simulator::run(SchedulingPolicy& sched, PowerBudgetPolicy* powe
       sched.on_tick(*this);
     }
 
-    // 4+5. power capping and integration
+    // 4+5. power capping, integration and the tick's commit
     {
       GREENHPC_TRACE_SPAN("sim.integrate");
       integrate_tick();
     }
     flush_job_counters();
-    ci_history_.push_back(ci_now_);
-    now_ += tick;
     ticks_counter.add();
   }
 
@@ -1419,7 +1212,7 @@ SimulationResult Simulator::run(SchedulingPolicy& sched, PowerBudgetPolicy* powe
   // system_power is each tick's energy over the tick: derived once per
   // run instead of appended beside tick_energy at every tick. Every site
   // computed it as exactly this division, so the bits and runs match.
-  const double tick_s = tick.seconds();
+  const double tick_s = cfg_.cluster.tick.seconds();
   for (const util::StepSeries::Run& r : result_.tick_energy.runs()) {
     result_.system_power.append_fill(r.count, r.value / tick_s);
   }

@@ -31,9 +31,9 @@
 // with position-bookkept ordered erases (O(1) find, order preserved so
 // policies observe identical queues), the pow() speed factors are cached
 // per job, intensity sampling uses a monotonic cursor, and wholly idle
-// spans (no jobs anywhere, no arrivals or fault events due) are
-// fast-forwarded through a tight per-tick loop that reproduces the full
-// path bit-for-bit while skipping policy and bookkeeping calls.
+// gaps (no jobs anywhere, no arrivals or fault events due) run as a
+// zero-job span: the span kernel with an empty running set, which never
+// calls the policy.
 //
 // Zero-copy inputs (see DESIGN.md, "Sweep engine & shared-asset memory
 // model"): the intensity trace and the job list are held as shared
@@ -84,10 +84,12 @@ class Simulator final : public SimulationView {
     /// null = perfect feed (observed == true). Must outlive the run.
     IntensityFeed* feed = nullptr;
     /// Force the tick-exact reference path: disables the span batch
-    /// kernel and the idle fast-forward, so every tick runs the full
-    /// arrivals/faults/schedule/integrate sequence. The fast paths are
-    /// bit-identical by construction; this knob exists so the
-    /// equivalence property test (and debugging sessions) can prove it.
+    /// kernel (busy spans and zero-job idle spans alike), so every tick
+    /// runs the full arrivals/faults/schedule/integrate sequence. The
+    /// span kernel is bit-identical by construction — it shares
+    /// power_cap() and commit_tick() with integrate_tick — and this knob
+    /// exists so the equivalence property test (and debugging sessions)
+    /// can prove it.
     bool reference_mode = false;
   };
 
@@ -207,21 +209,45 @@ class Simulator final : public SimulationView {
   void list_push(std::vector<JobId>& list, Queue kind, JobId id);
   void list_erase(std::vector<JobId>& list, JobId id);
 
+  /// The uniform power cap over the running set: the cap fraction, the
+  /// budget-violation flag (cap floored at min_cap_fraction, or the idle
+  /// floor alone over budget) and the uncapped demand it was derived from.
+  struct PowerCap {
+    double cap = 1.0;
+    bool violation = false;
+    double demand_w = 0.0;
+  };
+  [[nodiscard]] PowerCap power_cap() const;
+  /// Progress rate (per second) and draw (W) of running slot i under cap.
+  struct JobRate {
+    double rate = 0.0;
+    double draw_w = 0.0;
+  };
+  [[nodiscard]] JobRate job_rate(std::size_t i, double cap) const;
+  /// One tick's system bookkeeping, shared by integrate_tick and the span
+  /// kernel's per-tick and event ticks: the violation count, idle and
+  /// total energy and carbon, the four per-tick series, telemetry, the
+  /// intensity history and the clock advance. (The span's check-free
+  /// chunk is the only other writer: the run-length form of the same
+  /// additions.)
+  void commit_tick(double energy_j, double idle_j, double busy_nodes, double ci,
+                   bool violation);
   void integrate_tick();
-  /// Process wholly idle ticks (no jobs anywhere) in a tight loop until
-  /// the next arrival, fault event or max_time. Reproduces the normal
-  /// tick bit-for-bit (energy/carbon accumulation order, series samples,
-  /// history, telemetry) while skipping the policy and fault machinery
-  /// that provably cannot act.
-  void fast_forward_idle(Duration stop);
+  /// A span's end: the attested horizon capped by hard_end, and by the
+  /// next submission unless the span rides arrivals.
+  [[nodiscard]] Duration span_window(Duration horizon, Duration hard_end,
+                                     bool ride_arrivals) const;
   /// Span batch kernel: integrate ticks in [now, span_end) in one flat
-  /// loop over the running set, entered only when the scheduler took no
-  /// action at the current discrete state (epoch check) and attests
-  /// quiescence (SchedulingPolicy::quiescent_until), and no fault
-  /// event, repair or requeue release falls before hard_end. The
-  /// per-tick constants (cap, per-job draw/rate, totals) are hoisted
-  /// once per sub-span; every accumulator receives the same additions in
-  /// the same order as the per-tick path, so results are bit-identical.
+  /// loop over the running set. Entered for a busy span only when the
+  /// scheduler took no action at the current discrete state (epoch
+  /// check) and attests quiescence (SchedulingPolicy::quiescent_until),
+  /// and no fault event, repair or requeue release falls before
+  /// hard_end; entered for an idle gap (no job in any list, no repair,
+  /// no power policy) as a zero-job span, which has no event tick and
+  /// never calls the policy. The per-tick constants (cap, per-job
+  /// draw/rate, totals) are hoisted once per sub-span; every accumulator
+  /// receives the same additions in the same order as the per-tick path,
+  /// so results are bit-identical.
   /// A tick a completion or walltime kill lands in is resolved inside
   /// the kernel: it replays integrate_tick's exact sequence — analytic
   /// mid-tick finish, node release, record emission, order-preserving
@@ -231,9 +257,10 @@ class Simulator final : public SimulationView {
   /// caps every re-bound horizon (fault/repair/requeue/max_time events
   /// can never be crossed). Requires span_end > now_; integrates at
   /// least one tick, since an event on the first tick is resolved by the
-  /// in-span event tick.
-  void run_span(SchedulingPolicy& sched, Duration hard_end, Duration span_end,
-                bool ride_arrivals);
+  /// in-span event tick. Returns the ticks integrated; the caller counts
+  /// them as span or fast-forward ticks.
+  std::size_t run_span(SchedulingPolicy& sched, Duration hard_end, Duration span_end,
+                       bool ride_arrivals);
   /// Flush the span-local per-completion counter batches to the obs
   /// registry (one add(n) per span instead of one atomic add per
   /// completion; see DESIGN.md).

@@ -1,17 +1,22 @@
 // Fast-path / reference-path equivalence property (perf guardrail).
 //
-// The simulator's hot path (SoA span batch kernel, check-free chunks,
-// arrival riding, idle fast-forward, segment-hoisted intensity sampling)
+// The simulator's one fast path — the SoA span batch kernel, with its
+// check-free chunks, arrival riding and segment-hoisted intensity
+// sampling, run over busy spans and, as a zero-job span, over idle gaps —
 // claims to be bit-identical to the tick-exact reference loop. The golden
 // fixture pins four specific runs; this test proves the claim across a
 // randomized family of small scenarios: for each sampled (workload,
 // scheduler, faults) combination the simulation runs twice — with
-// Config::reference_mode forcing the per-tick path, and with every fast
-// path enabled (in-span completion kernel included) — and the two
+// Config::reference_mode forcing the per-tick path, and with the span
+// kernel enabled (in-span completion ticks included) — and the two
 // SimulationResults must match field by field, every double compared by
 // bit pattern. The completion-dense "waves" combos
 // (hourly arrival quanta, small jobs, short tick) drive thousands of
-// finishes through the in-span event tick specifically.
+// finishes through the in-span event tick specifically. The telemetry
+// combos also compare every recorded sensor sample, which pins the
+// span's per-tick path (telemetry forbids the check-free chunk). A
+// second test pins how the fast path's ticks split between the per-tick
+// loop, busy spans and idle spans (the obs tick counters).
 
 #include <gtest/gtest.h>
 
@@ -25,12 +30,14 @@
 #include "carbon/forecast.hpp"
 #include "core/scenario.hpp"
 #include "hpcsim/simulator.hpp"
+#include "obs/metrics.hpp"
 #include "resilience/checkpoint_policy.hpp"
 #include "resilience/degraded_feed.hpp"
 #include "sched/carbon_aware.hpp"
 #include "sched/decorators.hpp"
 #include "sched/easy_backfill.hpp"
 #include "sched/fcfs.hpp"
+#include "telemetry/sensor_store.hpp"
 
 namespace greenhpc {
 namespace {
@@ -149,6 +156,9 @@ struct Combo {
   // the last idle gaps run past its end.
   double trace_step_min = 15.0;
   double trace_days = 0.0;
+  // Record the system sensors in both runs and compare them sample by
+  // sample; a sink forces the span kernel off its check-free chunk.
+  bool telemetry = false;
 };
 
 // gtest prints a parameter into its ctest name; without this it would dump
@@ -164,6 +174,7 @@ void PrintTo(const Combo& c, std::ostream* os) {
   if (c.trace_step_min != 15.0 || c.trace_days > 0.0) {
     *os << " trace_step_min=" << c.trace_step_min << " trace_days=" << c.trace_days;
   }
+  if (c.telemetry) *os << " telemetry=1";
 }
 
 std::unique_ptr<hpcsim::SchedulingPolicy> make_scheduler(const std::string& name,
@@ -191,7 +202,8 @@ std::unique_ptr<hpcsim::SchedulingPolicy> make_scheduler(const std::string& name
   return nullptr;
 }
 
-hpcsim::SimulationResult run_once(const Combo& combo, bool reference_mode) {
+hpcsim::SimulationResult run_once(const Combo& combo, bool reference_mode,
+                                  telemetry::SensorStore* sensors = nullptr) {
   core::ScenarioConfig sc;
   sc.cluster.nodes = combo.nodes;
   sc.cluster.node_tdp = watts(500.0);
@@ -225,6 +237,7 @@ hpcsim::SimulationResult run_once(const Combo& combo, bool reference_mode) {
         std::vector<double>(full.values().begin(), full.values().begin() + n));
   }
   cfg.reference_mode = reference_mode;
+  cfg.telemetry = sensors;
   if (combo.faults) {
     for (int k = 0; k < 10; ++k) {
       cfg.faults.events.push_back(
@@ -262,12 +275,37 @@ hpcsim::SimulationResult run_once(const Combo& combo, bool reference_mode) {
 
 class FastPathEquivalence : public ::testing::TestWithParam<Combo> {};
 
+/// Sensor-by-sensor comparison: the same sensor names, and per sensor
+/// the same sample times and values, by bit pattern.
+void expect_same_sensors(const telemetry::SensorStore& ref,
+                         const telemetry::SensorStore& fast) {
+  ASSERT_EQ(ref.names(), fast.names());
+  for (const std::string& name : ref.names()) {
+    const auto& a = ref.find(name)->samples();
+    const auto& b = fast.find(name)->samples();
+    ASSERT_EQ(a.size(), b.size()) << name;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_SAME_BITS(a[i].time.seconds(), b[i].time.seconds()) << name << " sample " << i;
+      EXPECT_SAME_BITS(a[i].value, b[i].value) << name << " sample " << i;
+      if (::testing::Test::HasFailure()) return;  // one divergence is enough
+    }
+  }
+}
+
 TEST_P(FastPathEquivalence, ReferenceAndFastPathsMatchBitForBit) {
   const Combo& combo = GetParam();
-  const auto ref = run_once(combo, /*reference_mode=*/true);
-  const auto fast = run_once(combo, /*reference_mode=*/false);
+  telemetry::SensorStore ref_sensors;
+  telemetry::SensorStore fast_sensors;
+  const auto ref = run_once(combo, /*reference_mode=*/true,
+                            combo.telemetry ? &ref_sensors : nullptr);
+  const auto fast = run_once(combo, /*reference_mode=*/false,
+                             combo.telemetry ? &fast_sensors : nullptr);
   EXPECT_GT(ref.completed_jobs, 0);
   expect_equivalent(ref, fast);
+  if (combo.telemetry) {
+    EXPECT_GT(ref_sensors.size(), 0u);
+    expect_same_sensors(ref_sensors, fast_sensors);
+  }
 }
 
 std::string combo_name(const ::testing::TestParamInfo<Combo>& info) {
@@ -286,6 +324,7 @@ std::string combo_name(const ::testing::TestParamInfo<Combo>& info) {
   if (info.param.harmonic) s += "_harmonic";
   if (info.param.feed_outage > 0.0) s += "_degraded_feed";
   if (info.param.trace_days > 0.0) s += "_offgrid_trace";
+  if (info.param.telemetry) s += "_telemetry";
   s += "_s" + std::to_string(info.param.seed);
   return s;
 }
@@ -336,8 +375,71 @@ INSTANTIATE_TEST_SUITE_P(
         Combo{"fcfs", 91, 16, 30, 4.0, false, false, carbon::Region::Germany,
               carbon::IntensityKind::Average, false, 0.0, 7.0, 2.5},
         Combo{"easy", 92, 16, 30, 4.0, true, false, carbon::Region::France,
-              carbon::IntensityKind::Marginal, false, 0.0, 7.0, 2.5}),
+              carbon::IntensityKind::Marginal, false, 0.0, 7.0, 2.5},
+        // Telemetry on: idle gaps and busy spans take the span's per-tick
+        // path, whose sensor samples must match the reference run's —
+        // with faults (the nodes-down sensor), with a degraded feed over
+        // an off-grid trace that ends early (the observed-intensity and
+        // staleness sensors), and through completion waves (the in-span
+        // event tick's samples).
+        Combo{"easy", 101, 16, 30, 4.0, true, false, carbon::Region::Germany,
+              carbon::IntensityKind::Average, false, 0.0, 15.0, 0.0, true},
+        Combo{"carbon-easy", 102, 16, 30, 4.0, false, false, carbon::Region::Germany,
+              carbon::IntensityKind::Average, false, 0.3, 7.0, 2.5, true},
+        Combo{"fcfs", 103, 64, 260, 0.5, false, true, carbon::Region::Germany,
+              carbon::IntensityKind::Average, false, 0.0, 15.0, 0.0, true}),
     combo_name);
+
+// How the fast path's ticks split: every simulated tick is counted once,
+// as a per-tick loop tick (sim.ticks), a busy-span tick (sim.span_ticks)
+// or an idle-span tick (sim.fast_forward_ticks). The sweep ledger
+// divides by the sum of the three, so each count is pinned here; under
+// reference_mode only sim.ticks moves.
+struct TickCounts {
+  std::uint64_t ticks = 0;
+  std::uint64_t span_ticks = 0;
+  std::uint64_t idle_ticks = 0;
+};
+
+TickCounts read_tick_counters() {
+  obs::Registry& reg = obs::Registry::global();
+  return {reg.counter("sim.ticks").value(), reg.counter("sim.span_ticks").value(),
+          reg.counter("sim.fast_forward_ticks").value()};
+}
+
+TickCounts tick_deltas(const Combo& combo, bool reference_mode, std::size_t* total) {
+  const TickCounts before = read_tick_counters();
+  const auto result = run_once(combo, reference_mode);
+  const TickCounts after = read_tick_counters();
+  *total = result.tick_energy.size();
+  return {after.ticks - before.ticks, after.span_ticks - before.span_ticks,
+          after.idle_ticks - before.idle_ticks};
+}
+
+void expect_tick_partition(const Combo& combo, const TickCounts& pinned) {
+  std::size_t total = 0;
+  const TickCounts fast = tick_deltas(combo, /*reference_mode=*/false, &total);
+  EXPECT_EQ(fast.ticks + fast.span_ticks + fast.idle_ticks, total);
+  EXPECT_EQ(fast.ticks, pinned.ticks);
+  EXPECT_EQ(fast.span_ticks, pinned.span_ticks);
+  EXPECT_EQ(fast.idle_ticks, pinned.idle_ticks);
+
+  std::size_t ref_total = 0;
+  const TickCounts ref = tick_deltas(combo, /*reference_mode=*/true, &ref_total);
+  EXPECT_EQ(ref_total, total);
+  EXPECT_EQ(ref.ticks, ref_total);
+  EXPECT_EQ(ref.span_ticks, 0u);
+  EXPECT_EQ(ref.idle_ticks, 0u);
+}
+
+TEST(FastPathTickPartition, SparseScenarioCountsIdleSpansAsFastForwardTicks) {
+  expect_tick_partition(Combo{"fcfs", 41, 16, 30, 4.0, false}, {59, 1188, 1602});
+}
+
+TEST(FastPathTickPartition, DenseScenarioCountsEveryTickOnce) {
+  expect_tick_partition(Combo{"easy", 22, 48, 140, 0.5, true},
+                        {303, 1621, 6});
+}
 
 }  // namespace
 }  // namespace greenhpc

@@ -6,7 +6,10 @@
 // in. The optimized engine must reproduce every run bit-for-bit: total
 // energy, total carbon, makespan and each job's start/finish/energy/
 // carbon feed an FNV-1a stream whose digest must match exactly. A failure
-// here means an "optimization" changed simulation results.
+// here means an "optimization" changed simulation results. The per-tick
+// accounting the digests pin (power_cap, commit_tick) is shared by the
+// tick-exact reference path and the span kernel, whose zero-job form
+// also covers idle gaps, so these runs guard both.
 //
 // Covers a fault-free FCFS run, a fault-free carbon-aware EASY run (the
 // two extremes of policy complexity), a fault-injected EASY run (the
@@ -77,8 +80,8 @@ std::uint64_t hash_result(const hpcsim::SimulationResult& r) {
     h.add(static_cast<std::int64_t>(j.suspend_count));
     h.add(static_cast<std::int64_t>(j.failure_count));
   }
-  // The per-tick series pin tick alignment (fast-forward must not drop
-  // or duplicate samples).
+  // The per-tick series pin tick alignment (idle and busy spans must not
+  // drop or duplicate samples).
   h.add(static_cast<std::int64_t>(r.system_power.size()));
   const util::TimeSeries power = r.system_power.expand();
   const util::TimeSeries busy = r.busy_nodes.expand();
