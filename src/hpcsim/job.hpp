@@ -87,26 +87,19 @@ struct JobSpec {
 /// Lifecycle phase of a job inside the simulator.
 enum class JobPhase { Pending, Running, Suspended, Done };
 
-/// Dynamic per-job state exposed to scheduling policies.
+/// Cold per-job state the simulator keeps beside its SoA columns
+/// (progress, allocation, clocks, energy and carbon live in the columns;
+/// policies read them through hpcsim::JobTable).
 struct JobRuntimeInfo {
   JobPhase phase = JobPhase::Pending;
-  double progress = 0.0;   ///< completed fraction of total work
-  int alloc_nodes = 0;     ///< nodes currently held (0 unless Running)
-  Duration start;          ///< first start time (valid once started)
   Duration finish;         ///< completion time (valid once Done)
-  Duration wall_used;      ///< accumulated running wall time (walltime clock)
   bool killed = false;     ///< terminated by walltime enforcement
   int suspend_count = 0;   ///< checkpoint/suspend cycles so far
-  Energy energy;           ///< energy consumed so far
-  Carbon carbon;           ///< operational carbon attributed so far
 
   // --- resilience state (inert unless faults/checkpoints are used) ---
   /// Progress captured by the most recent checkpoint or suspend; a node
   /// failure rolls a checkpointable job back to this point (0 = scratch).
   double ckpt_progress = 0.0;
-  /// Time of the last checkpoint (or start/resume, which reset the
-  /// periodic-checkpoint clock).
-  Duration last_checkpoint;
   int checkpoint_count = 0;  ///< in-place checkpoints written so far
   int failure_count = 0;     ///< node-failure kills suffered so far
   bool failed = false;       ///< abandoned after exhausting the retry budget

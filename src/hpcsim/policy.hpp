@@ -25,9 +25,9 @@ namespace greenhpc::hpcsim {
 /// by slot (resolve a JobId with SimulationView::slot_of). The engine
 /// owns the storage (an arena-allocated SimCore); spans stay valid for
 /// the life of the view, and the dynamic columns (progress, allocation,
-/// wall clock) are updated in place each tick. Policies on the hot path
-/// should read these flat columns instead of spec()/info(), which cost a
-/// virtual call plus a pointer chase per job.
+/// wall clock) are updated in place each tick. This table is a policy's
+/// only per-job read surface. It holds no energy or carbon, so reading
+/// it never reveals the intensity (SimulationResult::carbon_blind).
 struct JobTable {
   // --- static columns (flattened from JobSpec at construction) ---
   std::span<const double> eff_power_w;     ///< effective busy-node draw (W)
@@ -83,11 +83,6 @@ class SimulationView {
   [[nodiscard]] virtual Duration carbon_signal_staleness() const {
     return seconds(0.0);
   }
-  /// Ground-truth intensity at time t (clamped to the trace range). Carbon-
-  /// aware policies that should be forecast-driven must instead use a
-  /// carbon::Forecaster over history(); this accessor exists for oracle
-  /// upper-bound policies and for tests.
-  [[nodiscard]] virtual double carbon_intensity_at(Duration t) const = 0;
   /// Observed intensity history up to (and excluding) the current tick:
   /// one sample per tick from time 0, step = cluster().tick, so end() is
   /// now() up to rounding — forecaster input.
@@ -108,9 +103,7 @@ class SimulationView {
   [[nodiscard]] virtual const std::vector<JobId>& pending_jobs() const = 0;
   [[nodiscard]] virtual const std::vector<JobId>& running_jobs() const = 0;
   [[nodiscard]] virtual const std::vector<JobId>& suspended_jobs() const = 0;
-  [[nodiscard]] virtual const JobSpec& spec(JobId id) const = 0;
-  [[nodiscard]] virtual const JobRuntimeInfo& info(JobId id) const = 0;
-  /// Structure-of-arrays twin of spec()/info() (see JobTable above).
+  /// Per-job static and dynamic columns (see JobTable above).
   [[nodiscard]] virtual const JobTable& job_table() const = 0;
   /// Slot index of a job in the JobTable columns.
   [[nodiscard]] virtual std::size_t slot_of(JobId id) const = 0;

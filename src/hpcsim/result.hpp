@@ -78,7 +78,7 @@ struct SimulationResult {
 
   /// True when no decision of the run could have read the carbon
   /// intensity: the scheduling policy never called one of the view's
-  /// intensity accessors nor info() (which carries per-job carbon), no
+  /// intensity accessors (its job table holds no energy or carbon), no
   /// power-budget policy ran and no feed was configured. Observed by the
   /// simulator, not declared by the policy, so it holds through any
   /// decorator. The schedule of such a run is the same under every

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "hpcsim/job.hpp"
+#include "hpcsim/policy.hpp"
 
 namespace greenhpc::hpcsim {
 
@@ -147,6 +148,27 @@ struct SimCore {
     max_nodes[i] = spec.max_nodes;
     kind[i] = spec.kind;
     checkpointable[i] = spec.checkpointable ? 1 : 0;
+  }
+
+  /// The policy-facing read-only view of the columns.
+  [[nodiscard]] JobTable table() const {
+    const std::size_t n = n_;
+    return JobTable{.eff_power_w = {eff_power_w, n},
+                    .runtime_s = {runtime_s, n},
+                    .walltime_s = {walltime_s, n},
+                    .submit_s = {submit_s, n},
+                    .ckpt_overhead_s = {ckpt_overhead_s, n},
+                    .nodes_requested = {nodes_requested, n},
+                    .nodes_used = {nodes_used, n},
+                    .min_nodes = {min_nodes, n},
+                    .max_nodes = {max_nodes, n},
+                    .kind = {kind, n},
+                    .checkpointable = {checkpointable, n},
+                    .progress = {progress, n},
+                    .wall_used_s = {wall_used_s, n},
+                    .start_s = {start_s, n},
+                    .last_checkpoint_s = {last_checkpoint_s, n},
+                    .alloc_nodes = {alloc_nodes, n}};
   }
 
  private:

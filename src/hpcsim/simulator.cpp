@@ -102,22 +102,7 @@ Simulator::Simulator(Config config, util::Shared<std::vector<JobSpec>> jobs)
   const std::size_t n = slots_.size();
   core_.init(n);
   for (std::size_t i = 0; i < n; ++i) core_.fill_static(i, *slots_[i].spec);
-  table_.eff_power_w = {core_.eff_power_w, n};
-  table_.runtime_s = {core_.runtime_s, n};
-  table_.walltime_s = {core_.walltime_s, n};
-  table_.submit_s = {core_.submit_s, n};
-  table_.ckpt_overhead_s = {core_.ckpt_overhead_s, n};
-  table_.nodes_requested = {core_.nodes_requested, n};
-  table_.nodes_used = {core_.nodes_used, n};
-  table_.min_nodes = {core_.min_nodes, n};
-  table_.max_nodes = {core_.max_nodes, n};
-  table_.kind = {core_.kind, n};
-  table_.checkpointable = {core_.checkpointable, n};
-  table_.progress = {core_.progress, n};
-  table_.wall_used_s = {core_.wall_used_s, n};
-  table_.start_s = {core_.start_s, n};
-  table_.last_checkpoint_s = {core_.last_checkpoint_s, n};
-  table_.alloc_nodes = {core_.alloc_nodes, n};
+  table_ = core_.table();
 }
 
 std::size_t Simulator::slot_index_slow(JobId id) const {
@@ -186,34 +171,10 @@ double Simulator::scale_factor(std::size_t i) const {
   return core_.scale_val[i];
 }
 
-double Simulator::carbon_intensity_at(Duration t) const {
-  intensity_read_ = true;
-  return cfg_.carbon_intensity->sample_at_clamped(t);
-}
-
 Duration Simulator::intensity_constant_until() const {
   intensity_read_ = true;
   if (cfg_.feed != nullptr) return now_;
   return cfg_.carbon_intensity->segment_end(now_);
-}
-
-const JobSpec& Simulator::spec(JobId id) const { return *slot(id).spec; }
-
-const JobRuntimeInfo& Simulator::info(JobId id) const {
-  // The SoA core owns the hot fields; mirror them into the cold struct so
-  // the legacy per-job accessor stays coherent for policies and tests.
-  // The record carries the job's carbon so far, an intensity read.
-  intensity_read_ = true;
-  const std::size_t i = slot_index(id);
-  JobRuntimeInfo& inf = slots_[i].info;
-  inf.progress = core_.progress[i];
-  inf.alloc_nodes = core_.alloc_nodes[i];
-  inf.start = seconds(core_.start_s[i]);
-  inf.wall_used = seconds(core_.wall_used_s[i]);
-  inf.last_checkpoint = seconds(core_.last_checkpoint_s[i]);
-  inf.energy = joules(core_.energy_j[i]);
-  inf.carbon = grams_co2(core_.carbon_g[i]);
-  return inf;
 }
 
 Duration Simulator::estimated_remaining(JobId id) const {

@@ -112,9 +112,9 @@ class Simulator final : public SimulationView {
   [[nodiscard]] const ClusterConfig& cluster() const override { return cfg_.cluster; }
   [[nodiscard]] int free_nodes() const override { return free_nodes_; }
   [[nodiscard]] int nodes_down() const override { return nodes_down_; }
-  // The intensity accessors (and info()) record that the policy read the
-  // intensity: SimulationResult::carbon_blind. The engine itself reads
-  // the members, never these.
+  // The intensity accessors record that the policy read the intensity:
+  // SimulationResult::carbon_blind. The engine itself reads the members,
+  // never these.
   [[nodiscard]] double carbon_intensity_now() const override {
     intensity_read_ = true;
     return ci_now_;
@@ -123,7 +123,6 @@ class Simulator final : public SimulationView {
     intensity_read_ = true;
     return staleness_;
   }
-  [[nodiscard]] double carbon_intensity_at(Duration t) const override;
   [[nodiscard]] const util::TimeSeries& intensity_history() const override {
     intensity_read_ = true;
     return ci_history_;
@@ -141,8 +140,6 @@ class Simulator final : public SimulationView {
   [[nodiscard]] const std::vector<JobId>& suspended_jobs() const override {
     return suspended_;
   }
-  [[nodiscard]] const JobSpec& spec(JobId id) const override;
-  [[nodiscard]] const JobRuntimeInfo& info(JobId id) const override;
   [[nodiscard]] const JobTable& job_table() const override { return table_; }
   [[nodiscard]] std::size_t slot_of(JobId id) const override {
     return slot_index(id);
@@ -165,11 +162,9 @@ class Simulator final : public SimulationView {
     /// Static description, pointing into the shared job list (immutable,
     /// owned by jobs_ for the Simulator's lifetime).
     const JobSpec* spec = nullptr;
-    /// Cold per-job state (phase, finish, counters, resilience marks).
-    /// The hot fields SimCore owns (progress, allocation, wall clock,
-    /// energy, carbon, start/checkpoint times) are mirrored into here on
-    /// demand by info() — mutable so the const accessor can refresh them.
-    mutable JobRuntimeInfo info;
+    /// Cold per-job state (phase, finish, counters, resilience marks);
+    /// the hot fields live in SimCore's columns.
+    JobRuntimeInfo info;
     /// Phase-list membership (position-bookkept ordered erase).
     Queue queue = Queue::None;
     std::int32_t list_pos = -1;
@@ -185,8 +180,6 @@ class Simulator final : public SimulationView {
     return slot_index_slow(id);
   }
   [[nodiscard]] std::size_t slot_index_slow(JobId id) const;
-  [[nodiscard]] JobSlot& slot(JobId id) { return slots_[slot_index(id)]; }
-  [[nodiscard]] const JobSlot& slot(JobId id) const { return slots_[slot_index(id)]; }
 
   /// Busy nodes of a running job (nodes that draw job power and produce
   /// progress): all allocated nodes for malleable jobs, nodes_used for
@@ -330,8 +323,8 @@ class Simulator final : public SimulationView {
   std::uint32_t pending_completions_ = 0;
   std::uint32_t pending_kills_ = 0;
 
-  /// Set by every intensity accessor and info(): the run is not
-  /// carbon-blind (see SimulationResult::carbon_blind).
+  /// Set by every intensity accessor: the run is not carbon-blind (see
+  /// SimulationResult::carbon_blind).
   mutable bool intensity_read_ = false;
 
   SimulationResult result_;

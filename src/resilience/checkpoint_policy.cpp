@@ -30,10 +30,11 @@ Duration PeriodicCheckpointPolicy::young_daly_interval(Duration overhead,
   return seconds(std::sqrt(2.0 * overhead.seconds() * system_mtbf));
 }
 
-Duration PeriodicCheckpointPolicy::interval_for(const hpcsim::JobSpec& spec) const {
+Duration PeriodicCheckpointPolicy::interval_for(const hpcsim::JobTable& t,
+                                                std::size_t i) const {
   if (cfg_.fixed_interval.seconds() > 0.0) return cfg_.fixed_interval;
-  const Duration tau =
-      young_daly_interval(spec.checkpoint_overhead, cfg_.node_mtbf, spec.nodes_used);
+  const Duration tau = young_daly_interval(seconds(t.ckpt_overhead_s[i]), cfg_.node_mtbf,
+                                           t.nodes_used[i]);
   return std::max(tau, cfg_.min_interval);
 }
 
@@ -43,7 +44,7 @@ void PeriodicCheckpointPolicy::on_tick(hpcsim::SimulationView& view) {
   for (hpcsim::JobId id : view.running_jobs()) {
     const std::size_t i = view.slot_of(id);
     if (t.checkpointable[i] == 0 || t.ckpt_overhead_s[i] <= 0.0) continue;
-    if (view.now() - seconds(t.last_checkpoint_s[i]) >= interval_for(view.spec(id))) {
+    if (view.now() - seconds(t.last_checkpoint_s[i]) >= interval_for(t, i)) {
       view.checkpoint(id);
     }
   }
@@ -55,7 +56,7 @@ bool PeriodicCheckpointPolicy::quiescent_over_release(
   for (hpcsim::JobId id : view.running_jobs()) {
     const std::size_t i = view.slot_of(id);
     if (t.checkpointable[i] == 0 || t.ckpt_overhead_s[i] <= 0.0) continue;
-    if (view.now() - seconds(t.last_checkpoint_s[i]) >= interval_for(view.spec(id))) {
+    if (view.now() - seconds(t.last_checkpoint_s[i]) >= interval_for(t, i)) {
       return false;  // on_tick would checkpoint this job right now
     }
   }
@@ -70,7 +71,7 @@ Duration PeriodicCheckpointPolicy::quiescent_until(
     const std::size_t i = view.slot_of(id);
     if (t.checkpointable[i] == 0 || t.ckpt_overhead_s[i] <= 0.0) continue;
     const Duration due =
-        seconds(t.last_checkpoint_s[i]) + interval_for(view.spec(id));
+        seconds(t.last_checkpoint_s[i]) + interval_for(t, i);
     if (due < horizon) horizon = due;
   }
   return horizon < view.now() ? view.now() : horizon;

@@ -71,7 +71,8 @@ class PeriodicCheckpointPolicy final : public hpcsim::SchedulingPolicy {
                                                     Duration node_mtbf, int nodes);
 
  private:
-  [[nodiscard]] Duration interval_for(const hpcsim::JobSpec& spec) const;
+  /// The checkpoint interval of the job in slot i.
+  [[nodiscard]] Duration interval_for(const hpcsim::JobTable& t, std::size_t i) const;
 
   hpcsim::SchedulingPolicy& inner_;
   CheckpointPolicyConfig cfg_;

@@ -22,17 +22,6 @@ CarbonAwareEasyScheduler::CarbonAwareEasyScheduler(
                    "improvement factor must be in (0,1]");
 }
 
-double CarbonAwareEasyScheduler::current_threshold(
-    const hpcsim::SimulationView& view) const {
-  const auto history = view.intensity_history().values();
-  if (history.empty()) return view.carbon_intensity_now();
-  const auto window_ticks = static_cast<std::size_t>(
-      cfg_.history_window.seconds() / view.cluster().tick.seconds());
-  const std::size_t n = std::min(history.size(), std::max<std::size_t>(window_ticks, 1));
-  const std::span<const double> tail(history.data() + (history.size() - n), n);
-  return util::percentile(tail, cfg_.green_quantile);
-}
-
 double CarbonAwareEasyScheduler::incremental_threshold(
     const hpcsim::SimulationView& view) {
   const auto history = view.intensity_history().values();
@@ -52,8 +41,7 @@ double CarbonAwareEasyScheduler::incremental_threshold(
     threshold_window_.push(v, end - threshold_consumed_);
     threshold_consumed_ = end;
   }
-  // The window now holds the last min(size, cap) history values — exactly
-  // the tail current_threshold() takes its percentile over.
+  // The window now holds the last min(size, cap) history values.
   return threshold_window_.percentile(cfg_.green_quantile);
 }
 
@@ -125,7 +113,7 @@ void CarbonAwareEasyScheduler::on_tick(hpcsim::SimulationView& view) {
     static obs::Counter& stale_ticks =
         obs::Registry::global().counter("sched.carbon.stale_fallback_ticks");
     stale_ticks.add();
-    easy_pass(view, pending, /*shrink_moldable=*/false, &releases_);
+    easy_pass(view, pending, /*shrink_moldable=*/false, releases_);
     return;
   }
 
@@ -188,7 +176,7 @@ void CarbonAwareEasyScheduler::on_tick(hpcsim::SimulationView& view) {
     horizon = std::min(horizon, budget_end - view.cluster().tick * 0.5);
   }
   if (!eligible.empty()) {
-    if (easy_pass(view, eligible, /*shrink_moldable=*/false, &releases_) > 0) return;
+    if (easy_pass(view, eligible, /*shrink_moldable=*/false, releases_) > 0) return;
     horizon = std::min(horizon, easy_quiescent_until(view, eligible));
   }
   attested_at_ = view.now() + view.cluster().tick;

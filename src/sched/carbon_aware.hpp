@@ -101,11 +101,6 @@ class CarbonAwareEasyScheduler final : public hpcsim::SchedulingPolicy {
     return view.pending_jobs().empty();
   }
 
-  /// Green threshold currently in force (for tests and reporting).
-  /// Recomputes from scratch; the tick loop uses the incremental twin
-  /// below, which returns bit-identical values.
-  [[nodiscard]] double current_threshold(const hpcsim::SimulationView& view) const;
-
  private:
   /// Whether the forecaster predicts a greener period within the
   /// lookahead. Lowers `horizon` to the last tick before which every
@@ -120,8 +115,10 @@ class CarbonAwareEasyScheduler final : public hpcsim::SchedulingPolicy {
   /// incremental_threshold() just brought up to date.
   [[nodiscard]] Duration threshold_horizon(const hpcsim::SimulationView& view,
                                            bool green_now) const;
-  /// current_threshold() via a sliding sorted window over the intensity
-  /// history instead of a per-tick copy-and-sort of the whole window.
+  /// The green threshold in force: the green_quantile percentile of the
+  /// last history_window of intensity history (the current intensity
+  /// before any history exists), kept in a sliding sorted window instead
+  /// of a per-tick copy-and-sort of the whole window.
   [[nodiscard]] double incremental_threshold(const hpcsim::SimulationView& view);
 
   Config cfg_;

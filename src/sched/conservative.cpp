@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sched/easy_backfill.hpp"
 #include "sched/fcfs.hpp"
 #include "util/error.hpp"
 
@@ -79,22 +78,24 @@ void ConservativeBackfillScheduler::on_tick(hpcsim::SimulationView& view) {
   if (pending.empty()) return;
 
   CapacityProfile profile(view.now(), view.free_nodes(), view.cluster().nodes);
-  for (const auto& release : projected_releases(view)) {
+  for (const auto& release : releases_.get(view)) {
     profile.add_release(release.time, release.nodes);
   }
 
   // Walk the queue in order; every job gets the earliest reservation the
   // profile allows, and starts right away when that reservation is "now".
+  const hpcsim::JobTable& t = view.job_table();
   for (hpcsim::JobId id : pending) {
-    const auto& spec = view.spec(id);
-    const int nodes = start_nodes(spec);
-    const Duration start = profile.earliest_fit(nodes, spec.walltime);
+    const std::size_t i = view.slot_of(id);
+    const int nodes = start_nodes(t, i);
+    const Duration walltime = seconds(t.walltime_s[i]);
+    const Duration start = profile.earliest_fit(nodes, walltime);
     if (start <= view.now()) {
       if (view.start(id, nodes)) {
-        profile.reserve(view.now(), spec.walltime, nodes);
+        profile.reserve(view.now(), walltime, nodes);
       }
     } else {
-      profile.reserve(start, spec.walltime, nodes);
+      profile.reserve(start, walltime, nodes);
     }
   }
 }

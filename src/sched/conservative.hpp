@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "hpcsim/policy.hpp"
+#include "sched/easy_backfill.hpp"
 
 namespace greenhpc::sched {
 
@@ -43,6 +44,9 @@ class ConservativeBackfillScheduler final : public hpcsim::SchedulingPolicy {
  public:
   void on_tick(hpcsim::SimulationView& view) override;
   [[nodiscard]] std::string name() const override { return "conservative-backfill"; }
+
+ private:
+  ReleaseCache releases_;
 };
 
 }  // namespace greenhpc::sched

@@ -8,21 +8,6 @@
 
 namespace greenhpc::sched {
 
-std::vector<ReleaseEvent> projected_releases(const hpcsim::SimulationView& view) {
-  std::vector<ReleaseEvent> releases;
-  const Duration now = view.now();
-  const hpcsim::JobTable& t = view.job_table();
-  for (hpcsim::JobId id : view.running_jobs()) {
-    const std::size_t i = view.slot_of(id);
-    Duration end = seconds(t.start_s[i]) + seconds(t.walltime_s[i]);
-    if (end <= now) end = now + view.cluster().tick;  // overran its estimate
-    releases.push_back({end, t.alloc_nodes[i]});
-  }
-  std::sort(releases.begin(), releases.end(),
-            [](const ReleaseEvent& a, const ReleaseEvent& b) { return a.time < b.time; });
-  return releases;
-}
-
 const std::vector<ReleaseEvent>& ReleaseCache::get(const hpcsim::SimulationView& view) {
   const Duration now = view.now();
   const hpcsim::JobTable& t = view.job_table();
@@ -72,14 +57,6 @@ Reservation compute_reservation(Duration now, int free, int needed,
   return r;
 }
 
-int shrink_to_fit_nodes(const hpcsim::JobSpec& spec, int available) {
-  const int natural = std::clamp(spec.nodes_used, spec.min_nodes, spec.max_nodes);
-  if (natural <= available) return natural;
-  if (spec.kind != hpcsim::JobKind::Moldable) return 0;
-  if (available >= spec.min_nodes) return std::min(available, natural);
-  return 0;
-}
-
 int shrink_to_fit_nodes(const hpcsim::JobTable& t, std::size_t i, int available) {
   const int natural = std::clamp(t.nodes_used[i], t.min_nodes[i], t.max_nodes[i]);
   if (natural <= available) return natural;
@@ -89,7 +66,7 @@ int shrink_to_fit_nodes(const hpcsim::JobTable& t, std::size_t i, int available)
 }
 
 int easy_pass(hpcsim::SimulationView& view, const std::vector<hpcsim::JobId>& queue,
-              bool shrink_moldable, ReleaseCache* cache) {
+              bool shrink_moldable, ReleaseCache& releases) {
   static obs::Counter& head_started =
       obs::Registry::global().counter("sched.easy.head_started");
   static obs::Counter& reservations =
@@ -122,10 +99,8 @@ int easy_pass(hpcsim::SimulationView& view, const std::vector<hpcsim::JobId>& qu
   reservations.add();
   const hpcsim::JobId blocked = queue[head];
   const int needed = start_nodes(table, view.slot_of(blocked));
-  std::vector<ReleaseEvent> local;
-  if (cache == nullptr) local = projected_releases(view);
-  const std::vector<ReleaseEvent>& releases = cache != nullptr ? cache->get(view) : local;
-  Reservation res = compute_reservation(view.now(), view.free_nodes(), needed, releases);
+  const Reservation res =
+      compute_reservation(view.now(), view.free_nodes(), needed, releases.get(view));
 
   // Phase 3: backfill the remaining queue against the reservation.
   int spare = res.spare;
@@ -154,7 +129,7 @@ int easy_pass(hpcsim::SimulationView& view, const std::vector<hpcsim::JobId>& qu
 
 void EasyBackfillScheduler::on_tick(hpcsim::SimulationView& view) {
   scratch_ = view.pending_jobs();  // snapshot: start() mutates the queue
-  if (!scratch_.empty()) easy_pass(view, scratch_, shrink_moldable_, &releases_);
+  if (!scratch_.empty()) easy_pass(view, scratch_, shrink_moldable_, releases_);
 }
 
 bool EasyBackfillScheduler::quiescent_over_release(

@@ -22,12 +22,6 @@ struct ReleaseEvent {
   int nodes = 0;
 };
 
-/// Walltime-based release schedule of the currently running jobs,
-/// ascending in time. Jobs past their walltime are projected to release
-/// one tick from now.
-[[nodiscard]] std::vector<ReleaseEvent> projected_releases(
-    const hpcsim::SimulationView& view);
-
 /// Shadow time and spare nodes of the EASY reservation for a job needing
 /// `needed` nodes given `free` nodes now and the release schedule.
 struct Reservation {
@@ -37,13 +31,14 @@ struct Reservation {
 [[nodiscard]] Reservation compute_reservation(Duration now, int free, int needed,
                                               const std::vector<ReleaseEvent>& releases);
 
-/// Memoized release schedule: a long-running job set makes the projected
+/// Walltime-based release schedule of the currently running jobs,
+/// ascending in time; a job past its walltime is projected to release one
+/// tick from now. Memoized: a long-running job set makes the projected
 /// timeline identical tick after tick, so the sorted vector is rebuilt
 /// only when the running set (ids, allocations, walltime-projected ends)
 /// changes or a job overruns its estimate (its projected release then
-/// tracks the moving clock). The cached vector is byte-identical to what
-/// projected_releases() would return, so memoization cannot change any
-/// scheduling decision.
+/// tracks the moving clock). A reused vector is byte-identical to a fresh
+/// cache's, so memoization cannot change any scheduling decision.
 class ReleaseCache {
  public:
   /// The release schedule for the view's current running set; reference
@@ -110,21 +105,20 @@ class EasyBackfillScheduler final : public hpcsim::SchedulingPolicy {
   std::vector<hpcsim::JobId> scratch_;  ///< queue snapshot, reused across ticks
 };
 
-/// Node count for starting `spec` when `available` nodes are free and
-/// moldable shrinking is allowed: the natural size if it fits, otherwise
-/// the largest feasible size within the moldable range (0 = cannot start).
-[[nodiscard]] int shrink_to_fit_nodes(const hpcsim::JobSpec& spec, int available);
-/// SoA twin over the flat job table.
+/// Node count for starting the job in slot i when `available` nodes are
+/// free and moldable shrinking is allowed: the natural size if it fits,
+/// otherwise the largest feasible size within the moldable range (0 =
+/// cannot start).
 [[nodiscard]] int shrink_to_fit_nodes(const hpcsim::JobTable& t, std::size_t i,
                                       int available);
 
 /// The shared EASY pass over an explicitly ordered candidate list: starts
 /// what fits, reserves for the first blocked candidate, backfills the
 /// rest. Returns the number of jobs started. Used by both the plain and
-/// the carbon-aware schedulers. A caller-held ReleaseCache avoids
+/// the carbon-aware schedulers. The caller-held ReleaseCache avoids
 /// rebuilding the release schedule when the running set is unchanged.
 int easy_pass(hpcsim::SimulationView& view, const std::vector<hpcsim::JobId>& queue,
-              bool shrink_moldable = false, ReleaseCache* cache = nullptr);
+              bool shrink_moldable, ReleaseCache& releases);
 
 /// Quiescence horizon of easy_pass over a fixed candidate list that just
 /// started nothing (see EasyBackfillScheduler::quiescent_until for the

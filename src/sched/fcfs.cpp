@@ -1,13 +1,6 @@
 #include "sched/fcfs.hpp"
 
-#include <algorithm>
-
 namespace greenhpc::sched {
-
-int start_nodes(const hpcsim::JobSpec& spec) {
-  if (spec.kind == hpcsim::JobKind::Rigid) return spec.nodes_requested;
-  return std::clamp(spec.nodes_used, spec.min_nodes, spec.max_nodes);
-}
 
 void FcfsScheduler::on_tick(hpcsim::SimulationView& view) {
   // No snapshot needed: a successful start() erases the queue head, so

@@ -9,11 +9,9 @@
 
 namespace greenhpc::sched {
 
-/// Node count a job is started with: the requested count for rigid jobs,
-/// the natural size (clamped into the malleable range) otherwise.
-[[nodiscard]] int start_nodes(const hpcsim::JobSpec& spec);
-
-/// SoA twin of start_nodes for hot paths that walk the flat job table.
+/// Node count the job in slot i is started (or resumed) with: the
+/// requested count for rigid jobs, the natural size (clamped into the
+/// malleable range) otherwise.
 [[nodiscard]] inline int start_nodes(const hpcsim::JobTable& t, std::size_t i) {
   if (t.kind[i] == hpcsim::JobKind::Rigid) return t.nodes_requested[i];
   return std::clamp(t.nodes_used[i], t.min_nodes[i], t.max_nodes[i]);

@@ -3,16 +3,18 @@
 // A run whose decisions never read the intensity has the same schedule
 // under every trace, and its operational carbon is the per-tick energy
 // priced tick by tick. The property: for seeded scenarios under the
-// carbon-blind FCFS, EASY and conservative schedulers, with and without
-// node failures (requeue, kill and in-span event ticks), the run under
-// trace A priced with trace B equals the run under B bit for bit —
-// total_carbon, the per-tick intensity series and the green-energy share
-// at B's threshold — across every region, both intensity kinds, several
-// trace seeds, an off-grid trace step and a trace cut short of the run.
+// carbon-blind FCFS, EASY and conservative schedulers and the malleable
+// decorator over EASY (which sizes its reshapes from the job table), with
+// and without node failures (requeue, kill and in-span event ticks), the
+// run under trace A priced with trace B equals the run under B bit for
+// bit — total_carbon, the per-tick intensity series and the green-energy
+// share at B's threshold — across every region, both intensity kinds,
+// several trace seeds, an off-grid trace step and a trace cut short of
+// the run.
 // This is ROADMAP item 7's intensity relation for the carbon-blind
 // policies. The negative cases pin what clears carbon_blind: an
 // intensity-reading policy, a decorator that reads it, a power-budget
-// policy, a degraded feed, and a policy that reads only a job's carbon.
+// policy and a degraded feed.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +29,7 @@
 #include "carbon/grid_model.hpp"
 #include "core/scenario.hpp"
 #include "hpcsim/simulator.hpp"
+#include "obs/metrics.hpp"
 #include "resilience/degraded_feed.hpp"
 #include "sched/carbon_aware.hpp"
 #include "sched/conservative.hpp"
@@ -85,6 +88,7 @@ core::ScenarioConfig scenario_config(const Scenario& s) {
   sc.workload.node_power_limit = watts(500.0);
   sc.workload.checkpointable_fraction = 0.5;
   sc.workload.moldable_fraction = 0.2;
+  sc.workload.malleable_fraction = 0.2;
   sc.seed = s.seed;
   return sc;
 }
@@ -108,6 +112,10 @@ hpcsim::Simulator::Config sim_config(const Scenario& s, const core::ScenarioConf
 std::unique_ptr<hpcsim::SchedulingPolicy> blind_scheduler(const std::string& name) {
   if (name == "fcfs") return std::make_unique<sched::FcfsScheduler>();
   if (name == "easy") return std::make_unique<sched::EasyBackfillScheduler>();
+  if (name == "easy+malleable") {
+    return std::make_unique<sched::MalleableDecorator>(
+        sched::MalleableDecorator::Config{}, std::make_unique<sched::EasyBackfillScheduler>());
+  }
   return std::make_unique<sched::ConservativeBackfillScheduler>();
 }
 
@@ -142,14 +150,19 @@ TEST_P(CarbonPricing, PricedRunEqualsTheRunUnderTheOtherTraceBitForBit) {
   const core::ScenarioConfig sc = scenario_config(s);
   const core::ScenarioRunner runner(sc);  // the shared job list
   const std::vector<util::TimeSeries> traces = traces_for(sc);
-  for (const std::string name : {"fcfs", "easy", "conservative"}) {
+  const obs::Counter& reshapes = obs::Registry::global().counter("sim.reshapes");
+  for (const std::string name : {"fcfs", "easy", "conservative", "easy+malleable"}) {
     std::vector<hpcsim::SimulationResult> runs;
+    const std::uint64_t reshapes_before = reshapes.value();
     for (const util::TimeSeries& trace : traces) {
       hpcsim::Simulator sim(sim_config(s, sc, trace), runner.jobs_ptr());
       runs.push_back(sim.run(*blind_scheduler(name)));
       ASSERT_TRUE(runs.back().carbon_blind) << name;
     }
     EXPECT_GT(runs[0].completed_jobs, 0) << name;
+    if (name == "easy+malleable") {
+      EXPECT_GT(reshapes.value(), reshapes_before) << name;
+    }
     if (s.faults) {
       EXPECT_GT(runs[0].job_failures, 0) << name;
     }
@@ -192,21 +205,6 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- What clears carbon_blind ---------------------------------------------
 
-/// FCFS that also reads the carbon of the first running job: a policy
-/// can learn the intensity through a job's record alone.
-class ReadsJobCarbon final : public hpcsim::SchedulingPolicy {
- public:
-  void on_tick(hpcsim::SimulationView& view) override {
-    if (!view.running_jobs().empty()) sink_ += view.info(view.running_jobs().front()).carbon.grams();
-    inner_.on_tick(view);
-  }
-  [[nodiscard]] std::string name() const override { return "fcfs+job-carbon"; }
-
- private:
-  sched::FcfsScheduler inner_;
-  double sink_ = 0.0;
-};
-
 /// The budget a machine without a site cap gets: it still receives the
 /// intensity every tick, so its presence alone clears carbon_blind.
 class FullPowerBudget final : public hpcsim::PowerBudgetPolicy {
@@ -237,7 +235,6 @@ TEST(CarbonPricingRefuses, EveryRunThatCouldHaveReadTheIntensity) {
       std::make_shared<carbon::PersistenceForecaster>());
   sched::CheckpointDecorator checkpointing(sched::CheckpointDecorator::Config{},
                                            std::make_unique<sched::EasyBackfillScheduler>());
-  ReadsJobCarbon reads_job_carbon;
   sched::EasyBackfillScheduler easy;
   FullPowerBudget budget;
   resilience::DegradedFeedConfig fc;
@@ -253,7 +250,6 @@ TEST(CarbonPricingRefuses, EveryRunThatCouldHaveReadTheIntensity) {
   const Case cases[] = {
       {"carbon-easy", run(carbon_easy, nullptr, nullptr)},
       {"checkpoint decorator over easy", run(checkpointing, nullptr, nullptr)},
-      {"a policy reading info(id).carbon", run(reads_job_carbon, nullptr, nullptr)},
       {"a power-budget policy", run(easy, &budget, nullptr)},
   };
   for (const Case& c : cases) {

@@ -10,7 +10,9 @@
 // Config::reference_mode forcing the per-tick path, and with the span
 // kernel enabled (in-span completion ticks included) — and the two
 // SimulationResults must match field by field, every double compared by
-// bit pattern. The completion-dense "waves" combos
+// bit pattern, and the intensity history the policy observed (its
+// intensity_history() after the run) must match sample by sample. The
+// completion-dense "waves" combos
 // (hourly arrival quanta, small jobs, short tick) drive thousands of
 // finishes through the in-span event tick specifically. The telemetry
 // combos also compare every recorded sensor sample, which pins the
@@ -25,6 +27,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "carbon/forecast.hpp"
@@ -101,6 +104,7 @@ void expect_equivalent(const hpcsim::SimulationResult& ref,
   EXPECT_SAME_BITS(ref.checkpoint_node_seconds, fast.checkpoint_node_seconds);
   EXPECT_SAME_BITS(ref.wasted_energy.joules(), fast.wasted_energy.joules());
   EXPECT_SAME_BITS(ref.wasted_carbon.grams(), fast.wasted_carbon.grams());
+  EXPECT_EQ(ref.carbon_blind, fast.carbon_blind);
 
   ASSERT_EQ(ref.jobs.size(), fast.jobs.size());
   for (std::size_t i = 0; i < ref.jobs.size(); ++i) {
@@ -131,6 +135,18 @@ void expect_equivalent(const hpcsim::SimulationResult& ref,
   expect_same_series(ref.carbon_intensity, fast.carbon_intensity,
                      "carbon_intensity");
   expect_same_series(ref.busy_nodes, fast.busy_nodes, "busy_nodes");
+  expect_same_series(ref.tick_energy, fast.tick_energy, "tick_energy");
+}
+
+/// The observed-intensity history the policy read, sample by sample.
+void expect_same_history(const util::TimeSeries& ref, const util::TimeSeries& fast) {
+  ASSERT_EQ(ref.size(), fast.size()) << "intensity_history";
+  EXPECT_SAME_BITS(ref.start().seconds(), fast.start().seconds()) << "intensity_history";
+  EXPECT_SAME_BITS(ref.step().seconds(), fast.step().seconds()) << "intensity_history";
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    EXPECT_SAME_BITS(ref.values()[i], fast.values()[i]) << "intensity_history sample " << i;
+    if (::testing::Test::HasFailure()) return;  // one divergence is enough
+  }
 }
 
 struct Combo {
@@ -202,8 +218,14 @@ std::unique_ptr<hpcsim::SchedulingPolicy> make_scheduler(const std::string& name
   return nullptr;
 }
 
-hpcsim::SimulationResult run_once(const Combo& combo, bool reference_mode,
-                                  telemetry::SensorStore* sensors = nullptr) {
+/// One run's result and the intensity history its policy observed.
+struct Run {
+  hpcsim::SimulationResult result;
+  util::TimeSeries history;
+};
+
+Run run_once(const Combo& combo, bool reference_mode,
+             telemetry::SensorStore* sensors = nullptr) {
   core::ScenarioConfig sc;
   sc.cluster.nodes = combo.nodes;
   sc.cluster.node_tdp = watts(500.0);
@@ -270,7 +292,8 @@ hpcsim::SimulationResult run_once(const Combo& combo, bool reference_mode,
   }
 
   hpcsim::Simulator sim(cfg, runner.jobs());
-  return sim.run(*sched);
+  hpcsim::SimulationResult result = sim.run(*sched);
+  return {std::move(result), sim.intensity_history()};
 }
 
 class FastPathEquivalence : public ::testing::TestWithParam<Combo> {};
@@ -300,8 +323,9 @@ TEST_P(FastPathEquivalence, ReferenceAndFastPathsMatchBitForBit) {
                             combo.telemetry ? &ref_sensors : nullptr);
   const auto fast = run_once(combo, /*reference_mode=*/false,
                              combo.telemetry ? &fast_sensors : nullptr);
-  EXPECT_GT(ref.completed_jobs, 0);
-  expect_equivalent(ref, fast);
+  EXPECT_GT(ref.result.completed_jobs, 0);
+  expect_equivalent(ref.result, fast.result);
+  expect_same_history(ref.history, fast.history);
   if (combo.telemetry) {
     EXPECT_GT(ref_sensors.size(), 0u);
     expect_same_sensors(ref_sensors, fast_sensors);
@@ -369,6 +393,13 @@ INSTANTIATE_TEST_SUITE_P(
               carbon::IntensityKind::Average, false, 0.3},
         Combo{"carbon-easy", 85, 24, 60, 1.0, false, false, carbon::Region::Germany,
               carbon::IntensityKind::Average, true},
+        // A degraded feed over long idle gaps: the policy-observed history
+        // of the idle spans must hold the feed's values, not the trace's.
+        // FCFS never reads it, so only the history comparison can tell.
+        Combo{"carbon-easy", 86, 16, 30, 4.0, false, false, carbon::Region::Germany,
+              carbon::IntensityKind::Average, false, 0.3},
+        Combo{"fcfs", 87, 16, 30, 4.0, false, false, carbon::Region::Germany,
+              carbon::IntensityKind::Average, false, 0.3},
         // Run-length idle fast-forward: a 7-minute trace step on a 2-minute
         // tick, so idle gaps cross segments mid-tick, and a 2.5-day trace
         // under a 4-day workload, so the last gaps idle past the trace end.
@@ -409,9 +440,9 @@ TickCounts read_tick_counters() {
 
 TickCounts tick_deltas(const Combo& combo, bool reference_mode, std::size_t* total) {
   const TickCounts before = read_tick_counters();
-  const auto result = run_once(combo, reference_mode);
+  const Run run = run_once(combo, reference_mode);
   const TickCounts after = read_tick_counters();
-  *total = result.tick_energy.size();
+  *total = run.result.tick_energy.size();
   return {after.ticks - before.ticks, after.span_ticks - before.span_ticks,
           after.idle_ticks - before.idle_ticks};
 }

@@ -303,16 +303,18 @@ TEST(Simulator, ReshapeOnlyForMalleable) {
     bool rigid_reshape_rejected = false;
     bool malleable_reshaped = false;
     void on_tick(SimulationView& view) override {
+      const JobTable& t = view.job_table();
       const std::vector<JobId> pending = view.pending_jobs();
       for (JobId id : pending) {
-        const auto& spec = view.spec(id);
-        (void)view.start(id, spec.kind == JobKind::Rigid ? spec.nodes_requested
-                                                         : spec.nodes_used);
+        const std::size_t i = view.slot_of(id);
+        (void)view.start(id, t.kind[i] == JobKind::Rigid ? t.nodes_requested[i]
+                                                         : t.nodes_used[i]);
       }
       for (JobId id : view.running_jobs()) {
-        if (view.spec(id).kind == JobKind::Rigid) {
+        const std::size_t i = view.slot_of(id);
+        if (t.kind[i] == JobKind::Rigid) {
           if (!view.reshape(id, 4)) rigid_reshape_rejected = true;
-        } else if (view.info(id).alloc_nodes == 4) {
+        } else if (t.alloc_nodes[i] == 4) {
           malleable_reshaped = view.reshape(id, 6);
         }
       }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "hpcsim/simulator.hpp"
+#include "hpcsim/workload.hpp"
 #include "sched/fcfs.hpp"
 #include "testing/helpers.hpp"
 
@@ -118,9 +119,9 @@ TEST(Easy, ProjectedReleasesSortedAndWalltimeBased) {
     void on_tick(hpcsim::SimulationView& view) override {
       const std::vector<hpcsim::JobId> pending = view.pending_jobs();
       for (hpcsim::JobId id : pending) {
-        (void)view.start(id, view.spec(id).nodes_requested);
+        (void)view.start(id, view.job_table().nodes_requested[view.slot_of(id)]);
       }
-      if (view.now() == minutes(5.0)) seen = projected_releases(view);
+      if (view.now() == minutes(5.0)) seen = ReleaseCache().get(view);
     }
     std::string name() const override { return "inspect"; }
   };
@@ -131,6 +132,61 @@ TEST(Easy, ProjectedReleasesSortedAndWalltimeBased) {
   // Walltime = 1.5x runtime in the helper: job2 releases at 1.5h.
   EXPECT_NEAR(sched.seen[0].time.hours(), 1.5, 0.01);
   EXPECT_EQ(sched.seen[0].nodes, 3);
+}
+
+TEST(Easy, ReleaseCacheReuseEqualsAFreshProjection) {
+  // A faulted EASY run: kills, requeues and restarts change the running
+  // set, and on a few ticks a running job has reached its walltime-
+  // projected end (an overrun: its projected release slides with the
+  // clock, so a cache must not reuse across it). At every tick a
+  // long-lived cache must return what a fresh one projects.
+  hpcsim::WorkloadConfig wl;
+  wl.job_count = 120;
+  wl.span = days(1.0);
+  wl.max_job_nodes = 16;
+  wl.runtime_mean = hours(2.0);
+  wl.checkpointable_fraction = 0.5;
+  Simulator::Config c = cfg(32);
+  for (int k = 0; k < 10; ++k) {
+    c.faults.events.push_back({hours(2.0 + 3.0 * k), 1 + (k % 2), minutes(90.0)});
+  }
+  c.faults.max_retries = 4;
+  c.faults.backoff_base = minutes(5.0);
+  class CompareCaches final : public hpcsim::SchedulingPolicy {
+   public:
+    int overrun_ticks = 0;
+    void on_tick(hpcsim::SimulationView& view) override {
+      const hpcsim::JobTable& t = view.job_table();
+      for (const hpcsim::JobId id : view.running_jobs()) {
+        const std::size_t i = view.slot_of(id);
+        if (seconds(t.start_s[i]) + seconds(t.walltime_s[i]) <= view.now()) {
+          ++overrun_ticks;
+          break;
+        }
+      }
+      if (!::testing::Test::HasFailure()) {  // one divergence is enough
+        const std::vector<ReleaseEvent> fresh = ReleaseCache().get(view);
+        const std::vector<ReleaseEvent>& reused = cache_.get(view);
+        const double now_s = view.now().seconds();
+        EXPECT_EQ(reused.size(), fresh.size()) << "at " << now_s << " s";
+        for (std::size_t k = 0; k < fresh.size() && k < reused.size(); ++k) {
+          EXPECT_EQ(reused[k].time.seconds(), fresh[k].time.seconds()) << "at " << now_s << " s";
+          EXPECT_EQ(reused[k].nodes, fresh[k].nodes) << "at " << now_s << " s";
+        }
+      }
+      easy_.on_tick(view);
+    }
+    std::string name() const override { return "compare-caches"; }
+
+   private:
+    ReleaseCache cache_;
+    EasyBackfillScheduler easy_;
+  };
+  Simulator sim(c, hpcsim::WorkloadGenerator(wl, 13).generate());
+  CompareCaches sched;
+  const auto result = sim.run(sched);
+  EXPECT_GT(result.job_failures, 0);
+  EXPECT_GT(sched.overrun_ticks, 0);
 }
 
 }  // namespace

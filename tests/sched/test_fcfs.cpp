@@ -10,6 +10,7 @@ namespace {
 
 using greenhpc::testing::constant_trace;
 using greenhpc::testing::malleable_job;
+using greenhpc::testing::OneRowTable;
 using greenhpc::testing::rigid_job;
 using greenhpc::testing::small_cluster;
 using hpcsim::Simulator;
@@ -22,12 +23,12 @@ Simulator::Config cfg(int nodes) {
 }
 
 TEST(Fcfs, StartNodesHelper) {
-  EXPECT_EQ(start_nodes(rigid_job(1, seconds(0.0), 4, hours(1.0))), 4);
-  const auto m = malleable_job(2, seconds(0.0), 6, hours(1.0), 16);
-  EXPECT_EQ(start_nodes(m), 6);
+  EXPECT_EQ(start_nodes(OneRowTable(rigid_job(1, seconds(0.0), 4, hours(1.0))).table(), 0), 4);
+  const OneRowTable m(malleable_job(2, seconds(0.0), 6, hours(1.0), 16));
+  EXPECT_EQ(start_nodes(m.table(), 0), 6);
   auto fat = rigid_job(3, seconds(0.0), 8, hours(1.0));
   fat.nodes_used = 4;
-  EXPECT_EQ(start_nodes(fat), 8);  // rigid holds what was requested
+  EXPECT_EQ(start_nodes(OneRowTable(fat).table(), 0), 8);  // rigid holds what was requested
 }
 
 TEST(Fcfs, RunsInSubmissionOrder) {

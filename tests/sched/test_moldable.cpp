@@ -9,6 +9,7 @@ namespace greenhpc::sched {
 namespace {
 
 using greenhpc::testing::constant_trace;
+using greenhpc::testing::OneRowTable;
 using greenhpc::testing::rigid_job;
 using greenhpc::testing::small_cluster;
 using hpcsim::JobKind;
@@ -31,15 +32,15 @@ Simulator::Config cfg(int nodes) {
 }
 
 TEST(ShrinkToFit, SizingRules) {
-  const JobSpec m = moldable_job(1, seconds(0.0), 8, hours(1.0));
-  EXPECT_EQ(shrink_to_fit_nodes(m, 10), 8);  // natural fits
-  EXPECT_EQ(shrink_to_fit_nodes(m, 8), 8);
-  EXPECT_EQ(shrink_to_fit_nodes(m, 6), 6);   // shrink to available
-  EXPECT_EQ(shrink_to_fit_nodes(m, 4), 4);   // down to min
-  EXPECT_EQ(shrink_to_fit_nodes(m, 3), 0);   // below min: cannot start
-  const JobSpec r = rigid_job(2, seconds(0.0), 8, hours(1.0));
-  EXPECT_EQ(shrink_to_fit_nodes(r, 6), 0);   // rigid never shrinks
-  EXPECT_EQ(shrink_to_fit_nodes(r, 8), 8);
+  const OneRowTable m(moldable_job(1, seconds(0.0), 8, hours(1.0)));
+  EXPECT_EQ(shrink_to_fit_nodes(m.table(), 0, 10), 8);  // natural fits
+  EXPECT_EQ(shrink_to_fit_nodes(m.table(), 0, 8), 8);
+  EXPECT_EQ(shrink_to_fit_nodes(m.table(), 0, 6), 6);   // shrink to available
+  EXPECT_EQ(shrink_to_fit_nodes(m.table(), 0, 4), 4);   // down to min
+  EXPECT_EQ(shrink_to_fit_nodes(m.table(), 0, 3), 0);   // below min: cannot start
+  const OneRowTable r(rigid_job(2, seconds(0.0), 8, hours(1.0)));
+  EXPECT_EQ(shrink_to_fit_nodes(r.table(), 0, 6), 0);   // rigid never shrinks
+  EXPECT_EQ(shrink_to_fit_nodes(r.table(), 0, 8), 8);
 }
 
 TEST(MoldableEasy, ShrinksIntoPartialCluster) {

@@ -8,6 +8,8 @@
 #include "hpcsim/cluster.hpp"
 #include "hpcsim/job.hpp"
 #include "hpcsim/policy.hpp"
+#include "hpcsim/sim_core.hpp"
+#include "sched/fcfs.hpp"
 #include "util/time_series.hpp"
 
 namespace greenhpc::testing {
@@ -74,18 +76,34 @@ inline hpcsim::JobSpec malleable_job(int id, Duration submit, int natural,
   return j;
 }
 
+/// A one-row JobTable holding `spec` in slot 0, flattened exactly as the
+/// simulator flattens its job list — for unit tests of the table-form
+/// helpers. Not copyable: the table's spans point into the core.
+class OneRowTable {
+ public:
+  explicit OneRowTable(const hpcsim::JobSpec& spec) {
+    core_.init(1);
+    core_.fill_static(0, spec);
+    table_ = core_.table();
+  }
+  OneRowTable(const OneRowTable&) = delete;
+  OneRowTable& operator=(const OneRowTable&) = delete;
+  [[nodiscard]] const hpcsim::JobTable& table() const { return table_; }
+
+ private:
+  hpcsim::SimCore core_;
+  hpcsim::JobTable table_;
+};
+
 /// Scheduler that starts every pending job immediately if possible
 /// (no queue discipline) — minimal driver for engine tests.
 class GreedyScheduler final : public hpcsim::SchedulingPolicy {
  public:
   void on_tick(hpcsim::SimulationView& view) override {
+    const hpcsim::JobTable& t = view.job_table();
     const std::vector<hpcsim::JobId> pending = view.pending_jobs();
     for (hpcsim::JobId id : pending) {
-      const auto& spec = view.spec(id);
-      const int nodes = spec.kind == hpcsim::JobKind::Rigid
-                            ? spec.nodes_requested
-                            : std::clamp(spec.nodes_used, spec.min_nodes, spec.max_nodes);
-      (void)view.start(id, nodes);
+      (void)view.start(id, sched::start_nodes(t, view.slot_of(id)));
     }
   }
   [[nodiscard]] std::string name() const override { return "greedy-test"; }
