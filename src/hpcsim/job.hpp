@@ -84,30 +84,4 @@ struct JobSpec {
   void validate() const;
 };
 
-/// Lifecycle phase of a job inside the simulator.
-enum class JobPhase { Pending, Running, Suspended, Done };
-
-/// Cold per-job state the simulator keeps beside its SoA columns
-/// (progress, allocation, clocks, energy and carbon live in the columns;
-/// policies read them through hpcsim::JobTable).
-struct JobRuntimeInfo {
-  JobPhase phase = JobPhase::Pending;
-  Duration finish;         ///< completion time (valid once Done)
-  bool killed = false;     ///< terminated by walltime enforcement
-  int suspend_count = 0;   ///< checkpoint/suspend cycles so far
-
-  // --- resilience state (inert unless faults/checkpoints are used) ---
-  /// Progress captured by the most recent checkpoint or suspend; a node
-  /// failure rolls a checkpointable job back to this point (0 = scratch).
-  double ckpt_progress = 0.0;
-  int checkpoint_count = 0;  ///< in-place checkpoints written so far
-  int failure_count = 0;     ///< node-failure kills suffered so far
-  bool failed = false;       ///< abandoned after exhausting the retry budget
-  /// Not dispatchable again before this time (post-failure backoff).
-  Duration requeue_ready;
-  /// Energy/carbon at the last checkpoint — the waste meter's zero point.
-  Energy energy_mark;
-  Carbon carbon_mark;
-};
-
 }  // namespace greenhpc::hpcsim

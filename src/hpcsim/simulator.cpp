@@ -623,6 +623,7 @@ Duration Simulator::span_window(Duration horizon, Duration hard_end,
 std::size_t Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
                                 Duration span_end, bool ride_arrivals) {
   static obs::Counter& span_event_ticks = sim_counter("sim.span_completion_ticks");
+  static obs::Counter& release_rides = sim_counter("sim.release_rides");
   const Duration tick = cfg_.cluster.tick;
   const double tick_s = tick.seconds();
   const double idle_w = cfg_.cluster.node_idle.watts();
@@ -642,6 +643,7 @@ std::size_t Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
 
   std::size_t n = 0;
   std::size_t event_ticks = 0;
+  std::size_t rides = 0;  ///< in-span releases the policy let the span ride
 
   // Sub-span state: hoisted by the full pass below, or patched
   // incrementally after an in-span completion when the cap provably did
@@ -1001,6 +1003,7 @@ std::size_t Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
     scatter(k);
     break;
   }
+  ++rides;
   // Riding attested before the release can be invalidated by it — e.g.
   // EASY rides arrivals only with zero free nodes, and the release just
   // freed some. Re-confirm (a discrete-state-only question, same stale-
@@ -1050,6 +1053,7 @@ std::size_t Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
   }
   }  // for (;;) — next sub-span continues over the compacted running set
   if (event_ticks > 0) span_event_ticks.add(event_ticks);
+  if (rides > 0) release_rides.add(rides);
   flush_job_counters();
   return n;
 }

@@ -29,9 +29,11 @@ double CarbonAwareEasyScheduler::incremental_threshold(
   const auto window_ticks = static_cast<std::size_t>(
       cfg_.history_window.seconds() / view.cluster().tick.seconds());
   const std::size_t cap = std::max<std::size_t>(window_ticks, 1);
-  if (cap != threshold_window_.capacity() || history.size() < threshold_consumed_) {
+  if (cap != threshold_window_.capacity() || history.size() < threshold_consumed_ ||
+      (threshold_consumed_ > 0 && history[threshold_consumed_ - 1] != threshold_last_)) {
     threshold_window_ = util::SlidingPercentile(cap);
     threshold_consumed_ = 0;
+    forecast_memo_.clear();
   }
   // Spans append runs of one value; a run is one window update.
   while (threshold_consumed_ < history.size()) {
@@ -40,6 +42,7 @@ double CarbonAwareEasyScheduler::incremental_threshold(
     while (end < history.size() && history[end] == v) ++end;
     threshold_window_.push(v, end - threshold_consumed_);
     threshold_consumed_ = end;
+    threshold_last_ = v;
   }
   // The window now holds the last min(size, cap) history values.
   return threshold_window_.percentile(cfg_.green_quantile);
@@ -55,15 +58,21 @@ bool CarbonAwareEasyScheduler::greener_period_ahead(
   const Duration now = hist.end();
   const double target = view.carbon_intensity_now() * cfg_.improvement_factor;
   const Duration half_tick = view.cluster().tick * 0.5;
-  for (Duration h = hours(1.0); h <= cfg_.lookahead; h += hours(1.0)) {
-    const bool greener = forecaster_->forecast(hist, now, h) <= target;
-    if (horizon > view.now()) {
-      // Map the forecaster's clock (history end) onto the view's, with
-      // half a tick of margin against rounding between the two.
-      const Duration stable = forecaster_->stable_until(hist, now, h);
-      horizon = std::min(horizon, view.now() + (stable - now) - half_tick);
+  std::size_t hour = 0;
+  for (Duration h = hours(1.0); h <= cfg_.lookahead; h += hours(1.0), ++hour) {
+    if (hour == forecast_memo_.size()) forecast_memo_.push_back({0.0, now});
+    ForecastMemo& memo = forecast_memo_[hour];
+    // The history only grows and agrees with the memo's before the
+    // memo's history end (a fresh simulation clears the memo), so the
+    // stable_until contract keeps the value until memo.stable.
+    if (!(now < memo.stable)) {
+      memo.value = forecaster_->forecast(hist, now, h);
+      memo.stable = forecaster_->stable_until(hist, now, h);
     }
-    if (greener) return true;
+    // Map the forecaster's clock (history end) onto the view's, with
+    // half a tick of margin against rounding between the two.
+    horizon = std::min(horizon, view.now() + (memo.stable - now) - half_tick);
+    if (memo.value <= target) return true;
   }
   return false;
 }
@@ -102,6 +111,7 @@ Duration CarbonAwareEasyScheduler::threshold_horizon(
 
 void CarbonAwareEasyScheduler::on_tick(hpcsim::SimulationView& view) {
   attested_at_ = seconds(-1.0);
+  attested_with_free_nodes_ = false;
   pending_scratch_ = view.pending_jobs();  // snapshot: start() mutates the queue
   const std::vector<hpcsim::JobId>& pending = pending_scratch_;
   if (pending.empty()) return;
@@ -116,9 +126,6 @@ void CarbonAwareEasyScheduler::on_tick(hpcsim::SimulationView& view) {
     easy_pass(view, pending, /*shrink_moldable=*/false, releases_);
     return;
   }
-
-  const double threshold = incremental_threshold(view);
-  const bool green_now = view.carbon_intensity_now() <= threshold;
 
   // Queue-pressure guard: holding jobs while the backlog is deep only
   // trades wait time for no carbon benefit (the machine will be full
@@ -135,15 +142,24 @@ void CarbonAwareEasyScheduler::on_tick(hpcsim::SimulationView& view) {
 
   // The horizon this tick's decision provably holds to (see the header):
   // only the inputs the decision actually read bound it. The backlog
-  // guard reads discrete state only.
+  // guard reads discrete state only. Under pressure the decision is EASY
+  // over the whole queue and reads no intensity, so neither the segment
+  // nor the threshold bounds it; the threshold window catches up on the
+  // skipped history at the next unpressured tick, to the same state.
   Duration horizon = view.intensity_constant_until();
-  if (!pressured && horizon > view.now()) {
-    horizon = std::min(horizon, threshold_horizon(view, green_now));
-  }
-  bool hold_allowed = !green_now && !pressured;
-  if (hold_allowed) {
+  bool hold_allowed = false;
+  static obs::Counter& pressured_ticks =
+      obs::Registry::global().counter("sched.carbon.pressured_ticks");
+  if (pressured) {
+    pressured_ticks.add();
+    if (horizon > view.now()) horizon = hpcsim::quiescent_forever();
+  } else {
+    const bool green_now = view.carbon_intensity_now() <= incremental_threshold(view);
+    if (horizon > view.now()) {
+      horizon = std::min(horizon, threshold_horizon(view, green_now));
+    }
     // Only hold if the forecast actually promises a greener window.
-    hold_allowed = greener_period_ahead(view, horizon);
+    hold_allowed = !green_now && greener_period_ahead(view, horizon);
   }
   static obs::Counter& hold_ticks =
       obs::Registry::global().counter("sched.carbon.hold_ticks");
@@ -181,6 +197,20 @@ void CarbonAwareEasyScheduler::on_tick(hpcsim::SimulationView& view) {
   }
   attested_at_ = view.now() + view.cluster().tick;
   attested_horizon_ = horizon;
+  attested_with_free_nodes_ = view.free_nodes() > 0;
+}
+
+bool CarbonAwareEasyScheduler::quiescent_over_release(
+    const hpcsim::SimulationView& view) const {
+  const std::vector<hpcsim::JobId>& pending = view.pending_jobs();
+  if (pending.empty()) return true;
+  if (!attested_with_free_nodes_ || pending != pending_scratch_) return false;
+  const int free = view.free_nodes();
+  const hpcsim::JobTable& table = view.job_table();
+  for (const hpcsim::JobId id : eligible_scratch_) {
+    if (start_nodes(table, view.slot_of(id)) <= free) return false;
+  }
+  return true;
 }
 
 }  // namespace greenhpc::sched

@@ -13,20 +13,24 @@
 //
 // Span attestation (DESIGN.md, "Span batch kernel"): an on_tick that
 // starts nothing also proves how long that stays true at the same
-// discrete state. Its horizon is the minimum of: the end of the current
-// intensity segment (SimulationView::intensity_constant_until); the
-// rank-distance bound on the green gate; while the forecast is
-// consulted, the Forecaster::stable_until of each lookahead hour read;
-// while holding, the earliest hold budget to run out; and EASY's own
-// horizon over the jobs it was given. The degraded-feed fallback attests
-// nothing.
+// discrete state. Under backlog pressure the decision is EASY over the
+// whole queue, which reads no intensity, so the horizon is EASY's own
+// (now with an intensity feed). Otherwise it is the minimum of: the end
+// of the current intensity segment (SimulationView::
+// intensity_constant_until); the rank-distance bound on the green gate;
+// while the forecast is consulted, the Forecaster::stable_until of each
+// lookahead hour read; while holding, the earliest hold budget to run
+// out; and EASY's own horizon over the jobs it was given. The
+// degraded-feed fallback attests nothing.
 //
-// Observability: the obs counters sched.carbon.hold_ticks and
-// sched.carbon.held_jobs count *evaluated* ticks — ticks the engine
-// integrates inside a span are not counted, so their totals shrink as
-// spans grow. They are not part of any digest.
+// Observability: the obs counters sched.carbon.hold_ticks,
+// sched.carbon.pressured_ticks and sched.carbon.held_jobs count
+// *evaluated* ticks — ticks the engine integrates inside a span are not
+// counted, so their totals shrink as spans grow. They are not part of
+// any digest.
 
 #include <memory>
+#include <vector>
 
 #include "carbon/forecast.hpp"
 #include "hpcsim/policy.hpp"
@@ -91,21 +95,29 @@ class CarbonAwareEasyScheduler final : public hpcsim::SchedulingPolicy {
     return view.free_nodes() == 0;
   }
 
-  /// After an in-span release the green gate would re-examine the queue
-  /// against the freed nodes, so the only provable no-op is an empty
-  /// pending queue (on_tick returns before touching any state). A
-  /// release always leaves free_nodes() > 0, so the zero-free shortcut
-  /// that quiescent_until relies on never applies here.
+  /// EASY's release rule over the attested queue. True when nothing is
+  /// pending (on_tick returns before touching any state), or when all of
+  /// these hold: the pending queue is the one the last attesting on_tick
+  /// saw; that on_tick ran with free nodes, so the span runs under the
+  /// window it attested (not the zero-free shortcut's forever); and no
+  /// job of its eligible list fits the post-release free nodes. The hold
+  /// decision reads the pending queue, submit times, the clock and the
+  /// intensity but no node count, so through the attested window the
+  /// same jobs stay held; the EASY pass over the eligible rest starts
+  /// nothing while none of them fits (the shadow and spare tests only
+  /// restrict further). Reads discrete state and the snapshots of that
+  /// on_tick only.
   [[nodiscard]] bool quiescent_over_release(
-      const hpcsim::SimulationView& view) const override {
-    return view.pending_jobs().empty();
-  }
+      const hpcsim::SimulationView& view) const override;
 
  private:
   /// Whether the forecaster predicts a greener period within the
   /// lookahead. Lowers `horizon` to the last tick before which every
   /// forecast it consulted is provably unchanged (Forecaster::
-  /// stable_until), so the answer is too.
+  /// stable_until), so the answer is too. Each lookahead hour's forecast
+  /// and stability bound are memoised and reused while the history end
+  /// is before that bound, which is what the stable_until contract
+  /// allows.
   [[nodiscard]] bool greener_period_ahead(const hpcsim::SimulationView& view,
                                           Duration& horizon);
   /// The rank-distance bound on the green gate: a horizon before which
@@ -117,8 +129,8 @@ class CarbonAwareEasyScheduler final : public hpcsim::SchedulingPolicy {
                                            bool green_now) const;
   /// The green threshold in force: the green_quantile percentile of the
   /// last history_window of intensity history (the current intensity
-  /// before any history exists), kept in a sliding sorted window instead
-  /// of a per-tick copy-and-sort of the whole window.
+  /// before any history exists), kept in a sliding run-length window
+  /// instead of a per-tick copy-and-sort of the whole window.
   [[nodiscard]] double incremental_threshold(const hpcsim::SimulationView& view);
 
   Config cfg_;
@@ -128,16 +140,28 @@ class CarbonAwareEasyScheduler final : public hpcsim::SchedulingPolicy {
   std::vector<hpcsim::JobId> pending_scratch_;
   std::vector<hpcsim::JobId> eligible_scratch_;
   // Incremental view of the (append-only) intensity history. It tracks
-  // how much history it has consumed and rebuilds from scratch if the
-  // view's history or tick is inconsistent with what was consumed (fresh
-  // simulation under a reused policy instance).
+  // how much history it has consumed and the last value consumed, and
+  // rebuilds from scratch (window and forecast memo together) when the
+  // view's history is shorter, disagrees at that last value, or the
+  // window length changed: a fresh simulation under a reused instance.
   util::SlidingPercentile threshold_window_{1};
   std::size_t threshold_consumed_ = 0;
+  double threshold_last_ = 0.0;
+  // Forecast memo, one entry per lookahead hour: the value forecast() gave
+  // and the stable_until() bound (on the history's clock) it holds to.
+  struct ForecastMemo {
+    double value = 0.0;
+    Duration stable;  ///< reusable while history end < stable
+  };
+  std::vector<ForecastMemo> forecast_memo_;
   // Quiescence horizon attested by the last on_tick that took no action,
   // and the tick it may be consumed at (that on_tick's now + one tick);
   // every on_tick resets it.
   Duration attested_at_ = seconds(-1.0);
   Duration attested_horizon_;
+  // Whether the last on_tick attested with free nodes: the release rule's
+  // inputs are then its pending_scratch_ and eligible_scratch_.
+  bool attested_with_free_nodes_ = false;
 };
 
 }  // namespace greenhpc::sched

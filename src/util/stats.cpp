@@ -69,74 +69,125 @@ double percentile(std::span<const double> xs, double q) {
 
 SlidingPercentile::SlidingPercentile(std::size_t capacity) : capacity_(capacity) {
   GREENHPC_REQUIRE(capacity_ >= 1, "sliding percentile window must hold >= 1 value");
-  order_.reserve(capacity_);
-  sorted_.reserve(capacity_);
+}
+
+std::size_t SlidingPercentile::lower_index(double x) const {
+  return static_cast<std::size_t>(
+      std::lower_bound(sorted_.begin(), sorted_.end(), x,
+                       [](const Entry& e, double v) { return e.value < v; }) -
+      sorted_.begin());
+}
+
+void SlidingPercentile::add_copies(double x, std::size_t k) {
+  const std::size_t t = lower_index(x);
+  for (std::size_t i = t; i < sorted_.size(); ++i) sorted_[i].at_most += k;
+  if (t == sorted_.size() || sorted_[t].value != x) {
+    sorted_.insert(sorted_.begin() + static_cast<std::ptrdiff_t>(t),
+                   Entry{x, (t > 0 ? sorted_[t - 1].at_most : 0) + k});
+  }
+}
+
+void SlidingPercentile::replace_copies(double from, double to, std::size_t k) {
+  if (from == to) return;
+  const std::size_t f = lower_index(from);
+  const std::size_t t = lower_index(to);
+  const bool emptied =
+      sorted_[f].at_most - (f > 0 ? sorted_[f - 1].at_most : 0) == k;
+  // Removing k copies of `from` lowers every count from f on; adding k
+  // copies of `to` raises every one from t on. Only the range between
+  // the two moves.
+  if (f < t) {
+    for (std::size_t i = f; i < t; ++i) sorted_[i].at_most -= k;
+  } else {
+    for (std::size_t i = t; i < f; ++i) sorted_[i].at_most += k;
+  }
+  const auto at = [this](std::size_t i) {
+    return sorted_.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  if (t < sorted_.size() && sorted_[t].value == to) {
+    if (emptied) sorted_.erase(at(f));
+    return;
+  }
+  // Every window value below `to` is counted by the entry just below t.
+  const Entry fresh{to, (t > 0 ? sorted_[t - 1].at_most : 0) + k};
+  if (!emptied) {
+    sorted_.insert(at(t), fresh);
+  } else if (f < t) {  // `from`'s slot moves up to `to`'s place
+    std::copy(at(f + 1), at(t), at(f));
+    sorted_[t - 1] = fresh;
+  } else {  // ... or down
+    std::copy_backward(at(t), at(f), at(f + 1));
+    sorted_[t] = fresh;
+  }
 }
 
 void SlidingPercentile::push(double x, std::size_t count) {
-  // While filling: all copies of x go in at one slot.
-  const std::size_t fill = std::min(count, capacity_ - order_.size());
+  if (count == 0) return;
+  if (count >= capacity_) {  // the last `capacity` values are all x
+    runs_.assign(1, Run{x, capacity_});
+    sorted_.assign(1, Entry{x, capacity_});
+    size_ = capacity_;
+    return;
+  }
+  // While filling: copies of x join without evicting.
+  const std::size_t fill = std::min(count, capacity_ - size_);
   if (fill > 0) {
-    order_.insert(order_.end(), fill, x);
-    sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), x), fill, x);
-    count -= fill;
+    add_copies(x, fill);
+    size_ += fill;
   }
-  // Full: each copy replaces the oldest value. Victims are taken in runs
-  // of equal values; a run of k equal values is contiguous in the sorted
-  // sequence (equal elements are interchangeable, so the block starting
-  // at the first match is exact), and replacing it by k copies of x gives
-  // the same sequence k erase-then-insert steps would, with only the
-  // elements between the victim block and x's slot moving, in one shift.
-  while (count > 0) {
-    const double victim = order_[oldest_];
-    std::size_t k = 0;
-    do {
-      order_[oldest_] = x;
-      oldest_ = (oldest_ + 1) % capacity_;
-      ++k;
-    } while (k < count && k < capacity_ && order_[oldest_] == victim);
-    count -= k;
-    const auto p = std::lower_bound(sorted_.begin(), sorted_.end(), victim);
-    const auto q = std::upper_bound(sorted_.begin(), sorted_.end(), x);
-    const auto kd = static_cast<std::ptrdiff_t>(k);
-    if (p < q) {  // x lands left of q once the victims are gone
-      std::copy(p + kd, q, p);
-      std::fill(q - kd, q, x);
-    } else {
-      std::copy_backward(q, p, p + kd);
-      std::fill(q, q + kd, x);
-    }
+  // Full: each further copy replaces the oldest value. count < capacity,
+  // so the victims all come from runs already in the ring, oldest first.
+  for (std::size_t rest = count - fill; rest > 0;) {
+    Run& oldest = runs_.front();
+    const std::size_t k = std::min(oldest.count, rest);
+    replace_copies(oldest.value, x, k);
+    oldest.count -= k;
+    rest -= k;
+    if (oldest.count == 0) runs_.pop_front();
   }
+  if (!runs_.empty() && runs_.back().value == x) {
+    runs_.back().count += count;
+  } else {
+    runs_.push_back(Run{x, count});
+  }
+}
+
+double SlidingPercentile::value_at(std::size_t r) const {
+  return std::upper_bound(sorted_.begin(), sorted_.end(), r,
+                          [](std::size_t v, const Entry& e) { return v < e.at_most; })
+      ->value;
 }
 
 double SlidingPercentile::percentile(double q) const {
-  // Mirrors util::percentile on the already-sorted window so results are
+  // Mirrors util::percentile on the sorted window so results are
   // bit-identical to recomputing from scratch each query.
-  GREENHPC_REQUIRE(!sorted_.empty(), "percentile of empty sample");
+  GREENHPC_REQUIRE(size_ > 0, "percentile of empty sample");
   GREENHPC_REQUIRE(q >= 0.0 && q <= 1.0, "percentile q must be in [0,1]");
-  if (sorted_.size() == 1) return sorted_.front();
-  const double pos = q * static_cast<double>(sorted_.size() - 1);
+  if (size_ == 1) return sorted_.front().value;
+  const double pos = q * static_cast<double>(size_ - 1);
   const auto lo = static_cast<std::size_t>(pos);
   const double frac = pos - static_cast<double>(lo);
-  if (lo + 1 >= sorted_.size()) return sorted_.back();
-  return sorted_[lo] * (1.0 - frac) + sorted_[lo + 1] * frac;
+  if (lo + 1 >= size_) return sorted_.back().value;
+  return value_at(lo) * (1.0 - frac) + value_at(lo + 1) * frac;
 }
 
 std::size_t SlidingPercentile::percentile_rank(double q) const {
-  GREENHPC_REQUIRE(!sorted_.empty(), "percentile of empty sample");
+  GREENHPC_REQUIRE(size_ > 0, "percentile of empty sample");
   GREENHPC_REQUIRE(q >= 0.0 && q <= 1.0, "percentile q must be in [0,1]");
   // The same position arithmetic percentile() uses.
-  return static_cast<std::size_t>(q * static_cast<double>(sorted_.size() - 1));
+  return static_cast<std::size_t>(q * static_cast<double>(size_ - 1));
 }
 
 std::size_t SlidingPercentile::count_below(double x) const {
-  return static_cast<std::size_t>(
-      std::lower_bound(sorted_.begin(), sorted_.end(), x) - sorted_.begin());
+  const std::size_t i = lower_index(x);
+  return i > 0 ? sorted_[i - 1].at_most : 0;
 }
 
 std::size_t SlidingPercentile::count_at_most(double x) const {
-  return static_cast<std::size_t>(
-      std::upper_bound(sorted_.begin(), sorted_.end(), x) - sorted_.begin());
+  const auto i = std::upper_bound(sorted_.begin(), sorted_.end(), x,
+                                  [](double v, const Entry& e) { return v < e.value; }) -
+                 sorted_.begin();
+  return i > 0 ? sorted_[static_cast<std::size_t>(i) - 1].at_most : 0;
 }
 
 Summary summarize(std::span<const double> xs) {

@@ -2,6 +2,7 @@
 // Descriptive statistics used by calibration, experiments and tests.
 
 #include <cstddef>
+#include <deque>
 #include <limits>
 #include <span>
 #include <vector>
@@ -66,21 +67,27 @@ struct Summary {
 
 /// Percentiles over a sliding window of the last `capacity` appended
 /// values, bit-identical to calling percentile() on that window but
-/// without the per-query copy-and-select: the window is kept sorted across
-/// appends (one binary search + memmove per push instead of an O(W)
-/// copy and selection per query). Built for per-tick quantile gates over a
-/// trailing history window (e.g. the carbon-aware green threshold).
+/// without the per-query copy-and-select. The window is kept in run form:
+/// a queue of (value, count) runs in insertion order, and the distinct
+/// values in ascending order, each with the number of window values at
+/// or below it. A push of a run of equal values costs one update per run
+/// it evicts, and an update shifts and recounts only the distinct values
+/// between the evicted value and the appended one; queries are binary
+/// searches. Built for per-tick quantile gates over a trailing history
+/// window whose values arrive in runs (e.g. the carbon-aware green
+/// threshold over a piecewise-constant intensity trace). Values that
+/// compare equal (0.0 and -0.0) share one entry.
 class SlidingPercentile {
  public:
   /// Window capacity in samples (>= 1).
   explicit SlidingPercentile(std::size_t capacity);
 
   /// Append `count` copies of x, evicting the oldest value per copy once
-  /// the window is full. A run costs about as much as a single value
-  /// when the values it evicts are a run too.
+  /// the window is full. A count of 0 changes nothing; a count of at
+  /// least the capacity leaves the window holding only x.
   void push(double x, std::size_t count = 1);
   /// Number of values currently in the window (<= capacity).
-  [[nodiscard]] std::size_t size() const { return order_.size(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   /// Same contract and arithmetic as percentile(window, q); requires a
   /// non-empty window.
@@ -96,10 +103,27 @@ class SlidingPercentile {
   [[nodiscard]] std::size_t count_at_most(double x) const;
 
  private:
+  struct Run {
+    double value;
+    std::size_t count;
+  };
+  struct Entry {
+    double value;
+    std::size_t at_most;  ///< window values <= value
+  };
+  /// The value at 0-based rank r of the sorted window (r < size()).
+  [[nodiscard]] double value_at(std::size_t r) const;
+  /// Index of the first distinct value not below x.
+  [[nodiscard]] std::size_t lower_index(double x) const;
+  /// Add k copies of x (the window is filling).
+  void add_copies(double x, std::size_t k);
+  /// Replace k copies of the window value `from` by k copies of `to`.
+  void replace_copies(double from, double to, std::size_t k);
+
   std::size_t capacity_;
-  std::size_t oldest_ = 0;      ///< ring index of the next eviction victim
-  std::vector<double> order_;   ///< window contents in insertion order (ring)
-  std::vector<double> sorted_;  ///< the same contents, kept sorted
+  std::size_t size_ = 0;
+  std::deque<Run> runs_;       ///< the window in insertion order
+  std::vector<Entry> sorted_;  ///< distinct window values, ascending
 };
 
 /// Mean absolute percentage error of `forecast` against `actual`

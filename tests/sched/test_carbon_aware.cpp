@@ -123,5 +123,35 @@ TEST(CarbonAware, QueuePressureOpensTheGate) {
   EXPECT_LE((earliest - (days(2.0) + hours(1.0))).minutes(), 5.0);
 }
 
+TEST(CarbonAware, ReusedInstanceDetectsAFreshRunThatStartsLate) {
+  // Run A consumes 20 h of a constantly dirty trace (its only job waits
+  // in the queue from 20 h). Run B's first job arrives at 26 h, so B's
+  // history is already longer than what A consumed, and the instance must
+  // notice from the history itself that B is a fresh run. B's trace is
+  // dirty [0, 12 h), green [12 h, 24 h), dirty again: at 26 h the correct
+  // window puts the 40 % quantile on the green level and holds the job
+  // until the dirty values reach it, just after 30 h, while A's leftover
+  // values would call 26 h green at once.
+  const auto dirty = square_trace(1000.0, 1000.0, hours(12.0), days(3.0));
+  const auto wave = square_trace(500.0, 100.0, hours(12.0), days(4.0));
+  const std::vector<hpcsim::JobSpec> jobs_a = {
+      rigid_job(1, seconds(0.0), 8, hours(21.0)), rigid_job(2, hours(20.0), 2, hours(1.0))};
+  const std::vector<hpcsim::JobSpec> jobs_b = {rigid_job(1, hours(26.0), 2, hours(1.0))};
+  CarbonAwareEasyScheduler::Config ca_cfg;
+  ca_cfg.max_hold = hours(14.0);
+  ca_cfg.lookahead = hours(12.0);
+
+  CarbonAwareEasyScheduler reused(ca_cfg, persistence());
+  (void)Simulator(cfg(dirty), jobs_a).run(reused);
+  const auto second = Simulator(cfg(wave), jobs_b).run(reused);
+  CarbonAwareEasyScheduler fresh(ca_cfg, persistence());
+  const auto first = Simulator(cfg(wave), jobs_b).run(fresh);
+
+  ASSERT_TRUE(first.jobs[0].completed);
+  EXPECT_GE(first.jobs[0].start.hours(), 30.0);  // held, not started at 26 h
+  EXPECT_EQ(second.jobs[0].start.seconds(), first.jobs[0].start.seconds());
+  EXPECT_EQ(second.total_carbon.grams(), first.total_carbon.grams());
+}
+
 }  // namespace
 }  // namespace greenhpc::sched

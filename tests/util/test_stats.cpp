@@ -240,6 +240,117 @@ TEST(SlidingPercentile, RunPushEqualsRepeatedSinglePushes) {
   }
 }
 
+/// Pushes runs into a SlidingPercentile and a brute-force twin (the last
+/// `capacity` values) and checks every query against the twin, bit for
+/// bit for percentile().
+class RunTwin {
+ public:
+  explicit RunTwin(std::size_t capacity) : window_(capacity), capacity_(capacity) {}
+
+  void push(double x, std::size_t count) {
+    window_.push(x, count);
+    all_.insert(all_.end(), count, x);
+  }
+
+  void check(const std::vector<double>& probes, const std::vector<double>& qs) const {
+    const std::vector<double> w = last_n(all_, capacity_);
+    ASSERT_EQ(window_.size(), w.size());
+    for (const double probe : probes) {
+      const auto below = static_cast<std::size_t>(
+          std::count_if(w.begin(), w.end(), [&](double v) { return v < probe; }));
+      const auto at_most = static_cast<std::size_t>(
+          std::count_if(w.begin(), w.end(), [&](double v) { return v <= probe; }));
+      ASSERT_EQ(window_.count_below(probe), below) << "probe " << probe;
+      ASSERT_EQ(window_.count_at_most(probe), at_most) << "probe " << probe;
+    }
+    if (w.empty()) return;
+    for (const double q : qs) {
+      ASSERT_EQ(window_.percentile_rank(q),
+                static_cast<std::size_t>(q * static_cast<double>(w.size() - 1)));
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(window_.percentile(q)),
+                std::bit_cast<std::uint64_t>(percentile(w, q)))
+          << "q " << q;
+    }
+  }
+
+ private:
+  SlidingPercentile window_;
+  std::size_t capacity_;
+  std::vector<double> all_;
+};
+
+const std::vector<double> kSmallProbes = {-1.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 7.0, 9.0};
+const std::vector<double> kQs = {0.0, 0.1, 0.4, 0.5, 0.77, 1.0};
+
+TEST(SlidingPercentile, ZeroCountChangesNothingAndCapacityCountReplacesAll) {
+  RunTwin twin(10);
+  twin.push(3.0, 0);  // on an empty window
+  twin.check(kSmallProbes, kQs);
+  twin.push(2.0, 4);
+  twin.push(5.0, 0);
+  twin.check(kSmallProbes, kQs);
+  twin.push(4.0, 10);  // exactly the capacity, from a partly filled window
+  twin.check(kSmallProbes, kQs);
+  twin.push(1.0, 3);
+  twin.push(7.0, 25);  // beyond the capacity, from a full window
+  twin.check(kSmallProbes, kQs);
+  twin.push(7.0, 10);  // the value the window already holds throughout
+  twin.check(kSmallProbes, kQs);
+  twin.push(2.0, 9);
+  twin.check(kSmallProbes, kQs);
+}
+
+TEST(SlidingPercentile, OnePushEvictsSeveralRuns) {
+  RunTwin twin(20);
+  twin.push(1.0, 3);
+  twin.push(5.0, 4);
+  twin.push(2.0, 5);
+  twin.push(7.0, 6);  // 18 of 20
+  twin.check(kSmallProbes, kQs);
+  twin.push(3.0, 14);  // fills 2, evicts the first three runs exactly
+  twin.check(kSmallProbes, kQs);
+  twin.push(9.0, 8);  // evicts the 7s and two of the 3s
+  twin.check(kSmallProbes, kQs);
+  twin.push(0.5, 19);  // evicts all but the newest value
+  twin.check(kSmallProbes, kQs);
+}
+
+TEST(SlidingPercentile, EqualValuesInNonAdjacentRunsShareOneEntry) {
+  RunTwin twin(10);
+  twin.push(4.0, 3);
+  twin.push(1.0, 2);
+  twin.push(4.0, 3);
+  twin.push(1.0, 1);
+  twin.push(4.0, 1);  // 10: the 4s sit in three runs
+  twin.check(kSmallProbes, kQs);
+  for (const auto& [x, count] : std::vector<std::pair<double, std::size_t>>{
+           {2.0, 2}, {4.0, 2}, {1.0, 3}, {4.0, 1}, {2.0, 4}, {4.0, 5}, {1.0, 2}}) {
+    twin.push(x, count);
+    twin.check(kSmallProbes, kQs);
+  }
+}
+
+TEST(SlidingPercentile, HourlyRunsAtTraceCapacityMatchPercentileBitForBit) {
+  // The shape the green threshold sees: three days of one-minute ticks,
+  // appended as runs of a segment's value (mostly 15 or 60 ticks, split
+  // where a span ended early), values from a few hundred levels.
+  Rng rng(2023);
+  RunTwin twin(4320);
+  for (int i = 0; i < 10000; ++i) {
+    const std::size_t len =
+        rng.uniform_int(0, 3) == 0 ? static_cast<std::size_t>(rng.uniform_int(1, 14))
+                                   : (rng.uniform_int(0, 1) == 0 ? 15u : 60u);
+    const double x = 100.0 + 0.37 * static_cast<double>(rng.uniform_int(0, 400));
+    twin.push(x, len);
+    if (i % 10 == 0) {
+      twin.check({100.0, x, x * (1.0 + 1e-12), x * (1.0 - 1e-12), 175.0}, {0.4, 0.9});
+    } else {
+      twin.check({}, {0.4});
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
 TEST(Histogram, CountsAndClamping) {
   std::vector<double> xs = {-1.0, 0.1, 0.5, 0.9, 2.0};
   const auto h = histogram(xs, 0.0, 1.0, 2);
