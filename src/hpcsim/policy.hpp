@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -93,6 +94,16 @@ class SimulationView {
   /// current intensity too. Lets intensity-driven policies attest
   /// quiescence. The default (T = now) promises nothing.
   [[nodiscard]] virtual Duration intensity_constant_until() const { return now(); }
+  /// The ground-truth trace when there is no feed, null with one. Without
+  /// a feed the observed intensity at every tick is this trace sampled at
+  /// the tick's clock, so intensity_history() is a function of the trace
+  /// and the tick alone, whatever the schedule: policies may precompute
+  /// what they derive from it once per trace (sched::GateSignal).
+  [[nodiscard]] virtual const std::shared_ptr<const util::TimeSeries>& intensity_trace()
+      const {
+    static const std::shared_ptr<const util::TimeSeries> none;
+    return none;
+  }
 
   /// The job queues, by reference: no per-call copy on the tick hot path.
   /// The references stay valid for the life of the view, but any mutating
@@ -102,6 +113,12 @@ class SimulationView {
   /// `const std::vector<JobId> snapshot = view.pending_jobs();`.
   [[nodiscard]] virtual const std::vector<JobId>& pending_jobs() const = 0;
   [[nodiscard]] virtual const std::vector<JobId>& running_jobs() const = 0;
+  /// Changes whenever the running set does: a job joins or leaves
+  /// running_jobs(), or a running job's allocation changes. No two
+  /// simulations in one process ever return the same value, so a cache
+  /// keyed by it stays valid across a reused policy instance. 0 (the
+  /// default) means unknown: never equal to a cached key.
+  [[nodiscard]] virtual std::uint64_t running_epoch() const { return 0; }
   [[nodiscard]] virtual const std::vector<JobId>& suspended_jobs() const = 0;
   /// Per-job static and dynamic columns (see JobTable above).
   [[nodiscard]] virtual const JobTable& job_table() const = 0;

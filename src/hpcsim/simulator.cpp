@@ -1,6 +1,7 @@
 #include "hpcsim/simulator.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "obs/metrics.hpp"
@@ -23,6 +24,15 @@ obs::Counter& sim_counter(const char* name) {
 /// memory; such workloads fall back to the hash map.
 constexpr std::size_t kDenseSlack = 4;
 constexpr std::size_t kDenseFloor = 1024;
+
+/// First SimulationView::running_epoch value of a new simulation: each
+/// simulation counts up from its own multiple of 2^32, so no two
+/// simulations in a process share a value, and a running-set change
+/// costs a plain increment instead of a shared atomic.
+std::uint64_t first_running_epoch() {
+  static std::atomic<std::uint64_t> simulations{0};
+  return (simulations.fetch_add(1, std::memory_order_relaxed) + 1) << 32;
+}
 }  // namespace
 
 Simulator::Simulator(Config config, util::Shared<std::vector<JobSpec>> jobs)
@@ -30,6 +40,7 @@ Simulator::Simulator(Config config, util::Shared<std::vector<JobSpec>> jobs)
       jobs_(std::move(jobs)),
       budget_now_(cfg_.cluster.max_power()),
       ci_history_(seconds(0.0), cfg_.cluster.tick),
+      running_epoch_(first_running_epoch()),
       result_{.jobs = {},
               .system_power = util::StepSeries(seconds(0.0), cfg_.cluster.tick),
               .power_budget = util::StepSeries(seconds(0.0), cfg_.cluster.tick),
@@ -117,7 +128,10 @@ void Simulator::list_push(std::vector<JobId>& list, Queue kind, JobId id) {
   s.queue = kind;
   s.list_pos = static_cast<std::int32_t>(list.size());
   list.push_back(id);
-  if (&list == &running_) running_slots_.push_back(idx);
+  if (&list == &running_) {
+    running_slots_.push_back(idx);
+    bump_running_epoch();
+  }
   ++epoch_;
 }
 
@@ -130,6 +144,7 @@ void Simulator::list_erase(std::vector<JobId>& list, JobId id) {
   if (&list == &running_) {
     running_slots_.erase(running_slots_.begin() +
                          static_cast<std::ptrdiff_t>(pos));
+    bump_running_epoch();
   }
   for (std::size_t i = pos; i < list.size(); ++i) {
     slots_[slot_index(list[i])].list_pos = static_cast<std::int32_t>(i);
@@ -169,6 +184,14 @@ double Simulator::scale_factor(std::size_t i) const {
     core_.scale_val[i] = scale_speed(i);
   }
   return core_.scale_val[i];
+}
+
+void Simulator::bump_running_epoch() { ++running_epoch_; }
+
+const std::shared_ptr<const util::TimeSeries>& Simulator::intensity_trace() const {
+  intensity_read_ = true;
+  static const std::shared_ptr<const util::TimeSeries> none;
+  return cfg_.feed == nullptr ? cfg_.carbon_intensity.ptr() : none;
 }
 
 Duration Simulator::intensity_constant_until() const {
@@ -306,6 +329,7 @@ bool Simulator::reshape(JobId id, int nodes) {
   free_nodes_ -= delta;
   core_.alloc_nodes[i] = nodes;
   ++epoch_;
+  bump_running_epoch();
   static obs::Counter& reshapes = sim_counter("sim.reshapes");
   reshapes.add();
   return true;
@@ -565,6 +589,7 @@ void Simulator::integrate_tick() {
     // get their positions rewritten once), so policies observe the same
     // queue the per-id erase produced.
     ++epoch_;
+    bump_running_epoch();
     std::size_t w = 0;
     for (std::size_t r = 0; r < running_.size(); ++r) {
       const JobId id = running_[r];
@@ -976,7 +1001,10 @@ std::size_t Simulator::run_span(SchedulingPolicy& sched, Duration hard_end,
       ++w;
     }
   }
-  if (any_finished) ++epoch_;
+  if (any_finished) {
+    ++epoch_;
+    bump_running_epoch();
+  }
   running_.resize(w);
   running_slots_.resize(w);
   k = w;

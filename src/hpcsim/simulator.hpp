@@ -131,12 +131,15 @@ class Simulator final : public SimulationView {
   /// end, where the clamped sample never changes); now() with a feed,
   /// whose observations and staleness move every tick.
   [[nodiscard]] Duration intensity_constant_until() const override;
+  [[nodiscard]] const std::shared_ptr<const util::TimeSeries>& intensity_trace()
+      const override;
   [[nodiscard]] const std::vector<JobId>& pending_jobs() const override {
     return pending_;
   }
   [[nodiscard]] const std::vector<JobId>& running_jobs() const override {
     return running_;
   }
+  [[nodiscard]] std::uint64_t running_epoch() const override { return running_epoch_; }
   [[nodiscard]] const std::vector<JobId>& suspended_jobs() const override {
     return suspended_;
   }
@@ -342,6 +345,11 @@ class Simulator final : public SimulationView {
   /// and did nothing.
   std::uint64_t epoch_ = 0;
   std::uint64_t epoch_before_sched_ = ~std::uint64_t{0};
+  /// SimulationView::running_epoch: this simulation's own range of a
+  /// process-wide sequence, advanced at every running-set change
+  /// (bump_running_epoch).
+  std::uint64_t running_epoch_;
+  void bump_running_epoch();
 
   /// Batched obs-counter deltas (per-completion events accumulate here
   /// and flush in one relaxed add per span / per tick). Never read by

@@ -14,99 +14,23 @@ namespace greenhpc::sched {
 
 CarbonAwareEasyScheduler::CarbonAwareEasyScheduler(
     Config config, std::shared_ptr<const carbon::Forecaster> forecaster)
-    : cfg_(config), forecaster_(std::move(forecaster)) {
-  GREENHPC_REQUIRE(forecaster_ != nullptr, "carbon-aware scheduler needs a forecaster");
+    : cfg_(config), forecaster_(std::move(forecaster)), gate_(cfg_, forecaster_) {
   GREENHPC_REQUIRE(cfg_.green_quantile > 0.0 && cfg_.green_quantile < 1.0,
                    "green quantile must be in (0,1)");
   GREENHPC_REQUIRE(cfg_.improvement_factor > 0.0 && cfg_.improvement_factor <= 1.0,
                    "improvement factor must be in (0,1]");
 }
 
-double CarbonAwareEasyScheduler::incremental_threshold(
-    const hpcsim::SimulationView& view) {
-  const auto history = view.intensity_history().values();
-  if (history.empty()) return view.carbon_intensity_now();
-  const auto window_ticks = static_cast<std::size_t>(
-      cfg_.history_window.seconds() / view.cluster().tick.seconds());
-  const std::size_t cap = std::max<std::size_t>(window_ticks, 1);
-  if (cap != threshold_window_.capacity() || history.size() < threshold_consumed_ ||
-      (threshold_consumed_ > 0 && history[threshold_consumed_ - 1] != threshold_last_)) {
-    threshold_window_ = util::SlidingPercentile(cap);
-    threshold_consumed_ = 0;
-    forecast_memo_.clear();
+const GateSignal& CarbonAwareEasyScheduler::signal_for(
+    const hpcsim::SimulationView& view, const std::shared_ptr<const util::TimeSeries>& trace) {
+  const Duration tick = view.cluster().tick;
+  if (signal_ == nullptr || trace != signal_trace_ || !(tick == signal_tick_)) {
+    signal_ = GateSignalCache::global().get(trace, tick, cfg_, forecaster_);
+    signal_trace_ = trace;
+    signal_tick_ = tick;
+    signal_run_ = 0;
   }
-  // Spans append runs of one value; a run is one window update.
-  while (threshold_consumed_ < history.size()) {
-    const double v = history[threshold_consumed_];
-    std::size_t end = threshold_consumed_ + 1;
-    while (end < history.size() && history[end] == v) ++end;
-    threshold_window_.push(v, end - threshold_consumed_);
-    threshold_consumed_ = end;
-    threshold_last_ = v;
-  }
-  // The window now holds the last min(size, cap) history values.
-  return threshold_window_.percentile(cfg_.green_quantile);
-}
-
-bool CarbonAwareEasyScheduler::greener_period_ahead(
-    const hpcsim::SimulationView& view, Duration& horizon) {
-  const util::TimeSeries& hist = view.intensity_history();
-  if (hist.size() < 2) {  // nothing to forecast from yet
-    horizon = view.now();  // ... until the history grows
-    return false;
-  }
-  const Duration now = hist.end();
-  const double target = view.carbon_intensity_now() * cfg_.improvement_factor;
-  const Duration half_tick = view.cluster().tick * 0.5;
-  std::size_t hour = 0;
-  for (Duration h = hours(1.0); h <= cfg_.lookahead; h += hours(1.0), ++hour) {
-    if (hour == forecast_memo_.size()) forecast_memo_.push_back({0.0, now});
-    ForecastMemo& memo = forecast_memo_[hour];
-    // The history only grows and agrees with the memo's before the
-    // memo's history end (a fresh simulation clears the memo), so the
-    // stable_until contract keeps the value until memo.stable.
-    if (!(now < memo.stable)) {
-      memo.value = forecaster_->forecast(hist, now, h);
-      memo.stable = forecaster_->stable_until(hist, now, h);
-    }
-    // Map the forecaster's clock (history end) onto the view's, with
-    // half a tick of margin against rounding between the two.
-    horizon = std::min(horizon, view.now() + (memo.stable - now) - half_tick);
-    if (memo.value <= target) return true;
-  }
-  return false;
-}
-
-Duration CarbonAwareEasyScheduler::threshold_horizon(
-    const hpcsim::SimulationView& view, bool green_now) const {
-  // The gate compares c = carbon_intensity_now() with the interpolated
-  // percentile theta = s[lo] * (1 - f) + s[lo + 1] * f of the sorted
-  // window s. For nonnegative values the rounded interpolation stays
-  // within a few ulps of [s[lo], s[lo + 1]], so with a relative slack far
-  // above that:
-  //   green is certain while s[lo] >= c (1 + slack), i.e.
-  //     count_below(c (1 + slack)) <= lo;
-  //   not green is certain while s[lo + 1] <= c (1 - slack), i.e.
-  //     count_at_most(c (1 - slack)) >= lo + 2.
-  // Each tick appends one value c, evicts at most one old value once the
-  // window is full, and moves lo up by at most one only while it is
-  // still filling (no eviction then). Each appended c counts against the
-  // green margin and not against the other; so either margin, measured
-  // in ranks, shrinks by at most one per tick, and a margin of r ranks
-  // keeps the gate's answer for the next r ticks.
-  constexpr double kSlack = 1e-12;
-  const double c = view.carbon_intensity_now();
-  const util::SlidingPercentile& window = threshold_window_;
-  if (view.intensity_history().size() < 2 || !(c >= 0.0) ||
-      window.count_below(0.0) > 0) {
-    return view.now();
-  }
-  const auto lo = static_cast<long>(window.percentile_rank(cfg_.green_quantile));
-  const long margin =
-      green_now ? lo - static_cast<long>(window.count_below(c * (1.0 + kSlack)))
-                : static_cast<long>(window.count_at_most(c * (1.0 - kSlack))) - (lo + 2);
-  if (margin <= 0) return view.now();
-  return view.now() + view.cluster().tick * (static_cast<double>(margin) + 0.5);
+  return *signal_;
 }
 
 void CarbonAwareEasyScheduler::on_tick(hpcsim::SimulationView& view) {
@@ -143,23 +67,43 @@ void CarbonAwareEasyScheduler::on_tick(hpcsim::SimulationView& view) {
   // The horizon this tick's decision provably holds to (see the header):
   // only the inputs the decision actually read bound it. The backlog
   // guard reads discrete state only. Under pressure the decision is EASY
-  // over the whole queue and reads no intensity, so neither the segment
-  // nor the threshold bounds it; the threshold window catches up on the
-  // skipped history at the next unpressured tick, to the same state.
-  Duration horizon = view.intensity_constant_until();
+  // over the whole queue and reads no intensity, so the gate does not
+  // bound it.
+  const std::shared_ptr<const util::TimeSeries>& trace = view.intensity_trace();
+  const util::TimeSeries& history = view.intensity_history();
+  const double c = view.carbon_intensity_now();
+  Duration horizon = view.now();
   bool hold_allowed = false;
   static obs::Counter& pressured_ticks =
       obs::Registry::global().counter("sched.carbon.pressured_ticks");
   if (pressured) {
     pressured_ticks.add();
-    if (horizon > view.now()) horizon = hpcsim::quiescent_forever();
-  } else {
-    const bool green_now = view.carbon_intensity_now() <= incremental_threshold(view);
-    if (horizon > view.now()) {
-      horizon = std::min(horizon, threshold_horizon(view, green_now));
+    if (trace != nullptr) horizon = hpcsim::quiescent_forever();
+  } else if (trace != nullptr) {
+    // No feed: the trace's signal holds the gate at every tick k, the
+    // history's length.
+    const GateSignal& signal = signal_for(view, trace);
+    const std::size_t k = history.size();
+    signal_run_ = signal.find(k, signal_run_);
+    const GateSignal::Hold hold = signal.runs()[signal_run_].hold;
+    if (hold == GateSignal::Hold::Unknown) {
+      Duration stable = hpcsim::quiescent_forever();
+      hold_allowed = *gate_.greener_period_ahead(history, c, stable, false);
+    } else {
+      hold_allowed = hold == GateSignal::Hold::Yes;
+      // Ticks k + 1 .. end - 1 keep the decision; half a tick of margin
+      // keeps the clock's rounding on the safe side.
+      const std::size_t end = signal.decision_end(signal_run_);
+      horizon = end == GateSignal::kForever
+                    ? hpcsim::quiescent_forever()
+                    : view.now() + view.cluster().tick * (static_cast<double>(end - k) - 0.5);
     }
-    // Only hold if the forecast actually promises a greener window.
-    hold_allowed = !green_now && greener_period_ahead(view, horizon);
+  } else {
+    // With a feed the history is what the feed delivered: the gate runs
+    // here, per tick, and attests nothing.
+    Duration stable = hpcsim::quiescent_forever();
+    hold_allowed = !gate_.green(history, c) &&
+                   *gate_.greener_period_ahead(history, c, stable, false);
   }
   static obs::Counter& hold_ticks =
       obs::Registry::global().counter("sched.carbon.hold_ticks");

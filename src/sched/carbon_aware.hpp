@@ -15,13 +15,18 @@
 // starts nothing also proves how long that stays true at the same
 // discrete state. Under backlog pressure the decision is EASY over the
 // whole queue, which reads no intensity, so the horizon is EASY's own
-// (now with an intensity feed). Otherwise it is the minimum of: the end
-// of the current intensity segment (SimulationView::
-// intensity_constant_until); the rank-distance bound on the green gate;
-// while the forecast is consulted, the Forecaster::stable_until of each
-// lookahead hour read; while holding, the earliest hold budget to run
-// out; and EASY's own horizon over the jobs it was given. The
-// degraded-feed fallback attests nothing.
+// (now with an intensity feed). Otherwise, without a feed, the gate's
+// answers are a function of the trace and the clock alone and come from
+// the trace's GateSignal (sched/carbon_gate.hpp), built once and shared
+// by every case of the trace. The horizon is then the minimum of: the
+// next tick at which the signal's hold decision may change; while
+// holding, the earliest hold budget to run out; and EASY's own horizon
+// over the jobs it was given. Where the signal leaves the forecast to
+// the reader (forecasters that promise no stability), the policy
+// forecasts itself and attests nothing. With a feed
+// (SimulationView::intensity_trace() is null) the gate runs per tick on
+// the observed history and attests nothing; so does the degraded-feed
+// fallback.
 //
 // Observability: the obs counters sched.carbon.hold_ticks,
 // sched.carbon.pressured_ticks and sched.carbon.held_jobs count
@@ -34,34 +39,15 @@
 
 #include "carbon/forecast.hpp"
 #include "hpcsim/policy.hpp"
+#include "sched/carbon_gate.hpp"
 #include "sched/easy_backfill.hpp"
-#include "util/stats.hpp"
+#include "util/time_series.hpp"
 
 namespace greenhpc::sched {
 
 class CarbonAwareEasyScheduler final : public hpcsim::SchedulingPolicy {
  public:
-  struct Config {
-    /// A tick is green when the intensity is at or below this quantile of
-    /// the trailing history window.
-    double green_quantile = 0.40;
-    /// History window used for the quantile.
-    Duration history_window = days(3.0);
-    /// How far ahead the forecaster is consulted for a greener period.
-    Duration lookahead = hours(12.0);
-    /// Predicted improvement (relative to now) required to keep holding.
-    double improvement_factor = 0.90;
-    /// Hard bound on added wait per job; beyond this the gate opens.
-    Duration max_hold = hours(12.0);
-    /// Holding is skipped while the pending queue exceeds this backlog
-    /// (expressed as a fraction of cluster nodes worth of requests).
-    double backlog_pressure_limit = 2.0;
-    /// Once the observed intensity is older than this (feed outage), the
-    /// scheduler goes carbon-blind: plain EASY, no green gating. Holding
-    /// jobs on a signal this stale risks optimizing against a grid state
-    /// that no longer exists.
-    Duration staleness_horizon = hours(2.0);
-  };
+  using Config = CarbonEasyConfig;
 
   /// The forecaster must outlive the scheduler.
   CarbonAwareEasyScheduler(Config config, std::shared_ptr<const carbon::Forecaster> forecaster);
@@ -71,9 +57,9 @@ class CarbonAwareEasyScheduler final : public hpcsim::SchedulingPolicy {
 
   /// Two states need no attestation: nothing pending (on_tick returns
   /// immediately) and zero free nodes (no start can succeed; holds are
-  /// aged against submit time, not tick-counted, and the incremental
-  /// threshold/history windows consume the intensity history in batch
-  /// to the same values). Both end with a discrete event, which ends the
+  /// aged against submit time, not tick-counted, and the gate reads the
+  /// signal or, per tick, consumes the intensity history in batch to the
+  /// same values). Both end with a discrete event, which ends the
   /// span via the engine's epoch gate. Otherwise the horizon is the one
   /// the last on_tick attested, and only at the tick right after it —
   /// the tick at which the engine asks, having checked that the discrete
@@ -111,27 +97,10 @@ class CarbonAwareEasyScheduler final : public hpcsim::SchedulingPolicy {
       const hpcsim::SimulationView& view) const override;
 
  private:
-  /// Whether the forecaster predicts a greener period within the
-  /// lookahead. Lowers `horizon` to the last tick before which every
-  /// forecast it consulted is provably unchanged (Forecaster::
-  /// stable_until), so the answer is too. Each lookahead hour's forecast
-  /// and stability bound are memoised and reused while the history end
-  /// is before that bound, which is what the stable_until contract
-  /// allows.
-  [[nodiscard]] bool greener_period_ahead(const hpcsim::SimulationView& view,
-                                          Duration& horizon);
-  /// The rank-distance bound on the green gate: a horizon before which
-  /// `intensity <= threshold` keeps its current answer, provided every
-  /// history value appended meanwhile is the current intensity (the
-  /// caller also bounds by intensity_constant_until()). Reads the window
-  /// incremental_threshold() just brought up to date.
-  [[nodiscard]] Duration threshold_horizon(const hpcsim::SimulationView& view,
-                                           bool green_now) const;
-  /// The green threshold in force: the green_quantile percentile of the
-  /// last history_window of intensity history (the current intensity
-  /// before any history exists), kept in a sliding run-length window
-  /// instead of a per-tick copy-and-sort of the whole window.
-  [[nodiscard]] double incremental_threshold(const hpcsim::SimulationView& view);
+  /// The no-feed signal of `trace`, from GateSignalCache (kept while the
+  /// view shows the same trace and tick).
+  [[nodiscard]] const GateSignal& signal_for(const hpcsim::SimulationView& view,
+                                             const std::shared_ptr<const util::TimeSeries>& trace);
 
   Config cfg_;
   std::shared_ptr<const carbon::Forecaster> forecaster_;
@@ -139,21 +108,15 @@ class CarbonAwareEasyScheduler final : public hpcsim::SchedulingPolicy {
   // Per-tick queue snapshots, reused across ticks to avoid reallocation.
   std::vector<hpcsim::JobId> pending_scratch_;
   std::vector<hpcsim::JobId> eligible_scratch_;
-  // Incremental view of the (append-only) intensity history. It tracks
-  // how much history it has consumed and the last value consumed, and
-  // rebuilds from scratch (window and forecast memo together) when the
-  // view's history is shorter, disagrees at that last value, or the
-  // window length changed: a fresh simulation under a reused instance.
-  util::SlidingPercentile threshold_window_{1};
-  std::size_t threshold_consumed_ = 0;
-  double threshold_last_ = 0.0;
-  // Forecast memo, one entry per lookahead hour: the value forecast() gave
-  // and the stable_until() bound (on the history's clock) it holds to.
-  struct ForecastMemo {
-    double value = 0.0;
-    Duration stable;  ///< reusable while history end < stable
-  };
-  std::vector<ForecastMemo> forecast_memo_;
+  // The gate on the observed history: per tick with a feed, and for the
+  // forecast at ticks the signal leaves to the reader.
+  GateEvaluator gate_;
+  // The signal of the trace last seen, that trace and tick, and the run
+  // index of the last tick read (a search hint).
+  std::shared_ptr<const GateSignal> signal_;
+  std::shared_ptr<const util::TimeSeries> signal_trace_;
+  Duration signal_tick_;
+  std::size_t signal_run_ = 0;
   // Quiescence horizon attested by the last on_tick that took no action,
   // and the tick it may be consumed at (that on_tick's now + one tick);
   // every on_tick resets it.

@@ -10,6 +10,7 @@
 // reservation — either they finish before the reservation (by their own
 // walltime) or they use only nodes the reservation does not need.
 
+#include <cstdint>
 #include <vector>
 
 #include "hpcsim/policy.hpp"
@@ -37,7 +38,11 @@ struct Reservation {
 /// timeline identical tick after tick, so the sorted vector is rebuilt
 /// only when the running set (ids, allocations, walltime-projected ends)
 /// changes or a job overruns its estimate (its projected release then
-/// tracks the moving clock). A reused vector is byte-identical to a fresh
+/// tracks the moving clock). The common case costs one comparison: while
+/// the view's running_epoch() is the one the schedule was taken at and
+/// the clock is before the earliest projected end, the running set and
+/// every projected release are unchanged. Otherwise the running set's
+/// signature decides. A reused vector is byte-identical to a fresh
 /// cache's, so memoization cannot change any scheduling decision.
 class ReleaseCache {
  public:
@@ -57,6 +62,8 @@ class ReleaseCache {
   std::vector<Entry> scratch_;
   std::vector<ReleaseEvent> releases_;
   bool valid_ = false;
+  std::uint64_t epoch_ = 0;  ///< running_epoch() the signature was taken at
+  Duration first_end_;       ///< earliest raw projected end in the signature
 };
 
 class EasyBackfillScheduler final : public hpcsim::SchedulingPolicy {

@@ -101,6 +101,10 @@ class SlidingPercentile {
   /// `x`, and at or below `x`.
   [[nodiscard]] std::size_t count_below(double x) const;
   [[nodiscard]] std::size_t count_at_most(double x) const;
+  /// The value at 0-based rank r of the sorted window (r < size()): the
+  /// values percentile() interpolates between are value_at(lo) and
+  /// value_at(lo + 1), lo = percentile_rank(q).
+  [[nodiscard]] double value_at(std::size_t r) const;
 
  private:
   struct Run {
@@ -111,8 +115,6 @@ class SlidingPercentile {
     double value;
     std::size_t at_most;  ///< window values <= value
   };
-  /// The value at 0-based rank r of the sorted window (r < size()).
-  [[nodiscard]] double value_at(std::size_t r) const;
   /// Index of the first distinct value not below x.
   [[nodiscard]] std::size_t lower_index(double x) const;
   /// Add k copies of x (the window is filling).

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "carbon/forecast.hpp"
@@ -20,7 +21,10 @@
 namespace greenhpc::sched {
 namespace {
 
-enum class Policy {
+// 64-bit so SchedCase has no padding: gtest names each case by a hex dump
+// of its bytes, and padding bytes hold whatever the stack held, which made
+// the ctest names differ from build to build.
+enum class Policy : std::uint64_t {
   Fcfs,
   Easy,
   EasyMold,
@@ -78,6 +82,8 @@ struct SchedCase {
   Policy policy;
   std::uint64_t seed;
 };
+static_assert(sizeof(SchedCase) == sizeof(Policy) + sizeof(std::uint64_t),
+              "SchedCase must have no padding bytes (they reach the test names)");
 
 class SchedulerProperties : public ::testing::TestWithParam<SchedCase> {
  protected:

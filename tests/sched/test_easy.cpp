@@ -134,12 +134,47 @@ TEST(Easy, ProjectedReleasesSortedAndWalltimeBased) {
   EXPECT_EQ(sched.seen[0].nodes, 3);
 }
 
-TEST(Easy, ReleaseCacheReuseEqualsAFreshProjection) {
-  // A faulted EASY run: kills, requeues and restarts change the running
-  // set, and on a few ticks a running job has reached its walltime-
-  // projected end (an overrun: its projected release slides with the
-  // clock, so a cache must not reuse across it). At every tick a
-  // long-lived cache must return what a fresh one projects.
+/// Runs EASY and, at every tick, checks that a long-lived ReleaseCache
+/// (possibly shared with earlier simulations) returns what a fresh one
+/// projects.
+class CompareCaches final : public hpcsim::SchedulingPolicy {
+ public:
+  explicit CompareCaches(ReleaseCache& cache) : cache_(cache) {}
+  int overrun_ticks = 0;
+  void on_tick(hpcsim::SimulationView& view) override {
+    const hpcsim::JobTable& t = view.job_table();
+    for (const hpcsim::JobId id : view.running_jobs()) {
+      const std::size_t i = view.slot_of(id);
+      if (seconds(t.start_s[i]) + seconds(t.walltime_s[i]) <= view.now()) {
+        ++overrun_ticks;
+        break;
+      }
+    }
+    if (!::testing::Test::HasFailure()) {  // one divergence is enough
+      const std::vector<ReleaseEvent> fresh = ReleaseCache().get(view);
+      const std::vector<ReleaseEvent>& reused = cache_.get(view);
+      const double now_s = view.now().seconds();
+      EXPECT_EQ(reused.size(), fresh.size()) << "at " << now_s << " s";
+      for (std::size_t k = 0; k < fresh.size() && k < reused.size(); ++k) {
+        EXPECT_EQ(reused[k].time.seconds(), fresh[k].time.seconds()) << "at " << now_s << " s";
+        EXPECT_EQ(reused[k].nodes, fresh[k].nodes) << "at " << now_s << " s";
+      }
+    }
+    easy_.on_tick(view);
+  }
+  std::string name() const override { return "compare-caches"; }
+
+ private:
+  ReleaseCache& cache_;
+  EasyBackfillScheduler easy_;
+};
+
+/// A faulted EASY scenario: kills, requeues and restarts change the
+/// running set, and on a few ticks a running job has reached its
+/// walltime-projected end (an overrun: its projected release slides with
+/// the clock, so a cache must not reuse across it).
+hpcsim::SimulationResult run_compared(ReleaseCache& cache, std::uint64_t seed,
+                                     int* overrun_ticks = nullptr) {
   hpcsim::WorkloadConfig wl;
   wl.job_count = 120;
   wl.span = days(1.0);
@@ -152,41 +187,30 @@ TEST(Easy, ReleaseCacheReuseEqualsAFreshProjection) {
   }
   c.faults.max_retries = 4;
   c.faults.backoff_base = minutes(5.0);
-  class CompareCaches final : public hpcsim::SchedulingPolicy {
-   public:
-    int overrun_ticks = 0;
-    void on_tick(hpcsim::SimulationView& view) override {
-      const hpcsim::JobTable& t = view.job_table();
-      for (const hpcsim::JobId id : view.running_jobs()) {
-        const std::size_t i = view.slot_of(id);
-        if (seconds(t.start_s[i]) + seconds(t.walltime_s[i]) <= view.now()) {
-          ++overrun_ticks;
-          break;
-        }
-      }
-      if (!::testing::Test::HasFailure()) {  // one divergence is enough
-        const std::vector<ReleaseEvent> fresh = ReleaseCache().get(view);
-        const std::vector<ReleaseEvent>& reused = cache_.get(view);
-        const double now_s = view.now().seconds();
-        EXPECT_EQ(reused.size(), fresh.size()) << "at " << now_s << " s";
-        for (std::size_t k = 0; k < fresh.size() && k < reused.size(); ++k) {
-          EXPECT_EQ(reused[k].time.seconds(), fresh[k].time.seconds()) << "at " << now_s << " s";
-          EXPECT_EQ(reused[k].nodes, fresh[k].nodes) << "at " << now_s << " s";
-        }
-      }
-      easy_.on_tick(view);
-    }
-    std::string name() const override { return "compare-caches"; }
+  Simulator sim(c, hpcsim::WorkloadGenerator(wl, seed).generate());
+  CompareCaches sched(cache);
+  auto result = sim.run(sched);
+  if (overrun_ticks != nullptr) *overrun_ticks = sched.overrun_ticks;
+  return result;
+}
 
-   private:
-    ReleaseCache cache_;
-    EasyBackfillScheduler easy_;
-  };
-  Simulator sim(c, hpcsim::WorkloadGenerator(wl, 13).generate());
-  CompareCaches sched;
-  const auto result = sim.run(sched);
+TEST(Easy, ReleaseCacheReuseEqualsAFreshProjection) {
+  ReleaseCache cache;
+  int overrun_ticks = 0;
+  const auto result = run_compared(cache, 13, &overrun_ticks);
   EXPECT_GT(result.job_failures, 0);
-  EXPECT_GT(sched.overrun_ticks, 0);
+  EXPECT_GT(overrun_ticks, 0);
+}
+
+TEST(Easy, ReleaseCacheSharedByTwoSimulationsEqualsAFreshProjection) {
+  // Each new Simulator starts a new running-set history, and a cache that
+  // outlives one run must not take the next run's state for the old one:
+  // the first lookup of every run after the first meets a cache that holds
+  // the previous run's last schedule.
+  ReleaseCache cache;
+  run_compared(cache, 13);
+  run_compared(cache, 13);
+  run_compared(cache, 14);
 }
 
 }  // namespace

@@ -177,10 +177,13 @@ core::SchedulerFactory scheduler_factory(const std::string& name) {
     return [] { return std::make_unique<sched::ConservativeBackfillScheduler>(); };
   }
   if (name == "carbon-easy") {
-    return [] {
+    // One forecaster for every case of the factory: gate signals are
+    // keyed by forecaster, so the cases of one trace share one signal.
+    std::shared_ptr<const carbon::Forecaster> forecaster =
+        std::make_shared<carbon::PersistenceForecaster>();
+    return [forecaster] {
       return std::make_unique<sched::CarbonAwareEasyScheduler>(
-          sched::CarbonAwareEasyScheduler::Config{},
-          std::make_shared<carbon::PersistenceForecaster>());
+          sched::CarbonAwareEasyScheduler::Config{}, forecaster);
     };
   }
   if (name == "easy") {

@@ -2,8 +2,9 @@
 #   cmake -DCLI=<greenhpc binary> -DWORKDIR=<scratch dir> -P carbon_easy_counts.cmake
 #
 # Runs the 4-replica carbon-easy slice of the reference grid (EXPERIMENTS.md,
-# "Carbon-EASY span attestation") and checks its digest and three engine
-# counts exactly. The counts are deterministic for a given source tree, so
+# "Carbon-EASY span attestation") and checks its digest, three engine
+# counts and the number of gate signals built (one per trace: 4 regions x
+# 2 kinds x 4 replicas) exactly. The counts are deterministic for a given source tree, so
 # unlike a wall-time gate this one has no noise: a change that makes
 # carbon-EASY evaluate more ticks, end more spans or fence more in-span
 # releases fails here on any host. A change that moves a count on purpose
@@ -14,9 +15,10 @@ if(NOT DEFINED CLI OR NOT DEFINED WORKDIR)
 endif()
 
 set(EXPECTED_DIGEST 4283914bcc472a7f)
-set(EXPECTED_sim.ticks 172299)
-set(EXPECTED_sim.spans 100926)
-set(EXPECTED_sim.release_rides 19648)
+set(EXPECTED_sim.ticks 120654)
+set(EXPECTED_sim.spans 71255)
+set(EXPECTED_sim.release_rides 20475)
+set(EXPECTED_sched.carbon.gate_signals_built 32)
 
 file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
@@ -40,7 +42,7 @@ endif()
 
 file(READ "${WORKDIR}/metrics.json" metrics)
 set(failures "")
-foreach(name sim.ticks sim.spans sim.release_rides)
+foreach(name sim.ticks sim.spans sim.release_rides sched.carbon.gate_signals_built)
   string(JSON got ERROR_VARIABLE json_err GET "${metrics}" counters ${name})
   if(json_err)
     string(APPEND failures "\n  ${name}: missing from --metrics-out (${json_err})")
@@ -53,4 +55,5 @@ if(failures)
 endif()
 message(STATUS "carbon-easy slice: digest ${EXPECTED_DIGEST}, sim.ticks "
                "${EXPECTED_sim.ticks}, sim.spans ${EXPECTED_sim.spans}, "
-               "sim.release_rides ${EXPECTED_sim.release_rides}")
+               "sim.release_rides ${EXPECTED_sim.release_rides}, gate signals "
+               "${EXPECTED_sched.carbon.gate_signals_built}")
