@@ -209,11 +209,15 @@ GateSignal::GateSignal(const util::TimeSeries& trace, Duration tick,
     // Ticks [k, stop) sample c. Past the trace end that holds forever, and
     // from `stop` on the window holds only copies of c: its state, and so
     // the green answer, is the same at every later tick.
+    // Where rounding puts segment_end(now) at or before now, the
+    // simulator reloads the sample at the next tick, so only tick k is
+    // claimed.
     const bool last = std::isinf(seg_end.seconds());
     std::size_t stop = segment_begin + capacity;
     if (!last) {
       stop = k;
       for (Duration t = now; t < seg_end; t += tick) ++stop;
+      stop = std::max(stop, k + 1);
     }
     ++evaluations_;
     const bool green = gate.green(history, c);
@@ -229,10 +233,10 @@ GateSignal::GateSignal(const util::TimeSeries& trace, Duration tick,
         next = std::min(next, first_end_at(stable, k));
       }
     }
-    if (runs_.empty() || runs_.back().green != green || runs_.back().hold != hold) {
+    if (runs_.empty() || runs_.back().hold != hold) {
       GREENHPC_REQUIRE(k <= std::numeric_limits<std::uint32_t>::max(),
                        "gate signal tick index overflows");
-      runs_.push_back({static_cast<std::uint32_t>(k), green, hold});
+      runs_.push_back({static_cast<std::uint32_t>(k), hold});
     }
     if (last && k >= stop) break;  // settled
     if (next > k + 1) {
@@ -244,12 +248,6 @@ GateSignal::GateSignal(const util::TimeSeries& trace, Duration tick,
       now += tick;
       ++k;
     }
-  }
-
-  decision_end_.assign(runs_.size(), kForever);
-  for (std::size_t i = runs_.size() - 1; i-- > 0;) {
-    const bool same = runs_[i].hold != Hold::Unknown && runs_[i + 1].hold == runs_[i].hold;
-    decision_end_[i] = same ? decision_end_[i + 1] : runs_[i + 1].begin;
   }
 }
 

@@ -127,8 +127,10 @@ class GateEvaluator {
   std::vector<ForecastMemo> memo_;
 };
 
-/// The gate's answers at every tick of a simulation over one trace, in
-/// run form over tick indices. Tick k is the k-th tick of a simulation on
+/// The gate's hold decision at every tick of a simulation over one trace,
+/// in run form over tick indices. The green answer enters only through
+/// the decision (a green tick never holds), so runs split where the
+/// decision changes and nowhere else. Tick k is the k-th tick of a simulation on
 /// `tick` without a feed: its clock is 0 plus k additions of `tick`, its
 /// observed intensity is the trace sampled there, and its history holds
 /// the samples of ticks 0..k-1. The last run holds forever.
@@ -140,10 +142,9 @@ class GateSignal {
     Yes,      ///< not green and a greener period ahead: hold
     Unknown,  ///< not green; the forecast answer is left to the reader
   };
-  /// Ticks [begin, next run's begin) share one answer.
+  /// Ticks [begin, next run's begin) share one decision.
   struct Run {
     std::uint32_t begin = 0;
-    bool green = false;
     Hold hold = Hold::No;
   };
   /// decision_end() of a run whose decision never changes.
@@ -167,14 +168,14 @@ class GateSignal {
   /// Index of the run holding tick k, searching forward from run `hint`
   /// (any index; one at or before the answer saves the search).
   [[nodiscard]] std::size_t find(std::size_t k, std::size_t hint) const;
-  /// First tick after run i whose hold decision may differ from run i's:
-  /// the begin of the next run with another Hold, or kForever. A
-  /// Hold::Unknown run ends at its own end.
-  [[nodiscard]] std::size_t decision_end(std::size_t i) const { return decision_end_[i]; }
+  /// First tick after run i whose hold decision differs from run i's:
+  /// the next run's begin, or kForever for the last run.
+  [[nodiscard]] std::size_t decision_end(std::size_t i) const {
+    return i + 1 < runs_.size() ? runs_[i + 1].begin : kForever;
+  }
 
  private:
   std::vector<Run> runs_;
-  std::vector<std::size_t> decision_end_;
   std::size_t evaluations_ = 0;
 };
 

@@ -11,33 +11,23 @@ namespace greenhpc::sched {
 const std::vector<ReleaseEvent>& ReleaseCache::get(const hpcsim::SimulationView& view) {
   const Duration now = view.now();
   const std::uint64_t epoch = view.running_epoch();
-  if (valid_ && epoch != 0 && epoch == epoch_ && now < first_end_) return releases_;
+  if (epoch != 0 && epoch == epoch_ && now < first_end_) return releases_;
+  // An overrunning job's projected release is now + tick, which moves
+  // every tick even with the set unchanged; first_end_ <= now then sends
+  // every later call here too.
   const hpcsim::JobTable& t = view.job_table();
-  scratch_.clear();
-  bool any_overrun = false;
+  releases_.clear();
   Duration first_end = hpcsim::quiescent_forever();
   for (hpcsim::JobId id : view.running_jobs()) {
     const std::size_t i = view.slot_of(id);
     const Duration end = seconds(t.start_s[i]) + seconds(t.walltime_s[i]);
-    if (end <= now) any_overrun = true;
     first_end = std::min(first_end, end);
-    scratch_.push_back({id, t.alloc_nodes[i], end});
-  }
-  epoch_ = epoch;
-  first_end_ = first_end;
-  // An overrunning job's projected release is now + tick, which moves
-  // every tick even with the set unchanged — never reuse across it
-  // (first_end_ <= now then sends the next call here too).
-  if (valid_ && !any_overrun && scratch_ == signature_) return releases_;
-  signature_ = scratch_;
-  releases_.clear();
-  for (const Entry& e : signature_) {
-    const Duration end = e.end <= now ? now + view.cluster().tick : e.end;
-    releases_.push_back({end, e.nodes});
+    releases_.push_back({end <= now ? now + view.cluster().tick : end, t.alloc_nodes[i]});
   }
   std::sort(releases_.begin(), releases_.end(),
             [](const ReleaseEvent& a, const ReleaseEvent& b) { return a.time < b.time; });
-  valid_ = true;
+  epoch_ = epoch;
+  first_end_ = first_end;
   return releases_;
 }
 

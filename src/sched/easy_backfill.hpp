@@ -35,15 +35,13 @@ struct Reservation {
 /// Walltime-based release schedule of the currently running jobs,
 /// ascending in time; a job past its walltime is projected to release one
 /// tick from now. Memoized: a long-running job set makes the projected
-/// timeline identical tick after tick, so the sorted vector is rebuilt
-/// only when the running set (ids, allocations, walltime-projected ends)
-/// changes or a job overruns its estimate (its projected release then
-/// tracks the moving clock). The common case costs one comparison: while
-/// the view's running_epoch() is the one the schedule was taken at and
-/// the clock is before the earliest projected end, the running set and
-/// every projected release are unchanged. Otherwise the running set's
-/// signature decides. A reused vector is byte-identical to a fresh
-/// cache's, so memoization cannot change any scheduling decision.
+/// timeline identical tick after tick, so the sorted vector is reused
+/// while the view's running_epoch() is the one it was built at and the
+/// clock is before the earliest projected end: the running set and every
+/// projected release are then unchanged. Any other call rebuilds it (a
+/// view whose running_epoch() is 0 rebuilds at every call). A reused
+/// vector is byte-identical to a fresh cache's, so memoization cannot
+/// change any scheduling decision.
 class ReleaseCache {
  public:
   /// The release schedule for the view's current running set; reference
@@ -52,18 +50,9 @@ class ReleaseCache {
       const hpcsim::SimulationView& view);
 
  private:
-  struct Entry {
-    hpcsim::JobId id;
-    int nodes;
-    Duration end;  ///< raw walltime-projected end (before overrun remap)
-    bool operator==(const Entry&) const = default;
-  };
-  std::vector<Entry> signature_;
-  std::vector<Entry> scratch_;
   std::vector<ReleaseEvent> releases_;
-  bool valid_ = false;
-  std::uint64_t epoch_ = 0;  ///< running_epoch() the signature was taken at
-  Duration first_end_;       ///< earliest raw projected end in the signature
+  std::uint64_t epoch_ = 0;  ///< running_epoch() releases_ was built at
+  Duration first_end_;       ///< earliest walltime-projected end in it
 };
 
 class EasyBackfillScheduler final : public hpcsim::SchedulingPolicy {
