@@ -213,5 +213,23 @@ TEST(Easy, ReleaseCacheSharedByTwoSimulationsEqualsAFreshProjection) {
   run_compared(cache, 14);
 }
 
+TEST(Easy, EverySimulationCountsItsRunningEpochsAboveEveryEarlierOnes) {
+  // The property the shared cache relies on: a running_epoch() value of
+  // one simulation is never taken by a later one, however many
+  // running-set changes the earlier one made.
+  const std::vector<hpcsim::JobSpec> jobs = {
+      rigid_job(1, seconds(0.0), 2, hours(1.0)),
+      rigid_job(2, seconds(0.0), 3, hours(2.0)),
+      rigid_job(3, minutes(30.0), 4, hours(1.0)),
+  };
+  Simulator first(cfg(8), jobs);
+  const std::uint64_t first_start = first.running_epoch();
+  EasyBackfillScheduler easy;
+  (void)first.run(easy);
+  EXPECT_GT(first.running_epoch(), first_start);  // starts and ends counted
+  const Simulator second(cfg(8), jobs);
+  EXPECT_GT(second.running_epoch(), first.running_epoch());
+}
+
 }  // namespace
 }  // namespace greenhpc::sched
