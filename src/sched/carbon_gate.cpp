@@ -184,6 +184,10 @@ GateSignal::GateSignal(const util::TimeSeries& trace, Duration tick,
   GateEvaluator gate(cfg, std::move(forecaster));
   const std::size_t capacity = gate.window_capacity(tick);
   util::TimeSeries history(seconds(0.0), tick);
+  // The build settles at most `capacity` ticks past the trace end; one
+  // allocation of that size keeps the transient peak at one copy.
+  const double trace_ticks = std::ceil(trace.end().seconds() / tick.seconds());
+  if (trace_ticks < 1e8) history.reserve(static_cast<std::size_t>(trace_ticks) + capacity + 2);
   // First tick k whose history end (history.end() at tick k) reaches `t`.
   const auto first_end_at = [&](Duration t, std::size_t k) -> std::size_t {
     const double guess = std::ceil(t.seconds() / tick.seconds());
@@ -249,6 +253,7 @@ GateSignal::GateSignal(const util::TimeSeries& trace, Duration tick,
       ++k;
     }
   }
+  runs_.shrink_to_fit();  // signals live as long as their trace
 }
 
 std::size_t GateSignal::find(std::size_t k, std::size_t hint) const {

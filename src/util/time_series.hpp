@@ -42,6 +42,8 @@ class TimeSeries {
   [[nodiscard]] std::span<const double> values() const { return values_; }
   /// Sample by index (bounds-checked).
   [[nodiscard]] double at(std::size_t i) const;
+  /// Room for `n` samples without reallocation.
+  void reserve(std::size_t n) { values_.reserve(n); }
   /// Append one sample at the end of the series.
   void push_back(double v) { values_.push_back(v); }
   /// Append `n` copies of the same sample (bulk twin of push_back).
