@@ -152,45 +152,35 @@ void expect_signal_matches_scratch(const util::TimeSeries& trace, Duration tick,
 }
 
 TEST(GateSignal, EveryTickMatchesAFromScratchGate) {
-  const CarbonEasyConfig cfg = oracle_config();
-  AnswerCounts counts;
-  for (const TraceCase& tc : trace_cases()) {
-    const util::TimeSeries trace = make_trace(tc);
-    for (const auto& forecaster : forecasters()) {
-      const std::string label = std::string(carbon::traits(tc.region).code) + " seed " +
-                                std::to_string(tc.seed) + " " + forecaster->name();
-      ASSERT_NO_FATAL_FAILURE(
-          expect_signal_matches_scratch(trace, kTick, cfg, forecaster, label, counts));
-    }
-  }
-  // Not vacuous: all three answers occur.
-  EXPECT_GT(counts.unknown, 0u);
-  EXPECT_GT(counts.hold, 0u);
-  EXPECT_GT(counts.green, 0u);
-}
-
-TEST(GateSignal, OffsetTraceWhoseSegmentEndRoundsOntoATick) {
-  // A trace that starts 6 minutes in, at 16.5-minute steps (not exact in
-  // binary): at the clock 4320 s, 4 x 4 minutes past the fourth segment's
-  // start, segment_end() rounds to the clock itself (n x step and the
-  // division that finds the segment round apart). The builder must still
-  // step past that tick and match the scratch gate there.
-  const Duration start = minutes(6.0);
-  const Duration step = minutes(15.0) * 1.1;
-  const util::TimeSeries probe(start, step, std::vector<double>(8, 1.0));
+  // Two layouts per trace case: the aligned one of make_trace, and one
+  // that starts 6 minutes in at 16.5-minute steps (not exact in binary).
+  // In the second, at the clock 4320 s, segment_end() rounds onto the
+  // clock itself (the product that places the segment end and the
+  // division that finds the segment round apart), and the builder must
+  // still step past that tick.
+  const Duration offset_start = minutes(6.0);
+  const Duration offset_step = minutes(15.0) * 1.1;
+  const util::TimeSeries probe(offset_start, offset_step, std::vector<double>(8, 1.0));
   ASSERT_EQ(probe.segment_end(seconds(4320.0)), seconds(4320.0));
   const CarbonEasyConfig cfg = oracle_config();
   AnswerCounts counts;
   for (const TraceCase& tc : trace_cases()) {
-    const util::TimeSeries trace = carbon::GridModel(tc.region, tc.seed)
-                                       .generate(start, days(2.5), step, tc.kind);
-    for (const auto& forecaster : forecasters()) {
-      const std::string label = std::string(carbon::traits(tc.region).code) + " seed " +
-                                std::to_string(tc.seed) + " " + forecaster->name();
-      ASSERT_NO_FATAL_FAILURE(
-          expect_signal_matches_scratch(trace, kTick, cfg, forecaster, label, counts));
+    const util::TimeSeries traces[] = {
+        make_trace(tc), carbon::GridModel(tc.region, tc.seed)
+                            .generate(offset_start, days(2.5), offset_step, tc.kind)};
+    for (const util::TimeSeries& trace : traces) {
+      for (const auto& forecaster : forecasters()) {
+        const std::string label = std::string(carbon::traits(tc.region).code) + " seed " +
+                                  std::to_string(tc.seed) + " start " +
+                                  std::to_string(trace.start().seconds()) + " " +
+                                  forecaster->name();
+        ASSERT_NO_FATAL_FAILURE(
+            expect_signal_matches_scratch(trace, kTick, cfg, forecaster, label, counts));
+      }
     }
   }
+  // Not vacuous: all three answers occur.
+  EXPECT_GT(counts.unknown, 0u);
   EXPECT_GT(counts.hold, 0u);
   EXPECT_GT(counts.green, 0u);
 }
