@@ -116,9 +116,9 @@ class SimulationView {
   /// Changes whenever the running set does: a job joins or leaves
   /// running_jobs(), or a running job's allocation changes. No two
   /// simulations in one process ever return the same value, so a cache
-  /// keyed by it stays valid across a reused policy instance. 0 (the
-  /// default) means unknown: never equal to a cached key.
-  [[nodiscard]] virtual std::uint64_t running_epoch() const { return 0; }
+  /// keyed by it stays valid across a reused policy instance, and none
+  /// is 0.
+  [[nodiscard]] virtual std::uint64_t running_epoch() const = 0;
   [[nodiscard]] virtual const std::vector<JobId>& suspended_jobs() const = 0;
   /// Per-job static and dynamic columns (see JobTable above).
   [[nodiscard]] virtual const JobTable& job_table() const = 0;

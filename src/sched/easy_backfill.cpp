@@ -11,7 +11,7 @@ namespace greenhpc::sched {
 const std::vector<ReleaseEvent>& ReleaseCache::get(const hpcsim::SimulationView& view) {
   const Duration now = view.now();
   const std::uint64_t epoch = view.running_epoch();
-  if (epoch != 0 && epoch == epoch_ && now < first_end_) return releases_;
+  if (epoch == epoch_ && now < first_end_) return releases_;
   // An overrunning job's projected release is now + tick, which moves
   // every tick even with the set unchanged; first_end_ <= now then sends
   // every later call here too.

@@ -38,8 +38,8 @@ struct Reservation {
 /// timeline identical tick after tick, so the sorted vector is reused
 /// while the view's running_epoch() is the one it was built at and the
 /// clock is before the earliest projected end: the running set and every
-/// projected release are then unchanged. Any other call rebuilds it (a
-/// view whose running_epoch() is 0 rebuilds at every call). A reused
+/// projected release are then unchanged. Any other call rebuilds it
+/// (a fresh cache's epoch 0 is no view's). A reused
 /// vector is byte-identical to a fresh cache's, so memoization cannot
 /// change any scheduling decision.
 class ReleaseCache {
