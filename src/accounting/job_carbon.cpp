@@ -1,6 +1,7 @@
 #include "accounting/job_carbon.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <optional>
 #include <sstream>

@@ -45,6 +45,7 @@ struct JobCarbonProfile {
 };
 
 /// Profile one completed job against the intensity trace it ran under.
+/// Kept as the oracle of `JobCarbon.ProfileJobsMatchesPerJobProfilesBitForBit`.
 [[nodiscard]] JobCarbonProfile profile_job(const hpcsim::JobRecord& record,
                                            const hpcsim::ClusterConfig& cluster,
                                            const util::TimeSeries& intensity);

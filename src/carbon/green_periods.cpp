@@ -55,11 +55,4 @@ double green_fraction(const util::TimeSeries& intensity, double threshold) {
   return static_cast<double>(green) / static_cast<double>(intensity.size());
 }
 
-bool in_green_window(const std::vector<GreenWindow>& windows, Duration t) {
-  for (const auto& w : windows) {
-    if (t >= w.start && t < w.end) return true;
-  }
-  return false;
-}
-
 }  // namespace greenhpc::carbon

@@ -30,9 +30,7 @@ struct GreenWindow {
                                                           Duration min_length = minutes(0));
 
 /// Fraction of total series time that is green under `threshold`.
+/// Kept as the oracle of `GridProperties.GreenThresholdSplitsTraceConsistently`.
 [[nodiscard]] double green_fraction(const util::TimeSeries& intensity, double threshold);
-
-/// True if time t falls inside any of the given windows.
-[[nodiscard]] bool in_green_window(const std::vector<GreenWindow>& windows, Duration t);
 
 }  // namespace greenhpc::carbon

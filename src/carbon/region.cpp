@@ -44,6 +44,4 @@ constexpr RegionTraits kTraits[] = {
 
 const RegionTraits& traits(Region r) { return kTraits[index_of(r)]; }
 
-std::string_view name(Region r) { return traits(r).name; }
-
 }  // namespace greenhpc::carbon

@@ -65,7 +65,4 @@ struct RegionTraits {
 /// Parameter preset for a region (see the table in region.cpp).
 [[nodiscard]] const RegionTraits& traits(Region r);
 
-/// Region display name ("France", ...).
-[[nodiscard]] std::string_view name(Region r);
-
 }  // namespace greenhpc::carbon

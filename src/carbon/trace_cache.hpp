@@ -68,11 +68,13 @@ class TraceCache {
 
   /// Number of distinct traces currently held.
   [[nodiscard]] std::size_t size() const;
-  /// Lookup counters since construction / the last clear().
+  /// Lookup counters since construction / the last clear(). hits() is
+  /// kept for `TraceCache.HitIsPointerIdentical` (test hook).
   [[nodiscard]] std::size_t hits() const;
   [[nodiscard]] std::size_t misses() const;
   /// Drop every cached trace and shape (outstanding shared pointers stay
   /// valid) and reset the counters.
+  /// Kept for `TraceCache.ClearDropsEntriesButKeepsOutstandingPointers`.
   void clear();
 
   /// Process-wide cache shared by ScenarioRunner and the sweep engine.

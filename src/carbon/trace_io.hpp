@@ -15,7 +15,8 @@
 namespace greenhpc::carbon {
 
 /// Parse a trace from CSV. Throws InvalidArgument on malformed rows,
-/// unequal spacing or fewer than two samples.
+/// unequal spacing or fewer than two samples. Kept as save_intensity_csv's
+/// round-trip oracle in `TraceIo.RoundTripsGeneratedTrace`.
 [[nodiscard]] util::TimeSeries load_intensity_csv(std::istream& in);
 
 /// Write a trace in the same CSV format (with header).

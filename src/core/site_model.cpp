@@ -31,13 +31,6 @@ double SiteModel::embodied_share() const {
   return total.grams() > 0.0 ? embodied_ / total : 0.0;
 }
 
-double SiteModel::tonnes_per_pflop_year() const {
-  GREENHPC_REQUIRE(inventory_.peak_pflops > 0.0, "system needs a performance figure");
-  const double pflop_years =
-      inventory_.peak_pflops * static_cast<double>(inventory_.lifetime_years);
-  return (embodied_ + operational_lifetime()).tonnes() / pflop_years;
-}
-
 double cloud_embodied_share(const CloudServer& server, const RenewableMix& mix) {
   const Duration life = days(365.0 * server.lifetime_years);
   const Power wall_power = server.it_power * server.pue;

@@ -40,8 +40,6 @@ class SiteModel {
   /// Embodied share of the lifetime total — the quantity behind both the
   /// "LRZ: embodied dominates" observation and the 70-75% rule of thumb.
   [[nodiscard]] double embodied_share() const;
-  /// Carbon per delivered PFLOP-year (a per-system Carbon500-style figure).
-  [[nodiscard]] double tonnes_per_pflop_year() const;
 
  private:
   embodied::SystemInventory inventory_;

@@ -262,9 +262,6 @@ class SweepCaseRunner::GroupMemo {
   std::unordered_map<std::size_t, Group> groups_;
 };
 
-SweepCaseRunner::SweepCaseRunner(const SweepGrid& grid)
-    : SweepCaseRunner(grid, Options()) {}
-
 SweepCaseRunner::~SweepCaseRunner() = default;
 
 SweepCaseRunner::SweepCaseRunner(const SweepGrid& grid, Options opts)
@@ -578,8 +575,6 @@ void SweepCaseRunner::run_ranges(util::ThreadPool& pool,
 
 // ---------------------------------------------------------------------------
 // SweepEngine
-
-SweepEngine::SweepEngine() : SweepEngine(Options()) {}
 
 SweepEngine::SweepEngine(Options opts) : opts_(std::move(opts)) {
   if (opts_.block == 0) opts_.block = 256;

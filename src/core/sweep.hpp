@@ -223,7 +223,6 @@ class SweepCaseRunner {
   /// list, a null scheduler factory, or a non-positive replica count.
   /// `grid` must outlive the runner (held by reference).
   SweepCaseRunner(const SweepGrid& grid, Options opts);
-  explicit SweepCaseRunner(const SweepGrid& grid);
   ~SweepCaseRunner();
   SweepCaseRunner(const SweepCaseRunner&) = delete;
   SweepCaseRunner& operator=(const SweepCaseRunner&) = delete;
@@ -339,7 +338,6 @@ class SweepEngine {
     SweepCaseRunner::Options case_opts;
   };
 
-  SweepEngine();
   explicit SweepEngine(Options opts);
 
   /// Expand and simulate the grid. Throws InvalidArgument on an empty

@@ -22,10 +22,6 @@ std::string encode_assign(std::size_t start, std::size_t count) {
 
 std::string encode_shutdown() { return wire::seal("shutdown"); }
 
-std::string encode_block(const SweepBlock& block) {
-  return wire::serialize_block(block);
-}
-
 namespace {
 
 // Defensive parse caps: the seal already rejects line noise, so anything

@@ -88,8 +88,6 @@ struct Message {
 [[nodiscard]] std::string encode_heartbeat(long pid);
 [[nodiscard]] std::string encode_assign(std::size_t start, std::size_t count);
 [[nodiscard]] std::string encode_shutdown();
-/// A block result message IS the journal's sealed block line.
-[[nodiscard]] std::string encode_block(const SweepBlock& block);
 /// Registry snapshot batch (metric names hex-encoded, values as bits).
 [[nodiscard]] std::string encode_stat(long pid, std::uint64_t now_ns,
                                       const obs::StatSnapshot& snap);

@@ -4,12 +4,6 @@
 
 namespace greenhpc::embodied {
 
-double ProcessorSpec::total_die_area_mm2() const {
-  double area = 0.0;
-  for (const auto& c : chiplets) area += c.area_mm2 * c.count;
-  return area;
-}
-
 int ProcessorSpec::total_die_count() const {
   int n = 0;
   for (const auto& c : chiplets) n += c.count;

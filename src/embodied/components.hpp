@@ -31,8 +31,6 @@ struct ProcessorSpec {
   /// Module-level overhead beyond the package: carrier PCB, VRMs, cold
   /// plate, mechanical (kgCO2e). Dominant for SXM-class GPU modules.
   double module_overhead_kg = 0.0;
-  /// Total silicon area across all chiplets (mm^2).
-  [[nodiscard]] double total_die_area_mm2() const;
   /// Total die count across all chiplet groups.
   [[nodiscard]] int total_die_count() const;
 };

@@ -40,13 +40,4 @@ double CoolingModel::pue_at(double outdoor_temp_c) const {
   return 1.0 + traits_.base_overhead + chiller;
 }
 
-util::TimeSeries CoolingModel::pue_series(const util::TimeSeries& temperature) const {
-  return temperature.map([this](double t) { return pue_at(t); });
-}
-
-double CoolingModel::mean_pue(const util::TimeSeries& temperature) const {
-  GREENHPC_REQUIRE(!temperature.empty(), "mean PUE needs a temperature trace");
-  return pue_series(temperature).summary().mean;
-}
-
 }  // namespace greenhpc::facility

@@ -9,8 +9,6 @@
 // free-cooling ceiling, because 40-45°C return water can be cooled
 // against almost any outdoor air.
 
-#include "util/time_series.hpp"
-
 namespace greenhpc::facility {
 
 enum class CoolingTechnology {
@@ -38,12 +36,6 @@ class CoolingModel {
 
   /// PUE at a given outdoor temperature (always >= 1).
   [[nodiscard]] double pue_at(double outdoor_temp_c) const;
-
-  /// Elementwise PUE series for a temperature trace.
-  [[nodiscard]] util::TimeSeries pue_series(const util::TimeSeries& temperature) const;
-
-  /// Mean PUE over a temperature trace.
-  [[nodiscard]] double mean_pue(const util::TimeSeries& temperature) const;
 
   [[nodiscard]] const char* label() const { return label_; }
 

@@ -42,6 +42,7 @@ struct SwfImport {
 [[nodiscard]] SwfImport load_swf(std::istream& in, const SwfDefaults& defaults = {});
 
 /// Write jobs as SWF (with a header documenting the export).
+/// Kept as load_swf's round-trip oracle in `Swf.RoundTripsGeneratedWorkload`.
 void save_swf(const std::vector<JobSpec>& jobs, std::ostream& out);
 
 }  // namespace greenhpc::hpcsim

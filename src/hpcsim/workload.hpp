@@ -117,11 +117,13 @@ class WorkloadCache {
 
   /// Number of distinct job lists currently held.
   [[nodiscard]] std::size_t size() const;
-  /// Lookup counters since construction / the last clear().
+  /// Lookup counters since construction / the last clear(). hits() is
+  /// kept for `WorkloadCache.CountsHitsAndMissesAcrossOneFieldChanges`.
   [[nodiscard]] std::size_t hits() const;
   [[nodiscard]] std::size_t misses() const;
   /// Drop every cached list (outstanding shared pointers stay valid) and
   /// reset the counters.
+  /// Kept for `WorkloadCache.CountsHitsAndMissesAcrossOneFieldChanges`.
   void clear();
 
   /// Process-wide cache shared by ScenarioRunner and the sweep engine.

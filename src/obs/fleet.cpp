@@ -1,6 +1,5 @@
 #include "obs/fleet.hpp"
 
-#include <cstring>
 #include <iterator>
 
 #include "obs/chrome_json.hpp"
@@ -52,26 +51,6 @@ void FleetTrace::add_event(int lane, RemoteTraceEvent event) {
 
 void FleetTrace::add_dropped(int lane, std::uint64_t dropped) {
   lanes_.at(static_cast<std::size_t>(lane)).dropped += dropped;
-}
-
-void FleetTrace::add_local(int lane, const std::vector<ThreadTrace>& snapshot,
-                           const char* cat) {
-  Lane& l = lanes_.at(static_cast<std::size_t>(lane));
-  for (const ThreadTrace& tt : snapshot) {
-    for (const TraceEvent& e : tt.events) {
-      const char* ecat = e.cat != nullptr ? e.cat : "greenhpc";
-      if (cat != nullptr && std::strcmp(ecat, cat) != 0) continue;
-      RemoteTraceEvent r;
-      r.name = e.name;
-      r.cat = ecat;
-      r.tid = tt.tid;
-      r.phase = e.phase;
-      r.ts_ns = map_ns(lane, e.ts_ns);
-      r.dur_ns = e.dur_ns;
-      r.value = e.value;
-      l.events.push_back(std::move(r));
-    }
-  }
 }
 
 std::size_t FleetTrace::event_count(int lane) const {

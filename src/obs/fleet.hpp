@@ -26,8 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/trace.hpp"
-
 namespace greenhpc::obs {
 
 /// A trace event that crossed (or may cross) a process boundary: same
@@ -54,6 +52,7 @@ class FleetTrace {
   /// sampled here. The first call fixes the lane's constant offset;
   /// later calls are ignored so per-lane event order is preserved.
   void align(int lane, std::uint64_t remote_now_ns, std::uint64_t local_now_ns);
+  /// Kept for `FleetTrace.FirstAlignWinsAndMapsWithConstantOffset`.
   [[nodiscard]] bool aligned(int lane) const;
   /// Mapped local-clock value of a remote timestamp (0 offset before
   /// align). Clamped at 0 — the clamp is monotone, so ordering holds.
@@ -69,12 +68,8 @@ class FleetTrace {
   /// Accumulate the remote side's ring-drop report for `lane`.
   void add_dropped(int lane, std::uint64_t dropped);
 
-  /// Append locally recorded events (a Tracer snapshot) to `lane`,
-  /// keeping only category `cat` (nullptr = all).
-  void add_local(int lane, const std::vector<ThreadTrace>& snapshot,
-                 const char* cat = nullptr);
-
   [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
+  /// Lane readers, kept for `FleetTrace.AddEventsMapsTimestampsThroughLaneOffset`.
   [[nodiscard]] std::size_t event_count(int lane) const;
   [[nodiscard]] const std::vector<RemoteTraceEvent>& events(int lane) const;
   [[nodiscard]] std::uint64_t dropped(int lane) const;

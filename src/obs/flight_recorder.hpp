@@ -46,9 +46,11 @@ class FlightRecorder {
   /// Events ever recorded.
   [[nodiscard]] std::uint64_t total() const { return head_; }
   /// Events overwritten by the ring (total - size).
+  /// Kept for `FlightRecorder.RingWrapKeepsTheLastCapacityEvents`.
   [[nodiscard]] std::uint64_t dropped() const;
 
   /// Surviving events, oldest first.
+  /// Kept for `FlightRecorder.RingWrapKeepsTheLastCapacityEvents`.
   [[nodiscard]] std::vector<FlightEvent> events() const;
 
   /// One JSON object per line, oldest surviving event first:

@@ -220,31 +220,6 @@ void Registry::write_json(std::ostream& os) const {
   os << "}}\n";
 }
 
-void Registry::write_csv(std::ostream& os) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  os << "kind,name,value\n";
-  for (const auto& [name, c] : counters_) {
-    os << "counter," << name << "," << c->value() << "\n";
-  }
-  for (const auto& [name, g] : gauges_) {
-    os << "gauge," << name << "," << g->value() << "\n";
-  }
-  for (const auto& [name, h] : histograms_) {
-    const auto& bounds = h->bounds();
-    const auto counts = h->counts();
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      os << "histogram," << name << "[";
-      if (i < bounds.size()) {
-        os << "le=" << bounds[i];
-      } else {
-        os << "le=inf";
-      }
-      os << "]," << counts[i] << "\n";
-    }
-    os << "histogram," << name << "[sum]," << h->sum() << "\n";
-  }
-}
-
 void Registry::reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) c->reset();

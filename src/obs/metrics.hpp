@@ -17,7 +17,7 @@
 // padded shard picked by a thread-local index, so threads bumping the same
 // counter do not bounce one cache line between cores; threads beyond the
 // shard count share shards (still exact, the RMW is atomic). Every read
-// (value(), snapshots, write_json/write_csv, shipped `stat` lines) sums
+// (value(), snapshots, write_json, shipped `stat` lines) sums
 // the shards, and reset() zeroes them all.
 
 #include <array>
@@ -116,6 +116,7 @@ class Histogram {
   /// overflow bucket saturate to the last finite bound — the histogram
   /// cannot know more. Returns 0 on an empty histogram.
   [[nodiscard]] double percentile(double q) const;
+  /// Kept for `MetricsHistogram.BucketsAndOverflow` and Registry::reset().
   void reset();
 
  private:
@@ -166,10 +167,10 @@ class Registry {
 
   /// {"counters":{...},"gauges":{...},"histograms":{...}} snapshot.
   void write_json(std::ostream& os) const;
-  /// One `kind,name,value` row per scalar; histograms expand per bucket.
-  void write_csv(std::ostream& os) const;
   /// Zero every value; registered entries (and references) survive.
+  /// Kept for `MetricsRegistry.LookupReturnsStableReferences` (test hook).
   void reset();
+  /// Kept for `MetricsRegistry.SizeCountsEveryKind` (test hook).
   [[nodiscard]] std::size_t size() const;
 
  private:

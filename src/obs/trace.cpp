@@ -108,16 +108,6 @@ void Tracer::record_instant(const char* name, const char* cat, double value) {
   local_ring().push(e);
 }
 
-void Tracer::record_counter(const char* name, double value) {
-  TraceEvent e;
-  e.name = name;
-  e.cat = "greenhpc";
-  e.ts_ns = now_ns();
-  e.phase = 'C';
-  e.value = value;
-  local_ring().push(e);
-}
-
 std::vector<ThreadTrace> Tracer::snapshot() {
   std::vector<std::shared_ptr<Ring>> rings;
   {

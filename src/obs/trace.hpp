@@ -11,8 +11,8 @@
 // Cost model:
 //   - tracing disabled (the default): a span is one relaxed atomic load
 //     and a predictable branch — cheap enough for per-tick simulator
-//     phases and per-chunk pool dispatch. Instant/counter macros are the
-//     same load behind a branch.
+//     phases and per-chunk pool dispatch. The instant macro is the same
+//     load behind a branch.
 //   - tracing enabled: two steady_clock reads plus one ring-slot write
 //     per span, all thread-local; no locks, no allocation on the hot
 //     path (buffers are allocated once per thread at registration).
@@ -46,8 +46,8 @@ struct TraceEvent {
   const char* cat = nullptr;   ///< static string, not owned
   std::uint64_t ts_ns = 0;     ///< steady-clock ns since the tracer epoch
   std::uint64_t dur_ns = 0;
-  char phase = 'X';  ///< 'X' complete span, 'i' instant, 'C' counter
-  double value = 0.0;  ///< instant/counter payload (ignored for spans)
+  char phase = 'X';  ///< 'X' complete span, 'i' instant
+  double value = 0.0;  ///< instant payload (ignored for spans)
 };
 
 /// Drained events of one thread, oldest first.
@@ -85,7 +85,6 @@ class Tracer {
   static void record_complete(const char* name, const char* cat,
                               std::uint64_t begin_ns, std::uint64_t end_ns);
   static void record_instant(const char* name, const char* cat, double value = 0.0);
-  static void record_counter(const char* name, double value);
 
   /// Copy out every thread's buffered events (see drain contract above).
   [[nodiscard]] static std::vector<ThreadTrace> snapshot();
@@ -131,9 +130,6 @@ class ScopedSpan {
 #define GREENHPC_TRACE_INSTANT(name, value) \
   do {                                      \
   } while (false)
-#define GREENHPC_TRACE_COUNTER(name, value) \
-  do {                                      \
-  } while (false)
 #else
 /// Scoped span covering the rest of the enclosing block.
 #define GREENHPC_TRACE_SPAN(name) \
@@ -143,11 +139,5 @@ class ScopedSpan {
   do {                                                                       \
     if (::greenhpc::obs::Tracer::enabled())                                  \
       ::greenhpc::obs::Tracer::record_instant((name), "greenhpc", (value));  \
-  } while (false)
-/// Counter sample ('C' event), recorded only while enabled.
-#define GREENHPC_TRACE_COUNTER(name, value)                       \
-  do {                                                            \
-    if (::greenhpc::obs::Tracer::enabled())                       \
-      ::greenhpc::obs::Tracer::record_counter((name), (value));   \
   } while (false)
 #endif

@@ -54,7 +54,8 @@ class ProcurementOptimizer {
   [[nodiscard]] ProcurementPlan optimize(const ProcurementConstraints& c) const;
 
   /// Exact optimum by bounded enumeration; cost grows as
-  /// (max_count+1)^types, so only use with small instances (tests).
+  /// (max_count+1)^types, so only use with small instances. Kept as the
+  /// oracle of `Optimizer.MatchesExhaustiveOnSmallInstances`.
   [[nodiscard]] ProcurementPlan optimize_exhaustive(const ProcurementConstraints& c,
                                                     int max_count_per_type) const;
 

@@ -15,13 +15,13 @@ void DegradedFeedConfig::validate() const {
 }
 
 DegradedFeed::DegradedFeed(DegradedFeedConfig config, Duration horizon)
-    : cfg_(config), horizon_(horizon) {
+    : cfg_(config) {
   cfg_.validate();
-  GREENHPC_REQUIRE(horizon_.seconds() > 0.0, "degraded feed: horizon must be > 0");
+  GREENHPC_REQUIRE(horizon.seconds() > 0.0, "degraded feed: horizon must be > 0");
   const double f = cfg_.outage_fraction;
   if (f <= 0.0) return;
   if (f >= 1.0) {
-    outages_.emplace_back(seconds(0.0), horizon_);
+    outages_.emplace_back(seconds(0.0), horizon);
     return;
   }
   // Alternating renewal process: exponential up-times with mean chosen so
@@ -31,9 +31,9 @@ DegradedFeed::DegradedFeed(DegradedFeedConfig config, Duration horizon)
   const double mean_up = mean_down * (1.0 - f) / f;
   util::Rng rng(cfg_.seed);
   double t = rng.exponential(1.0 / mean_up);  // start in an up-window
-  while (t < horizon_.seconds()) {
+  while (t < horizon.seconds()) {
     const double down = rng.exponential(1.0 / mean_down);
-    const double end = std::min(t + down, horizon_.seconds());
+    const double end = std::min(t + down, horizon.seconds());
     outages_.emplace_back(seconds(t), seconds(end));
     t = end + rng.exponential(1.0 / mean_up);
   }
@@ -52,12 +52,6 @@ bool DegradedFeed::down_at(Duration t) const {
 std::optional<double> DegradedFeed::observe(Duration now, double true_value) {
   if (down_at(now)) return std::nullopt;
   return true_value;
-}
-
-double DegradedFeed::realized_outage_fraction() const {
-  double down = 0.0;
-  for (const auto& [start, end] : outages_) down += (end - start).seconds();
-  return down / horizon_.seconds();
 }
 
 }  // namespace greenhpc::resilience

@@ -48,12 +48,9 @@ class DegradedFeed final : public hpcsim::IntensityFeed {
   [[nodiscard]] const std::vector<std::pair<Duration, Duration>>& outages() const {
     return outages_;
   }
-  /// Fraction of [0, horizon] actually covered by outages.
-  [[nodiscard]] double realized_outage_fraction() const;
 
  private:
   DegradedFeedConfig cfg_;
-  Duration horizon_;
   std::vector<std::pair<Duration, Duration>> outages_;
 };
 

@@ -64,10 +64,4 @@ hpcsim::FaultInjectionConfig FaultModel::injection(int max_retries,
   return inj;
 }
 
-FaultModelConfig FaultModel::for_system(const lifecycle::SystemLifetime& system,
-                                        int reference_year, FaultModelConfig base) {
-  base.age_years = static_cast<double>(system.service_years(reference_year));
-  return base;
-}
-
 }  // namespace greenhpc::resilience

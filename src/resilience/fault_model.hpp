@@ -5,8 +5,8 @@
 // hpcsim::FaultInjectionConfig from a per-node MTBF: each node is an
 // independent Weibull renewal process (shape 1 = the classic exponential
 // assumption behind Young/Daly; shape < 1 models infant mortality,
-// shape > 1 wear-out). An age-dependent hazard multiplier ties failure
-// rates to lifecycle::SystemLifetime, so the lifetime extensions the
+// shape > 1 wear-out). An age-dependent hazard multiplier scales failure
+// rates with the system's service years, so the lifetime extensions the
 // paper advocates (section 2.3) come with their reliability cost: the
 // longer a system serves, the more node-hours its failures destroy.
 
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "hpcsim/faults.hpp"
-#include "lifecycle/fleet.hpp"
 #include "util/units.hpp"
 
 namespace greenhpc::resilience {
@@ -31,7 +30,7 @@ struct FaultModelConfig {
   double weibull_shape = 1.0;
   /// Mean per-node repair time (exponentially distributed).
   Duration mean_repair = hours(4.0);
-  /// System age in service years (see for_system()).
+  /// System age in service years.
   double age_years = 0.0;
   /// Hazard growth per service year: effective failure rate is scaled by
   /// hazard_multiplier() = 1 + age_acceleration * age_years. Zero keeps
@@ -63,12 +62,6 @@ class FaultModel {
   /// the given retry budget.
   [[nodiscard]] hpcsim::FaultInjectionConfig injection(
       int max_retries = 3, Duration backoff_base = minutes(10.0)) const;
-
-  /// Derive a config whose age is the system's service years at
-  /// `reference_year`, keeping everything else from `base`.
-  [[nodiscard]] static FaultModelConfig for_system(
-      const lifecycle::SystemLifetime& system, int reference_year,
-      FaultModelConfig base);
 
  private:
   FaultModelConfig cfg_;

@@ -199,6 +199,7 @@ class GateSignalCache {
       const std::shared_ptr<const carbon::Forecaster>& forecaster);
 
   /// Number of signals currently held.
+  /// Kept for `GateSignalCache.SharesOneSignalPerKeyAndNeverAliasesAFreedTrace`.
   [[nodiscard]] std::size_t size() const;
 
   static GateSignalCache& global();

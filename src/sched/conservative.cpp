@@ -31,15 +31,6 @@ void CapacityProfile::add_release(Duration time, int nodes) {
   add_delta(std::max(time, now_), nodes);
 }
 
-int CapacityProfile::free_at(Duration t) const {
-  int level = 0;
-  for (const auto& [time, delta] : deltas_) {
-    if (time > t) break;
-    level += delta;
-  }
-  return level;
-}
-
 Duration CapacityProfile::earliest_fit(int nodes, Duration duration) const {
   GREENHPC_REQUIRE(nodes >= 1, "fit query needs at least one node");
   // Candidate start times are the breakpoints; for each, verify the level

@@ -29,9 +29,6 @@ class CapacityProfile {
   /// Reserve `nodes` over [start, start + duration), reducing the profile.
   void reserve(Duration start, Duration duration, int nodes);
 
-  /// Free nodes at an instant (test hook).
-  [[nodiscard]] int free_at(Duration t) const;
-
  private:
   void add_delta(Duration time, int delta);
 

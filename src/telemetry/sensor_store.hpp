@@ -68,6 +68,7 @@ class SensorStore {
   /// Lookup without creating; nullptr if absent.
   [[nodiscard]] const Sensor* find(const std::string& name) const;
   /// All sensor names in lexicographic order.
+  /// Kept for `FastPathEquivalence.ReferenceAndFastPathsMatchBitForBit`.
   [[nodiscard]] std::vector<std::string> names() const;
   /// Record into a named sensor (creates it on first use).
   void record(const std::string& name, Duration time, double value);

@@ -34,6 +34,7 @@ void atomic_write_file(const std::string& path,
 /// the temporary file but BEFORE the rename commit — throwing from it
 /// simulates a crash mid-publication. The destination must be untouched
 /// afterwards (asserted in test_atomic_file.cpp). Pass nullptr to clear.
+/// Kept for `AtomicFileTest.SimulatedCrashPreservesOldContent` (test hook).
 void set_atomic_write_failure_hook(std::function<void()> hook);
 
 }  // namespace greenhpc::util

@@ -30,10 +30,4 @@ std::string CsvWriter::fmt(double v) {
   return buf;
 }
 
-void CsvWriter::write_row(const std::string& label, const std::vector<double>& cells) {
-  *out_ << escape(label);
-  for (double v : cells) *out_ << ',' << fmt(v);
-  *out_ << '\n';
-}
-
 }  // namespace greenhpc::util

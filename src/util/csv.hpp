@@ -15,14 +15,10 @@ class CsvWriter {
 
   /// Emit one row of string cells.
   void write_row(const std::vector<std::string>& cells);
-  /// Emit a label followed by numeric cells (formatted with max precision
-  /// that round-trips).
-  void write_row(const std::string& label, const std::vector<double>& cells);
 
   /// Quote a single cell per RFC 4180 when it contains a delimiter.
   [[nodiscard]] static std::string escape(const std::string& cell);
-  /// Format one numeric cell the same way the numeric write_row does
-  /// (max precision that round-trips) — for rows mixing text and numbers.
+  /// Format one numeric cell (`%.10g`), for rows mixing text and numbers.
   [[nodiscard]] static std::string fmt(double v);
 
  private:

@@ -117,6 +117,7 @@ class FaultInjector {
   bool match_value(const std::string& site, std::uint64_t value, FaultHit& hit);
 
   /// Occurrences of `site` consulted since the last arm().
+  /// Kept for `FaultInjectorTest.OccurrenceWindowFiresExactlyAtToAtPlusCount`.
   [[nodiscard]] std::uint64_t occurrences(const std::string& site) const;
 
   /// Serialize specs as `site:at:count:action:param` joined by ','

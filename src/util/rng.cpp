@@ -132,11 +132,4 @@ double Rng::log_uniform(double lo, double hi) {
   return std::exp(uniform(std::log(lo), std::log(hi)));
 }
 
-Rng Rng::split() {
-  // Seed the child from two fresh draws; streams are independent in practice
-  // for the replica counts we use (<1e4).
-  std::uint64_t seed = next_u64() ^ rotl(next_u64(), 32);
-  return Rng(seed);
-}
-
 }  // namespace greenhpc::util

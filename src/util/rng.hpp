@@ -59,9 +59,6 @@ class Rng {
   /// Log-uniform (uniform in log space) in [lo, hi], both > 0.
   [[nodiscard]] double log_uniform(double lo, double hi);
 
-  /// Derive an independent child stream (for per-replica seeding).
-  [[nodiscard]] Rng split();
-
  private:
   std::array<std::uint64_t, 4> s_{};
   double cached_normal_ = 0.0;

@@ -26,26 +26,7 @@ double RunningStats::sample_variance() const {
   return n_ >= 2 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
 }
 
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 double RunningStats::sample_stddev() const { return std::sqrt(sample_variance()); }
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  mean_ = (na * mean_ + nb * other.mean_) / total;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
 
 double percentile(std::span<const double> xs, double q) {
   GREENHPC_REQUIRE(!xs.empty(), "percentile of empty sample");
@@ -228,21 +209,6 @@ double rmse(std::span<const double> actual, std::span<const double> forecast) {
     total += d * d;
   }
   return std::sqrt(total / static_cast<double>(actual.size()));
-}
-
-double pearson(std::span<const double> xs, std::span<const double> ys) {
-  GREENHPC_REQUIRE(xs.size() == ys.size() && !xs.empty(),
-                   "pearson requires matching non-empty samples");
-  RunningStats sx, sy;
-  for (double x : xs) sx.add(x);
-  for (double y : ys) sy.add(y);
-  if (sx.stddev() == 0.0 || sy.stddev() == 0.0) return 0.0;
-  double cov = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    cov += (xs[i] - sx.mean()) * (ys[i] - sy.mean());
-  }
-  cov /= static_cast<double>(xs.size());
-  return cov / (sx.stddev() * sy.stddev());
 }
 
 std::vector<std::size_t> histogram(std::span<const double> xs, double lo, double hi,

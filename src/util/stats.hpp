@@ -19,11 +19,10 @@ class RunningStats {
   /// Arithmetic mean; 0 when empty.
   [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
   /// Population variance; 0 with fewer than two observations.
+  /// Kept for autocorrelation() and the moments of `Rng.NormalMoments`.
   [[nodiscard]] double variance() const;
   /// Sample variance (n-1 denominator); 0 with fewer than two observations.
   [[nodiscard]] double sample_variance() const;
-  /// Population standard deviation.
-  [[nodiscard]] double stddev() const;
   /// Sample standard deviation.
   [[nodiscard]] double sample_stddev() const;
   /// Smallest observation; +inf when empty.
@@ -32,8 +31,6 @@ class RunningStats {
   [[nodiscard]] double max() const { return max_; }
   /// Sum of all observations.
   [[nodiscard]] double sum() const { return sum_; }
-  /// Merge another accumulator (parallel reduction support).
-  void merge(const RunningStats& other);
 
  private:
   std::size_t n_ = 0;
@@ -134,9 +131,6 @@ class SlidingPercentile {
 
 /// Root mean squared error (matching, non-empty lengths).
 [[nodiscard]] double rmse(std::span<const double> actual, std::span<const double> forecast);
-
-/// Pearson correlation of two equal-length samples; 0 if either is constant.
-[[nodiscard]] double pearson(std::span<const double> xs, std::span<const double> ys);
 
 /// Fixed-width histogram over [lo, hi] with `bins` buckets; values outside
 /// the range are clamped into the edge buckets.

@@ -171,11 +171,6 @@ int Subprocess::wait() {
   return status_;
 }
 
-int Subprocess::exit_code() const {
-  if (!reaped_ || !WIFEXITED(status_)) return -1;
-  return WEXITSTATUS(status_);
-}
-
 void Subprocess::close_stdin() {
   if (stdin_fd_ >= 0) {
     ::close(stdin_fd_);

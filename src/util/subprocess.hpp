@@ -45,6 +45,7 @@ class Subprocess {
   /// state. All observers are safe on it.
   Subprocess() = default;
 
+  /// Kept for `Subprocess.MoveTransfersOwnership`.
   Subprocess(Subprocess&& other) noexcept;
   Subprocess& operator=(Subprocess&& other) noexcept;
   Subprocess(const Subprocess&) = delete;
@@ -66,8 +67,6 @@ class Subprocess {
   void kill_hard();
   /// Blocking reap; returns the raw waitpid status (or the cached one).
   int wait();
-  /// Exit code of a reaped child (-1 if signalled or still running).
-  [[nodiscard]] int exit_code() const;
   /// Close the write end: the child sees EOF on its stdin (the
   /// coordinator's "no more work" signal, and half of graceful shutdown).
   void close_stdin();

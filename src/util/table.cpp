@@ -16,15 +16,6 @@ void Table::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void Table::add_row_numeric(const std::string& label, const std::vector<double>& cells,
-                            int precision) {
-  std::vector<std::string> row;
-  row.reserve(cells.size() + 1);
-  row.push_back(label);
-  for (double v : cells) row.push_back(fmt(v, precision));
-  add_row(std::move(row));
-}
-
 std::string Table::fmt(double v, int precision) {
   std::ostringstream os;
   os.setf(std::ios::fixed);

@@ -17,9 +17,6 @@ class Table {
   /// Append a row of already-formatted cells (padded/truncated to the
   /// header count).
   void add_row(std::vector<std::string> cells);
-  /// Convenience: format doubles with the given precision into a row.
-  void add_row_numeric(const std::string& label, const std::vector<double>& cells,
-                       int precision = 2);
 
   /// Number of data rows.
   [[nodiscard]] std::size_t rows() const { return rows_.size(); }

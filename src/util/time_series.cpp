@@ -111,27 +111,6 @@ TimeSeries TimeSeries::daily_mean() const {
   return downsample_mean(static_cast<std::size_t>(std::round(per_day)));
 }
 
-TimeSeries TimeSeries::rolling_mean(std::size_t window) const {
-  GREENHPC_REQUIRE(window >= 1, "rolling window must be >= 1");
-  TimeSeries out(start_, step_);
-  const auto n = static_cast<std::ptrdiff_t>(values_.size());
-  const auto half = static_cast<std::ptrdiff_t>(window / 2);
-  for (std::ptrdiff_t i = 0; i < n; ++i) {
-    const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(0, i - half);
-    const std::ptrdiff_t hi = std::min(n - 1, i + half);
-    double sum = 0.0;
-    for (std::ptrdiff_t j = lo; j <= hi; ++j) sum += values_[static_cast<std::size_t>(j)];
-    out.push_back(sum / static_cast<double>(hi - lo + 1));
-  }
-  return out;
-}
-
-TimeSeries TimeSeries::map(const std::function<double(double)>& f) const {
-  TimeSeries out(start_, step_);
-  for (double v : values_) out.push_back(f(v));
-  return out;
-}
-
 double TimeSeries::autocorrelation(std::size_t lag) const {
   if (lag == 0) return 1.0;
   if (values_.size() <= lag + 1) return 0.0;

@@ -9,7 +9,6 @@
 // values, which makes integrals exact sums.
 
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -96,11 +95,6 @@ class TimeSeries {
   [[nodiscard]] TimeSeries downsample_mean(std::size_t factor) const;
   /// Per-day mean values: one output sample per 86400 s window.
   [[nodiscard]] TimeSeries daily_mean() const;
-  /// Centered rolling mean with the given window length (odd preferred);
-  /// windows are truncated at the edges.
-  [[nodiscard]] TimeSeries rolling_mean(std::size_t window) const;
-  /// Elementwise transform into a new series.
-  [[nodiscard]] TimeSeries map(const std::function<double(double)>& f) const;
   /// Contiguous sub-series of samples [first, first + count).
   [[nodiscard]] TimeSeries slice(std::size_t first, std::size_t count) const;
 
@@ -111,6 +105,7 @@ class TimeSeries {
   /// series is too short or constant. Used to validate that generated
   /// traces carry the intended temporal structure (diurnal cycles,
   /// multi-day weather regimes).
+  /// Kept as the oracle of `GridProperties.TemporalStructurePresent`.
   [[nodiscard]] double autocorrelation(std::size_t lag) const;
 
  private:

@@ -63,15 +63,6 @@ TEST(GreenPeriods, GreenFraction) {
   EXPECT_DOUBLE_EQ(green_fraction(ts, 400.0), 1.0);
 }
 
-TEST(GreenPeriods, InGreenWindowLookup) {
-  const auto ts = square(100.0, 300.0, 2, hours(6.0));
-  const auto windows = find_green_windows(ts, 150.0);
-  EXPECT_TRUE(in_green_window(windows, hours(3.0)));
-  EXPECT_FALSE(in_green_window(windows, hours(9.0)));
-  EXPECT_TRUE(in_green_window(windows, hours(13.0)));
-  EXPECT_FALSE(in_green_window(windows, hours(6.0)));  // boundary: end-exclusive
-}
-
 TEST(GreenPeriods, RealisticTraceHasGreenWindows) {
   GridModel model(Region::Germany, 11);
   const auto trace = model.generate(seconds(0.0), days(14.0), minutes(30.0));

@@ -9,7 +9,7 @@ namespace {
 
 TEST(Region, AllRegionsAreDistinct) {
   std::set<std::string_view> names;
-  for (Region r : all_regions()) names.insert(name(r));
+  for (Region r : all_regions()) names.insert(traits(r).name);
   EXPECT_EQ(names.size(), all_regions().size());
 }
 
@@ -47,7 +47,7 @@ TEST(Region, OrderingMatchesEuropeanGrids) {
 }
 
 TEST(Region, NamesAndCodes) {
-  EXPECT_EQ(name(Region::France), "France");
+  EXPECT_EQ(traits(Region::France).name, "France");
   EXPECT_EQ(traits(Region::UnitedKingdom).code, "UK");
   EXPECT_EQ(traits(Region::Finland).code, "FI");
 }

@@ -123,7 +123,7 @@ TEST(TraceCache, SharedShapeKeepsEveryTraceBitIdentical) {
         ASSERT_EQ(cached->size(), fresh.size());
         EXPECT_EQ(cached->start().seconds(), fresh.start().seconds());
         EXPECT_EQ(trace_digest(*cached), trace_digest(fresh))
-            << name(region) << " seed " << seed;
+            << traits(region).name << " seed " << seed;
       }
     }
   }

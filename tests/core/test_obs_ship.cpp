@@ -21,6 +21,7 @@
 #include "core/sweep_worker.hpp"
 #include "obs/fleet.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "sched/easy_backfill.hpp"
 #include "sched/fcfs.hpp"
 #include "util/subprocess.hpp"
@@ -362,7 +363,7 @@ TEST(SweepObsShipWorker, NoShipStatsKeepsTheWireFreeOfObsLines) {
 // reference runner, exactly as the digest-neutrality argument claims.
 TEST(SweepObsShipWorker, ConcurrentShippingWorkersStayBitIdentical) {
   const SweepGrid grid = small_grid();  // 12 cases -> blocks 0/4/8
-  const SweepCaseRunner runner(grid);
+  const SweepCaseRunner runner(grid, {});
   constexpr std::size_t kWorkers = 3;
 
   std::vector<std::unique_ptr<util::ThreadPool>> pools;
@@ -398,7 +399,7 @@ TEST(SweepObsShipWorker, ConcurrentShippingWorkersStayBitIdentical) {
 // record whole and exactly what the serial runner computes.
 TEST(SweepObsShipWorker, BackToBackAssignsAreServedInGrantOrder) {
   const SweepGrid grid = small_grid();  // 12 cases
-  const SweepCaseRunner runner(grid);
+  const SweepCaseRunner runner(grid, {});
   SweepWorker::Options opts;
   opts.block = 4;
   util::ThreadPool pool(2);
@@ -471,7 +472,7 @@ TEST(SweepObsShipCoordinator, GarbageObsLinesAreCountedAndTheSweepCompletes) {
   // and still produce the exact result — telemetry can never poison a
   // run.
   const SweepGrid grid = small_grid();
-  const SweepResult reference = SweepEngine().run(grid);
+  const SweepResult reference = SweepEngine({}).run(grid);
 
   const std::string dir = ::testing::TempDir() + "greenhpc_obs_ship_pm";
   std::filesystem::remove_all(dir);
@@ -514,7 +515,7 @@ TEST(SweepObsShipCoordinator, ShippingOnAndOffFoldToTheSameDigest) {
   const SweepResult a = SweepCoordinator(std::move(on)).run(grid);
   const SweepResult b = SweepCoordinator(std::move(off)).run(grid);
   EXPECT_EQ(a.digest, b.digest);
-  EXPECT_EQ(SweepEngine().run(grid).digest, a.digest);
+  EXPECT_EQ(SweepEngine({}).run(grid).digest, a.digest);
 }
 
 }  // namespace

@@ -47,15 +47,6 @@ TEST(SiteModel, OperationalScalesWithLifetimeAndPower) {
               10.0);
 }
 
-TEST(SiteModel, CarbonPerPflopYear) {
-  embodied::ActModel model;
-  SiteModel site(model, embodied::supermuc_ng(), grams_per_kwh(300.0));
-  EXPECT_GT(site.tonnes_per_pflop_year(), 0.0);
-  // Cleaner grid -> lower footprint per delivered PFLOP-year.
-  SiteModel clean(model, embodied::supermuc_ng(), grams_per_kwh(20.0));
-  EXPECT_LT(clean.tonnes_per_pflop_year(), site.tonnes_per_pflop_year());
-}
-
 TEST(CloudServer, RuleOfThumb70to75PercentRenewable) {
   // The paper (citing Lyu et al.): "for data centers operating with
   // 70-75% renewable energy, the embodied carbon accounts for 50% of the

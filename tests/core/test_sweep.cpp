@@ -72,7 +72,7 @@ TEST(SweepGrid, CountsAreAxisProducts) {
 }
 
 TEST(SweepEngine, RejectsDegenerateGrids) {
-  const SweepEngine engine;
+  const SweepEngine engine({});
   SweepGrid no_policies;
   no_policies.base = small_base();
   EXPECT_THROW((void)engine.run(no_policies), InvalidArgument);
@@ -114,7 +114,7 @@ TEST(SweepEngine, ReplicaSeedIsTheIteratedSplitmixDraw) {
 
 TEST(SweepEngine, CellTableIsCellMajorWithCoordinates) {
   const SweepGrid grid = small_grid();
-  const SweepResult result = SweepEngine().run(grid);
+  const SweepResult result = SweepEngine({}).run(grid);
   ASSERT_EQ(result.cells.size(), 8u);
   EXPECT_EQ(result.cases, 24u);
   EXPECT_EQ(result.replicas, 3);
@@ -292,7 +292,7 @@ TEST(SweepEngine, ProgressThrowAtBlockKLeavesKRecordsAndResumes) {
   // reproduces the clean digest.
   const SweepGrid grid = small_grid();
   const std::size_t n_cases = grid.case_count();
-  const std::uint64_t clean = SweepEngine().run(grid).digest;
+  const std::uint64_t clean = SweepEngine({}).run(grid).digest;
   const std::string dir = ::testing::TempDir() + "greenhpc_sweep_progress_abort";
   struct Abort {};
   for (const std::size_t threads : {1, 2, 8}) {
@@ -363,7 +363,7 @@ TEST(SweepEngine, JournalAppendFailureDegradesToJournalLess) {
   // degradation, and the journal keeps the k records written before it.
   const SweepGrid grid = small_grid();
   const std::size_t n_cases = grid.case_count();
-  const std::uint64_t clean = SweepEngine().run(grid).digest;
+  const std::uint64_t clean = SweepEngine({}).run(grid).digest;
   obs::Counter& degraded = obs::Registry::global().counter("sweep.journal_io_degraded");
   const std::string dir = ::testing::TempDir() + "greenhpc_sweep_journal_degrade";
   struct Disarm {
@@ -473,7 +473,7 @@ TEST(SweepCaseRunner, ThrowingCommitStopsTheLoopAndThePoolRunsTheNext) {
 
 TEST(SweepCaseRunner, RejectsEmptyAndOutOfGridRanges) {
   const SweepGrid grid = small_grid();  // 24 cases
-  const SweepCaseRunner runner(grid);
+  const SweepCaseRunner runner(grid, {});
   util::ThreadPool pool(1);
   const auto commit = [](SweepBlock&) {};
   EXPECT_THROW(runner.run_ranges(pool, {SweepRange{3, 0}}, commit), InvalidArgument);
@@ -592,7 +592,7 @@ TEST(SweepPricing, OutcomesAreBitIdenticalToUnpricedRunsOnAnyPool) {
 TEST(SweepPricing, ResumeFromLeadersWithoutTheirMembersKeepsTheDigest) {
   const SweepGrid grid = pricing_grid();
   const std::size_t n_cases = grid.case_count();
-  const std::uint64_t clean = SweepEngine().run(grid).digest;
+  const std::uint64_t clean = SweepEngine({}).run(grid).digest;
   const std::string dir = ::testing::TempDir() + "greenhpc_sweep_pricing_resume";
   obs::Counter& priced = priced_counter();
   struct Abort {};

@@ -669,7 +669,7 @@ TEST(BlockLedger, ProbeRecordForANonSuspectBlockIsRejected) {
 
 TEST(SweepCoordinator, InProcessPathMatchesTheEngineBitForBit) {
   const SweepGrid grid = small_grid();
-  const SweepResult reference = SweepEngine().run(grid);
+  const SweepResult reference = SweepEngine({}).run(grid);
 
   SweepCoordinator::Options opts;
   opts.workers = 0;
@@ -724,7 +724,7 @@ TEST(SweepCoordinator, ShardAppendFailureDegradesTheInProcessPath) {
   // sweep: the digest is the engine's, one degradation is counted and
   // reported in Stats, and the shard keeps the k blocks written before.
   const SweepGrid grid = small_grid();
-  const std::uint64_t reference = SweepEngine().run(grid).digest;
+  const std::uint64_t reference = SweepEngine({}).run(grid).digest;
   obs::Counter& degraded = obs::Registry::global().counter("sweep.journal_io_degraded");
   const std::string dir = ::testing::TempDir() + "greenhpc_coord_shard_degrade";
   struct Disarm {
@@ -779,7 +779,7 @@ TEST(SweepCoordinator, SilentWorkersAreDeclaredDeadAndTheSweepDegrades) {
   // caught by the hello deadline; with every worker dead the coordinator
   // degrades to in-process execution and still produces the exact result.
   const SweepGrid grid = small_grid();
-  const SweepResult reference = SweepEngine().run(grid);
+  const SweepResult reference = SweepEngine({}).run(grid);
 
   SweepCoordinator::Options opts;
   opts.workers = 2;
@@ -804,7 +804,7 @@ TEST(SweepCoordinator, SilentWorkersAreDeclaredDeadAndTheSweepDegrades) {
 
 TEST(SweepCoordinator, InstantlyExitingWorkersDegradeViaEof) {
   const SweepGrid grid = small_grid();
-  const SweepResult reference = SweepEngine().run(grid);
+  const SweepResult reference = SweepEngine({}).run(grid);
 
   SweepCoordinator::Options opts;
   opts.workers = 3;
@@ -821,7 +821,7 @@ TEST(SweepCoordinator, InstantlyExitingWorkersDegradeViaEof) {
 
 TEST(SweepCoordinator, UnspawnableWorkerBinaryIsADeathNotAFailure) {
   const SweepGrid grid = small_grid();
-  const SweepResult reference = SweepEngine().run(grid);
+  const SweepResult reference = SweepEngine({}).run(grid);
 
   SweepCoordinator::Options opts;
   opts.workers = 2;
@@ -845,9 +845,9 @@ TEST(SweepCoordinator, MissingWorkerArgvIsInvalid) {
 
 TEST(SweepCoordinator, ResumesFromShardJournalsWithoutResimulating) {
   const SweepGrid grid = small_grid();  // 24 cases
-  const SweepResult reference = SweepEngine().run(grid);
+  const SweepResult reference = SweepEngine({}).run(grid);
   const std::size_t block = 6;
-  const SweepCaseRunner runner(grid);
+  const SweepCaseRunner runner(grid, {});
 
   const std::string dir =
       ::testing::TempDir() + "greenhpc_coord_resume_shards";

@@ -117,7 +117,7 @@ TEST(SweepGridDigest, BindsToExpandedCases) {
 
 TEST(SweepJournal, JournaledRunMatchesPlainRunBitForBit) {
   const SweepGrid grid = small_grid();
-  const SweepResult plain = SweepEngine().run(grid);
+  const SweepResult plain = SweepEngine({}).run(grid);
 
   const std::string dir = run_dir("plain_vs_journaled");
   SweepJournal journal =
@@ -160,7 +160,7 @@ TEST(SweepJournal, ResumeAfterEveryBlockBoundaryIsBitIdentical) {
   // uninterrupted run bit for bit in every combination.
   const SweepGrid grid = small_grid();  // 24 cases
   const std::size_t block = 5;          // -> blocks of 5,5,5,5,4
-  const SweepResult reference = SweepEngine().run(grid);
+  const SweepResult reference = SweepEngine({}).run(grid);
   const std::size_t n_blocks = (grid.case_count() + block - 1) / block;
 
   const std::size_t thread_counts[] = {1, 2, 0};  // 0 = pool default
@@ -346,7 +346,7 @@ TEST(SweepJournal, RejectsForeignAndMalformedJournals) {
 
 TEST(SweepJournal, TornTailLineFallsBackToLastValidBlock) {
   const SweepGrid grid = small_grid();
-  const SweepResult reference = SweepEngine().run(grid);
+  const SweepResult reference = SweepEngine({}).run(grid);
   const std::string dir = run_dir("torn");
   {
     SweepJournal journal =
@@ -373,7 +373,7 @@ TEST(SweepJournal, TornTailLineFallsBackToLastValidBlock) {
 
 TEST(SweepJournal, BitFlippedRecordDropsItselfAndEverythingAfter) {
   const SweepGrid grid = small_grid();
-  const SweepResult reference = SweepEngine().run(grid);
+  const SweepResult reference = SweepEngine({}).run(grid);
   const std::string dir = run_dir("bitflip");
   {
     SweepJournal journal =

@@ -140,7 +140,7 @@ TEST(SweepProtocol, ControlMessagesRoundTrip) {
 
 TEST(SweepProtocol, BlockMessageCarriesTheRecord) {
   const SweepBlock rec = sample_block();
-  const Message msg = parse_message(encode_block(rec));
+  const Message msg = parse_message(wire::serialize_block(rec));
   ASSERT_EQ(msg.kind, MsgKind::Block);
   EXPECT_EQ(msg.block.start, rec.start);
   EXPECT_EQ(msg.block.digest_after, rec.digest_after);
@@ -199,11 +199,11 @@ TEST(SweepProtocol, EncodersWriteTheDocumentedBytes) {
   rec.cases[1].attempts = 2;
   rec.cases[1].error = "x y";
   rec.digest_after = 0xabc;
-  EXPECT_EQ(content_of(encode_block(rec)),
+  EXPECT_EQ(content_of(wire::serialize_block(rec)),
             "block 4 2 0000000000000abc c 0000000000000000 0000000000000000 "
             "0000000000000000 0000000000000000 0000000000000000 0000000000000000 "
             "3ff0000000000000 f 2 782079");
-  EXPECT_EQ(encode_block(rec), SweepJournal::serialize_block_line(rec));
+  EXPECT_EQ(wire::serialize_block(rec), SweepJournal::serialize_block_line(rec));
   obs::StatSnapshot snap;
   snap.counters = {{"a", 3}};
   snap.gauges = {{"b", 0.5}};

@@ -124,7 +124,7 @@ class WorkerHarness {
 
 TEST(SweepWorker, HelloAssignReportShutdownConversation) {
   const SweepGrid grid = small_grid();
-  const SweepCaseRunner runner(grid);
+  const SweepCaseRunner runner(grid, {});
   SweepWorker::Options opts;
   opts.block = 4;
   opts.heartbeat_interval_s = 0.02;

@@ -10,7 +10,6 @@ namespace {
 TEST(Components, SpecAggregates) {
   const ProcessorSpec epyc = amd_epyc_7742();
   EXPECT_EQ(epyc.total_die_count(), 9);
-  EXPECT_DOUBLE_EQ(epyc.total_die_area_mm2(), 8 * 74.0 + 416.0);
 }
 
 TEST(Components, ProcessorEmbodiedComposition) {

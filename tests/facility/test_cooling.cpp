@@ -7,6 +7,13 @@
 namespace greenhpc::facility {
 namespace {
 
+/// Mean of the model's PUE over the samples of a temperature trace.
+double mean_pue(const CoolingModel& model, const util::TimeSeries& temperature) {
+  double sum = 0.0;
+  for (double t : temperature.values()) sum += model.pue_at(t);
+  return sum / static_cast<double>(temperature.size());
+}
+
 TEST(Cooling, PueAlwaysAtLeastOne) {
   for (auto tech : {CoolingTechnology::AirCooled, CoolingTechnology::ChilledWater,
                     CoolingTechnology::WarmWater}) {
@@ -38,8 +45,8 @@ TEST(Cooling, LrzClassPueNearPublishedValues) {
   // sites are in the 1.35-1.5 band.
   WeatherModel weather(carbon::Region::Germany, 7);
   const auto year = weather.generate(seconds(0.0), days(365.0), hours(3.0));
-  EXPECT_NEAR(CoolingModel(CoolingTechnology::WarmWater).mean_pue(year), 1.08, 0.02);
-  const double air = CoolingModel(CoolingTechnology::AirCooled).mean_pue(year);
+  EXPECT_NEAR(mean_pue(CoolingModel(CoolingTechnology::WarmWater), year), 1.08, 0.02);
+  const double air = mean_pue(CoolingModel(CoolingTechnology::AirCooled), year);
   EXPECT_GT(air, 1.30);
   EXPECT_LT(air, 1.55);
 }
@@ -49,18 +56,7 @@ TEST(Cooling, SummerWorseThanWinterForAirCooling) {
   const auto winter = weather.generate(seconds(0.0), days(30.0), hours(3.0));
   const auto summer = weather.generate(days(180.0), days(30.0), hours(3.0));
   CoolingModel air(CoolingTechnology::AirCooled);
-  EXPECT_GT(air.mean_pue(summer), air.mean_pue(winter));
-}
-
-TEST(Cooling, PueSeriesMatchesPointwise) {
-  WeatherModel weather(carbon::Region::Italy, 9);
-  const auto temps = weather.generate(seconds(0.0), days(5.0), hours(6.0));
-  CoolingModel model(CoolingTechnology::ChilledWater);
-  const auto pues = model.pue_series(temps);
-  ASSERT_EQ(pues.size(), temps.size());
-  for (std::size_t i = 0; i < temps.size(); ++i) {
-    EXPECT_DOUBLE_EQ(pues.at(i), model.pue_at(temps.at(i)));
-  }
+  EXPECT_GT(mean_pue(air, summer), mean_pue(air, winter));
 }
 
 }  // namespace

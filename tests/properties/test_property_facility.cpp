@@ -14,6 +14,13 @@ namespace {
 
 using FacilityCase = std::tuple<carbon::Region, CoolingTechnology>;
 
+/// Mean of the model's PUE over the samples of a temperature trace.
+double mean_pue(const CoolingModel& model, const util::TimeSeries& temperature) {
+  double sum = 0.0;
+  for (double t : temperature.values()) sum += model.pue_at(t);
+  return sum / static_cast<double>(temperature.size());
+}
+
 class FacilityProperties : public ::testing::TestWithParam<FacilityCase> {
  protected:
   carbon::Region region() const { return std::get<0>(GetParam()); }
@@ -53,7 +60,7 @@ TEST_P(FacilityProperties, ColdRegionsCoolCheaper) {
   const auto temp_fi = fi.generate(seconds(0.0), days(365.0), hours(3.0));
   const auto temp_es = es.generate(seconds(0.0), days(365.0), hours(3.0));
   const CoolingModel model(tech());
-  EXPECT_LE(model.mean_pue(temp_fi), model.mean_pue(temp_es) + 1e-9);
+  EXPECT_LE(mean_pue(model, temp_fi), mean_pue(model, temp_es) + 1e-9);
 }
 
 TEST_P(FacilityProperties, ReuseCreditBoundedByDisplaceableHeat) {

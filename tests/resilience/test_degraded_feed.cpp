@@ -8,6 +8,13 @@
 namespace greenhpc::resilience {
 namespace {
 
+/// Fraction of [0, horizon] that the feed's outage windows cover.
+double covered_fraction(const DegradedFeed& feed, Duration horizon) {
+  double down = 0.0;
+  for (const auto& [start, end] : feed.outages()) down += (end - start).seconds();
+  return down / horizon.seconds();
+}
+
 TEST(DegradedFeed, ZeroFractionIsAlwaysFresh) {
   DegradedFeed feed({.outage_fraction = 0.0}, days(10.0));
   EXPECT_TRUE(feed.outages().empty());
@@ -20,7 +27,7 @@ TEST(DegradedFeed, ZeroFractionIsAlwaysFresh) {
 
 TEST(DegradedFeed, FullFractionIsAlwaysDark) {
   DegradedFeed feed({.outage_fraction = 1.0}, days(10.0));
-  EXPECT_DOUBLE_EQ(feed.realized_outage_fraction(), 1.0);
+  EXPECT_DOUBLE_EQ(covered_fraction(feed, days(10.0)), 1.0);
   EXPECT_FALSE(feed.observe(seconds(0.0), 1.0).has_value());
   EXPECT_FALSE(feed.observe(days(9.9), 1.0).has_value());
 }
@@ -31,7 +38,7 @@ TEST(DegradedFeed, RealizedFractionNearTarget) {
   cfg.mean_outage = hours(2.0);
   cfg.seed = 7;
   DegradedFeed feed(cfg, days(60.0));  // long horizon: law of large numbers
-  EXPECT_NEAR(feed.realized_outage_fraction(), 0.25, 0.10);
+  EXPECT_NEAR(covered_fraction(feed, days(60.0)), 0.25, 0.10);
 }
 
 TEST(DegradedFeed, ObserveMatchesDownAtAndWindows) {

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "lifecycle/fleet.hpp"
 #include "resilience/fault_model.hpp"
 #include "util/error.hpp"
 
@@ -65,15 +64,6 @@ TEST(FaultModel, AgeAccelerationRaisesFailureRate) {
                    young.node_mtbf.seconds() / 3.0);
   EXPECT_GT(FaultModel(old_sys).schedule().size(),
             FaultModel(young).schedule().size());
-}
-
-TEST(FaultModel, ForSystemTiesAgeToServiceYears) {
-  lifecycle::SystemLifetime sys{"SuperMUC-NG", 2018, std::nullopt};
-  auto cfg = FaultModel::for_system(sys, 2026, base_config());
-  EXPECT_DOUBLE_EQ(cfg.age_years, 8.0);
-  auto decommissioned = FaultModel::for_system(
-      lifecycle::SystemLifetime{"old", 2000, 2006}, 2026, base_config());
-  EXPECT_DOUBLE_EQ(decommissioned.age_years, 6.0);
 }
 
 TEST(FaultModel, InjectionCarriesRetryPolicy) {

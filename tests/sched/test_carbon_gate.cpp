@@ -206,7 +206,9 @@ TEST(GateSignal, DoubledTraceGivesTheSameSignal) {
   const CarbonEasyConfig cfg = oracle_config();
   for (const TraceCase& tc : trace_cases()) {
     const util::TimeSeries trace = make_trace(tc);
-    const util::TimeSeries doubled = trace.map([](double x) { return 2.0 * x; });
+    std::vector<double> twice(trace.values().begin(), trace.values().end());
+    for (double& x : twice) x *= 2.0;
+    const util::TimeSeries doubled(trace.start(), trace.step(), std::move(twice));
     for (const auto& forecaster : forecasters()) {
       const GateSignal a(trace, kTick, cfg, forecaster);
       const GateSignal b(doubled, kTick, cfg, forecaster);

@@ -18,7 +18,7 @@ using hpcsim::Simulator;
 TEST(CapacityProfile, ImmediateFit) {
   CapacityProfile p(hours(1.0), 8, 8);
   EXPECT_EQ(p.earliest_fit(4, hours(2.0)), hours(1.0));
-  EXPECT_EQ(p.free_at(hours(1.0)), 8);
+  EXPECT_EQ(p.earliest_fit(8, hours(2.0)), hours(1.0));
 }
 
 TEST(CapacityProfile, WaitsForRelease) {
@@ -32,7 +32,7 @@ TEST(CapacityProfile, ReservationCarvesCapacity) {
   CapacityProfile p(hours(0.0), 8, 8);
   p.reserve(hours(0.0), hours(2.0), 6);
   // Only 2 free until t=2h.
-  EXPECT_EQ(p.free_at(hours(1.0)), 2);
+  EXPECT_EQ(p.earliest_fit(3, hours(1.0)), hours(2.0));
   EXPECT_EQ(p.earliest_fit(4, hours(1.0)), hours(2.0));
   EXPECT_EQ(p.earliest_fit(2, hours(1.0)), hours(0.0));
 }

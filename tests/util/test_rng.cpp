@@ -43,7 +43,7 @@ TEST(Rng, UniformMeanConverges) {
   RunningStats s;
   for (int i = 0; i < 100000; ++i) s.add(rng.uniform());
   EXPECT_NEAR(s.mean(), 0.5, 0.01);
-  EXPECT_NEAR(s.stddev(), std::sqrt(1.0 / 12.0), 0.01);
+  EXPECT_NEAR(std::sqrt(s.variance()), std::sqrt(1.0 / 12.0), 0.01);
 }
 
 TEST(Rng, UniformIntInclusiveBounds) {
@@ -70,7 +70,7 @@ TEST(Rng, NormalMoments) {
   RunningStats s;
   for (int i = 0; i < 200000; ++i) s.add(rng.normal(10.0, 3.0));
   EXPECT_NEAR(s.mean(), 10.0, 0.05);
-  EXPECT_NEAR(s.stddev(), 3.0, 0.05);
+  EXPECT_NEAR(std::sqrt(s.variance()), 3.0, 0.05);
 }
 
 TEST(Rng, ExponentialMean) {
@@ -102,7 +102,7 @@ TEST(Rng, PoissonLargeMeanUsesApproximation) {
   RunningStats s;
   for (int i = 0; i < 50000; ++i) s.add(static_cast<double>(rng.poisson(200.0)));
   EXPECT_NEAR(s.mean(), 200.0, 1.0);
-  EXPECT_NEAR(s.stddev(), std::sqrt(200.0), 0.5);
+  EXPECT_NEAR(std::sqrt(s.variance()), std::sqrt(200.0), 0.5);
 }
 
 TEST(Rng, BernoulliFrequency) {
@@ -138,16 +138,6 @@ TEST(Rng, LogUniformRangeAndShape) {
     log_s.add(std::log2(v));
   }
   EXPECT_NEAR(log_s.mean(), 3.5, 0.05);  // uniform in [0,7] bits
-}
-
-TEST(Rng, SplitProducesIndependentStream) {
-  Rng parent(59);
-  Rng child = parent.split();
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (parent.next_u64() == child.next_u64()) ++same;
-  }
-  EXPECT_EQ(same, 0);
 }
 
 TEST(Rng, PreconditionViolationsThrow) {

@@ -30,7 +30,7 @@ TEST(Table, TitleIsRendered) {
 
 TEST(Table, NumericRowFormatting) {
   Table t({"label", "x", "y"});
-  t.add_row_numeric("row", {1.234567, 2.0}, 2);
+  t.add_row({"row", Table::fmt(1.234567, 2), Table::fmt(2.0, 2)});
   const std::string out = t.str();
   EXPECT_NE(out.find("1.23"), std::string::npos);
   EXPECT_NE(out.find("2.00"), std::string::npos);
@@ -68,7 +68,7 @@ TEST(Csv, EscapesSpecialCharacters) {
 TEST(Csv, NumericRowRoundTrips) {
   std::ostringstream os;
   CsvWriter w(os);
-  w.write_row("label", {1.5, 2.25, 1e-7});
+  w.write_row({"label", CsvWriter::fmt(1.5), CsvWriter::fmt(2.25), CsvWriter::fmt(1e-7)});
   EXPECT_EQ(os.str(), "label,1.5,2.25,1e-07\n");
 }
 

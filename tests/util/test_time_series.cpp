@@ -110,22 +110,6 @@ TEST(TimeSeries, DailyMeanRequiresDividingStep) {
   EXPECT_THROW((void)ts.daily_mean(), greenhpc::InvalidArgument);
 }
 
-TEST(TimeSeries, RollingMeanSmoothsAndPreservesLength) {
-  const TimeSeries ts = ramp(5);
-  const TimeSeries smooth = ts.rolling_mean(3);
-  ASSERT_EQ(smooth.size(), 5u);
-  EXPECT_DOUBLE_EQ(smooth.at(0), 0.5);  // truncated window {0,1}
-  EXPECT_DOUBLE_EQ(smooth.at(2), 2.0);  // {1,2,3}
-  EXPECT_DOUBLE_EQ(smooth.at(4), 3.5);  // {3,4}
-}
-
-TEST(TimeSeries, MapTransformsElementwise) {
-  const TimeSeries ts = ramp(3);
-  const TimeSeries doubled = ts.map([](double v) { return 2.0 * v; });
-  EXPECT_DOUBLE_EQ(doubled.at(2), 4.0);
-  EXPECT_EQ(doubled.size(), 3u);
-}
-
 TEST(TimeSeries, SlicePreservesTimeAlignment) {
   const TimeSeries ts = ramp(10);
   const TimeSeries mid = ts.slice(3, 4);

@@ -35,13 +35,16 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -101,6 +104,23 @@ class Args {
   [[nodiscard]] double num(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : std::atof(it->second.c_str());
+  }
+  /// Strict integer flag (`fallback` when absent): empty, after a
+  /// message, unless the value is a whole decimal number >= `min`.
+  [[nodiscard]] std::optional<long> count(const std::string& key, long fallback,
+                                          long min) const {
+    const auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const long value = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE || value < min) {
+      std::fprintf(stderr, "--%s wants a whole number >= %ld, got '%s'\n", key.c_str(),
+                   min, text);
+      return std::nullopt;
+    }
+    return value;
   }
 
  private:
@@ -580,8 +600,11 @@ std::string g_self_exe;
 
 int cmd_sweep(const Args& args, obs::RunReport& report) {
   const core::SweepGrid grid = build_sweep_grid(args);
-  const std::size_t block = static_cast<std::size_t>(args.num("block", 256));
-  const int retries = static_cast<int>(args.num("retries", 2));
+  const std::optional<long> block_arg = args.count("block", 256, 1);
+  const std::optional<long> retries_arg = args.count("retries", 2, 0);
+  if (!block_arg || !retries_arg) return 2;
+  const auto block = static_cast<std::size_t>(*block_arg);
+  const int retries = static_cast<int>(*retries_arg);
   const int workers = static_cast<int>(args.num("workers", 0));
   if (workers < 0) {
     std::fprintf(stderr, "--workers wants a non-negative count\n");
@@ -793,12 +816,17 @@ int cmd_sweep_worker(const Args& args) {
     util::FaultInjector::global().set_lethal(true);
     util::FaultInjector::global().arm(std::move(specs));
   }
+  const std::optional<long> block_arg = args.count("block", 256, 1);
+  const std::optional<long> retries_arg = args.count("retries", 2, 0);
+  if (!block_arg || !retries_arg) return 2;
+  const auto block = static_cast<std::size_t>(*block_arg);
+  const int retries = static_cast<int>(*retries_arg);
   const core::SweepGrid grid = build_sweep_grid(args);
   core::SweepWorker::Options wopts;
-  wopts.block = static_cast<std::size_t>(args.num("block", 256));
+  wopts.block = block;
   wopts.heartbeat_interval_s = args.num("hb-interval", 0.5);
   wopts.shard_path = args.get("shard-path", "");
-  wopts.case_opts.case_retries = static_cast<int>(args.num("retries", 2));
+  wopts.case_opts.case_retries = retries;
   // Appended by the coordinator, never typed by hand: shipping defaults
   // on, trace shipping only when a fleet trace was requested.
   wopts.ship_stats = !args.has("no-ship-stats");
@@ -844,7 +872,9 @@ int cmd_chaos(const Args& args, obs::RunReport& report) {
   copts.schedules = static_cast<int>(args.num("schedules", 10));
   copts.workers = static_cast<int>(args.num("workers", 3));
   copts.workdir = args.get("workdir", "chaos-out");
-  copts.block = static_cast<std::size_t>(args.num("block", 2));
+  const std::optional<long> block = args.count("block", 2, 1);
+  if (!block) return 2;
+  copts.block = static_cast<std::size_t>(*block);
   copts.schedule_deadline_s = args.num("deadline", 120.0);
   copts.sites = split_list(args.get("sites", ""));
   if (copts.schedules < 1 || copts.workers < 1) {
