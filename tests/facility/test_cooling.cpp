@@ -3,16 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "facility/weather.hpp"
+#include "testing/cooling.hpp"
 
 namespace greenhpc::facility {
 namespace {
 
-/// Mean of the model's PUE over the samples of a temperature trace.
-double mean_pue(const CoolingModel& model, const util::TimeSeries& temperature) {
-  double sum = 0.0;
-  for (double t : temperature.values()) sum += model.pue_at(t);
-  return sum / static_cast<double>(temperature.size());
-}
+using greenhpc::testing::mean_pue;
 
 TEST(Cooling, PueAlwaysAtLeastOne) {
   for (auto tech : {CoolingTechnology::AirCooled, CoolingTechnology::ChilledWater,

@@ -8,18 +8,13 @@
 
 #include "carbon/grid_model.hpp"
 #include "facility/facility_model.hpp"
+#include "testing/cooling.hpp"
 
 namespace greenhpc::facility {
 namespace {
 
+using greenhpc::testing::mean_pue;
 using FacilityCase = std::tuple<carbon::Region, CoolingTechnology>;
-
-/// Mean of the model's PUE over the samples of a temperature trace.
-double mean_pue(const CoolingModel& model, const util::TimeSeries& temperature) {
-  double sum = 0.0;
-  for (double t : temperature.values()) sum += model.pue_at(t);
-  return sum / static_cast<double>(temperature.size());
-}
 
 class FacilityProperties : public ::testing::TestWithParam<FacilityCase> {
  protected:

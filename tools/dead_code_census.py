@@ -21,7 +21,7 @@ use it (Suite.Name, comma separated). The census fails on:
   - a list entry whose named test is not defined under tests/.
 
 Usage:
-  python3 tools/dead_code_census.py [--build-dir DIR] [--jobs N]
+  python3 tools/dead_code_census.py [--build-dir DIR]
 
 The build tree defaults to build-census/ at the repository root and is
 reused (incrementally rebuilt) by later runs. Exit status 0 means the
@@ -44,6 +44,7 @@ CENSUS_FLAGS = [
     "-DCMAKE_CXX_FLAGS=-O0 -ffunction-sections -fdata-sections",
     "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections",
 ]
+BUILD_JOBS = min(4, os.cpu_count() or 1)
 
 
 class CensusError(Exception):
@@ -59,10 +60,10 @@ def run(cmd):
     return proc.stdout
 
 
-def build(src, bdir, jobs, extra, targets):
+def build(src, bdir, extra, targets):
     if not os.path.isfile(os.path.join(bdir, "CMakeCache.txt")):
         run(["cmake", "-S", src, "-B", bdir] + CENSUS_FLAGS + extra)
-    cmd = ["cmake", "--build", bdir, "-j", str(jobs)]
+    cmd = ["cmake", "--build", bdir, "-j", str(BUILD_JOBS)]
     for target in targets:
         cmd += ["--target", target]
     run(cmd)
@@ -128,18 +129,14 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--build-dir", default=os.path.join(ROOT, "build-census"),
                         help="scratch build tree (default: build-census/)")
-    parser.add_argument("--jobs", type=int, default=min(4, os.cpu_count() or 1),
-                        help="parallel build jobs (default: up to 4)")
     args = parser.parse_args()
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
 
     main_dir = os.path.join(args.build_dir, "main")
     ledger_dir = os.path.join(args.build_dir, "ledger")
-    build(ROOT, main_dir, args.jobs,
+    build(ROOT, main_dir,
           ["-DGREENHPC_BUILD_TESTS=OFF", "-DGREENHPC_BUILD_BENCH=ON",
            "-DGREENHPC_BUILD_EXAMPLES=ON"], [])
-    build(os.path.join(ROOT, "sweepbench"), ledger_dir, args.jobs, [], ["sweep_ledger"])
+    build(os.path.join(ROOT, "sweepbench"), ledger_dir, [], ["sweep_ledger"])
 
     libraries = sorted(glob.glob(os.path.join(main_dir, "src", "**", "*.a"), recursive=True))
     if not libraries:

@@ -42,6 +42,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -106,18 +107,19 @@ class Args {
     return it == values_.end() ? fallback : std::atof(it->second.c_str());
   }
   /// Strict integer flag (`fallback` when absent): empty, after a
-  /// message, unless the value is a whole decimal number >= `min`.
-  [[nodiscard]] std::optional<long> count(const std::string& key, long fallback,
-                                          long min) const {
+  /// message, unless the value is a whole decimal number in [`min`, `max`].
+  [[nodiscard]] std::optional<long> count(
+      const std::string& key, long fallback, long min,
+      long max = std::numeric_limits<long>::max()) const {
     const auto it = values_.find(key);
     if (it == values_.end()) return fallback;
     const char* text = it->second.c_str();
     char* end = nullptr;
     errno = 0;
     const long value = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE || value < min) {
-      std::fprintf(stderr, "--%s wants a whole number >= %ld, got '%s'\n", key.c_str(),
-                   min, text);
+    if (end == text || *end != '\0' || errno == ERANGE || value < min || value > max) {
+      std::fprintf(stderr, "--%s wants a whole number in [%ld, %ld], got '%s'\n",
+                   key.c_str(), min, max, text);
       return std::nullopt;
     }
     return value;
@@ -601,7 +603,7 @@ std::string g_self_exe;
 int cmd_sweep(const Args& args, obs::RunReport& report) {
   const core::SweepGrid grid = build_sweep_grid(args);
   const std::optional<long> block_arg = args.count("block", 256, 1);
-  const std::optional<long> retries_arg = args.count("retries", 2, 0);
+  const std::optional<long> retries_arg = args.count("retries", 2, 0, std::numeric_limits<int>::max());
   if (!block_arg || !retries_arg) return 2;
   const auto block = static_cast<std::size_t>(*block_arg);
   const int retries = static_cast<int>(*retries_arg);
@@ -817,7 +819,7 @@ int cmd_sweep_worker(const Args& args) {
     util::FaultInjector::global().arm(std::move(specs));
   }
   const std::optional<long> block_arg = args.count("block", 256, 1);
-  const std::optional<long> retries_arg = args.count("retries", 2, 0);
+  const std::optional<long> retries_arg = args.count("retries", 2, 0, std::numeric_limits<int>::max());
   if (!block_arg || !retries_arg) return 2;
   const auto block = static_cast<std::size_t>(*block_arg);
   const int retries = static_cast<int>(*retries_arg);

@@ -2,9 +2,10 @@
 #   cmake -DCLI=<greenhpc binary> -DWORKDIR=<scratch dir> -P block_guard.cmake
 #
 # `sweep` and `sweep-worker` must refuse a --block that is not a positive
-# whole number and a --retries below 0, and `chaos` such a --block, with
-# exit status 2 and a message naming the flag, before any case runs: the block becomes a std::size_t,
-# so a negative or non-numeric value must never reach that conversion.
+# whole number and a --retries below 0 or above INT_MAX, and `chaos` such a
+# --block, with exit status 2 and a message naming the flag, before any case
+# runs: the block becomes a std::size_t and the retries an int, so a value
+# out of their range must never reach that conversion.
 
 if(NOT DEFINED CLI OR NOT DEFINED WORKDIR)
   message(FATAL_ERROR "usage: cmake -DCLI=... -DWORKDIR=... -P block_guard.cmake")
@@ -37,6 +38,7 @@ foreach(command sweep sweep-worker)
     expect_refused(${command} block ${value})
   endforeach()
   expect_refused(${command} retries -1)
+  expect_refused(${command} retries 4294967295)
   expect_refused(${command} retries many)
 endforeach()
 expect_refused(chaos block -1)
